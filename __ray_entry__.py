@@ -514,21 +514,15 @@ def _extract_span_dedup(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from exstruct_ray.ops.shuffle import empty_frame
+    from exstruct_ray.ops.shuffle import bucket_exchange, empty_block, to_frame
     from exstruct_ray.stages.pipeline import build_extraction_pipeline
 
     ds = _corpus_dataset(sf_dir)
     out = build_extraction_pipeline(ds, batch_size=16)
 
-    mid_cols = [
-        ("text_md5", "object"),
-        ("doc_id", "object"),
-        ("bucket", "int64"),
-    ]
+    mid_cols = [("text_md5", "object"), ("doc_id", "object")]
 
     def cell_keys(batch: pa.Table) -> pd.DataFrame:
-        if batch.num_rows == 0:
-            return empty_frame(mid_cols)
         list_arr = batch.column("spans").combine_chunks()
         values = list_arr.flatten()
         parents = pc.list_parent_indices(list_arr).to_numpy()
@@ -536,7 +530,7 @@ def _extract_span_dedup(sf_dir: str):
             zero_copy_only=False
         )
         if not mask.any():
-            return empty_frame(mid_cols)
+            return empty_block(mid_cols)
         texts = pc.fill_null(values.field("text"), "").to_pylist()
         doc_ids = np.asarray(batch.column("doc_id").to_pylist(), dtype=object)[
             parents
@@ -545,16 +539,12 @@ def _extract_span_dedup(sf_dir: str):
             _hashlib.md5(texts[i].encode("utf-8")).hexdigest()
             for i in np.flatnonzero(mask)
         ]
-        out_df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "text_md5": pd.Series(hashes, dtype="object"),
                 "doc_id": pd.Series(doc_ids[mask], dtype="object"),
             }
         )
-        out_df["bucket"] = (
-            out_df["text_md5"].map(lambda h: int(h[:4], 16) % 64)
-        ).astype("int64")
-        return out_df[[c for c, _ in mid_cols]]
 
     final_cols = [
         ("text_md5", "object"),
@@ -564,8 +554,6 @@ def _extract_span_dedup(sf_dir: str):
     ]
 
     def dups_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if "text_md5" not in group.columns or len(group) == 0:
-            return empty_frame(final_cols)
         agg = group.groupby("text_md5").agg(
             n_docs=("doc_id", "nunique"),
             n_rows=("doc_id", "size"),
@@ -577,14 +565,13 @@ def _extract_span_dedup(sf_dir: str):
         agg["canonical_doc"] = agg["canonical_doc"].astype("object")
         return agg[[c for c, _ in final_cols]]
 
-    res = (
-        out.map_batches(cell_keys, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(dups_in_bucket, batch_format="pandas")
-        .to_pandas()
+    res = to_frame(
+        bucket_exchange(
+            out.map_batches(cell_keys, batch_format="pyarrow"),
+            dups_in_bucket,
+            key="text_md5",
+            schema=final_cols,
+        ),
+        final_cols,
     )
-    if "text_md5" not in res.columns:
-        return pd.DataFrame(
-            {c: pd.Series(dtype=t) for c, t in final_cols}
-        )
     return res.sort_values("text_md5").reset_index(drop=True)

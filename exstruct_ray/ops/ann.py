@@ -16,6 +16,8 @@ import heapq
 import numpy as np
 import pandas as pd
 
+from .shuffle import attach_payload, bucket_exchange
+
 
 def _normalize(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
@@ -106,7 +108,7 @@ def lsh_neardup_pairs(ds, dim: int, threshold: float = 0.38, concurrency=None):
     over the candidate pairs only.
 
     Exchange discipline (the MinHash ids-only pattern): the band shuffle
-    ships (shuffle_key, band_idx, band_key, vec_id) — the embedding does
+    ships (band_idx, band_key, vec_id) — the embedding does
     NOT replicate ×bands through the AllToAll. Candidate pairs (a tiny
     fraction of the corpus) then attach their two embeddings via two
     tagged-union bucket merges, and cosine verification runs in
@@ -121,8 +123,6 @@ def lsh_neardup_pairs(ds, dim: int, threshold: float = 0.38, concurrency=None):
 
         concurrency = _default_concurrency()
 
-    n_shuffle_buckets = 256
-
     class BandKeys:
         def __init__(self):
             self._planes = lsh_plane_matrix(dim)
@@ -134,7 +134,6 @@ def lsh_neardup_pairs(ds, dim: int, threshold: float = 0.38, concurrency=None):
             signs = (vecs @ self._planes) > 0
             vec_ids = np.asarray(batch["vec_id"], dtype=np.int64)
             rows = {
-                "shuffle_key": [],
                 "band_idx": [],
                 "band_key": [],
                 "vec_id": [],
@@ -144,9 +143,6 @@ def lsh_neardup_pairs(ds, dim: int, threshold: float = 0.38, concurrency=None):
                 for bit in range(LSH_PLANES_PER_BAND):
                     col = band * LSH_PLANES_PER_BAND + bit
                     key |= signs[:, col].astype(np.int64) << bit
-                rows["shuffle_key"].extend(
-                    ((key * LSH_BANDS + band) % n_shuffle_buckets).tolist()
-                )
                 rows["band_idx"].extend([band] * len(vecs))
                 rows["band_key"].extend(key.tolist())
                 rows["vec_id"].extend(vec_ids.tolist())
@@ -183,8 +179,12 @@ def lsh_neardup_pairs(ds, dim: int, threshold: float = 0.38, concurrency=None):
             }
         )
 
-    cand = banded.groupby("shuffle_key").map_groups(
-        candidate_pairs, batch_format="pandas"
+    cand = bucket_exchange(
+        banded,
+        candidate_pairs,
+        key=["band_idx", "band_key"],
+        schema=[("vec_a", "int64"), ("vec_b", "int64")],
+        n_buckets=256,
     )
 
     # Attach both embeddings with the Arrow-native tagged-union bucket
@@ -193,8 +193,6 @@ def lsh_neardup_pairs(ds, dim: int, threshold: float = 0.38, concurrency=None):
     # of pickled bytes. A pair colliding in several bands dedups inside
     # the first merge (duplicates share vec_a and therefore the bucket).
     import pyarrow as pa
-
-    from .shuffle import attach_payload
 
     def pack_vecs(batch: _pd.DataFrame) -> _pd.DataFrame:
         return _pd.DataFrame(
@@ -224,11 +222,7 @@ def lsh_neardup_pairs(ds, dim: int, threshold: float = 0.38, concurrency=None):
         carry_ids=["vec_a", "vec_b"], carry_payloads={"emb_a": pa.binary()},
     )
 
-    VERIFY_SCHEMA = pa.schema([("vec_a", pa.int64()), ("vec_b", pa.int64())])
-
     def verify(batch: pa.Table) -> pa.Table:
-        if "vec_a" not in batch.column_names or batch.num_rows == 0:
-            return VERIFY_SCHEMA.empty_table()
         a = np.frombuffer(
             b"".join(batch["emb_a"].to_pylist()), dtype=np.float64
         ).reshape(batch.num_rows, -1)
@@ -465,14 +459,6 @@ def quantize_embeddings_int8(ds, dim: int = 64):
         )
 
     def range_merge(batch: pd.DataFrame) -> pd.DataFrame:
-        if "dim" not in batch.columns or batch.empty:
-            return pd.DataFrame(
-                {
-                    "dim": pd.Series(dtype="int64"),
-                    "lo": pd.Series(dtype="int64"),
-                    "hi": pd.Series(dtype="int64"),
-                }
-            )
         out = batch.groupby("dim", as_index=False).agg(
             lo=("lo", "min"), hi=("hi", "max")
         )

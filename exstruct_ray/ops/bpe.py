@@ -27,6 +27,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .shuffle import bucket_exchange, empty_block, to_frame
+
 
 def _pair_partial(batch: pd.DataFrame) -> pd.DataFrame:
     """26x26 adjacent-pair counts of one batch as (code, cnt) rows.
@@ -67,23 +69,12 @@ def pair_counts(ds, top_k: int = 32) -> pd.DataFrame:
     partials = ds.map_batches(_pair_partial, batch_format="pandas")
 
     def combine(group: pd.DataFrame) -> pd.DataFrame:
-        if "code" not in group.columns or len(group) == 0:
-            return pd.DataFrame(
-                {"code": pd.Series(dtype="int64"), "cnt": pd.Series(dtype="int64")}
-            )
         return group.groupby("code", as_index=False).agg(cnt=("cnt", "sum"))
 
-    # <=676 distinct keys: direct groupby is fine (no micro-group blowup).
-    out = partials.groupby("code").map_groups(combine, batch_format="pandas")
-    df = out.to_pandas()
-    if df.empty:
-        return pd.DataFrame(
-            {
-                "a": pd.Series(dtype="object"),
-                "b": pd.Series(dtype="object"),
-                "cnt": pd.Series(dtype="int64"),
-            }
-        )
+    cols = [("code", "int64"), ("cnt", "int64")]
+    df = to_frame(
+        bucket_exchange(partials, combine, key="code", schema=cols), cols
+    )
     df["a"] = (df["code"] // 26 + 0x61).apply(chr)
     df["b"] = (df["code"] % 26 + 0x61).apply(chr)
     df = df.sort_values(
@@ -100,40 +91,32 @@ def word_type_counts(ds, n_buckets: int = 64, max_vocab: int | None = None):
     word type at most once per batch.
     """
 
+    cols = [("word", "object"), ("cnt", "int64")]
+
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         words = (
             batch["text"].fillna("").str.lower().str.findall(r"[a-z]+").explode()
         )
         words = words.dropna()
         if not len(words):
-            return pd.DataFrame(
-                {
-                    "word": pd.Series(dtype="object"),
-                    "cnt": pd.Series(dtype="int64"),
-                    "wbucket": pd.Series(dtype="int64"),
-                }
-            )
+            return empty_block(cols)
         vc = words.value_counts()
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"word": vc.index.to_numpy(), "cnt": vc.to_numpy().astype("int64")}
         )
-        out["wbucket"] = (
-            pd.util.hash_array(out["word"].to_numpy()) % n_buckets
-        ).astype("int64")
-        return out
 
     def combine(group: pd.DataFrame) -> pd.DataFrame:
-        if "word" not in group.columns or len(group) == 0:
-            return pd.DataFrame(
-                {"word": pd.Series(dtype="object"), "cnt": pd.Series(dtype="int64")}
-            )
         return group.groupby("word", as_index=False).agg(cnt=("cnt", "sum"))
 
-    vocab = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("wbucket")
-        .map_groups(combine, batch_format="pandas")
-        .to_pandas()
+    vocab = to_frame(
+        bucket_exchange(
+            ds.map_batches(partial, batch_format="pandas"),
+            combine,
+            key="word",
+            schema=cols,
+            n_buckets=n_buckets,
+        ),
+        cols,
     )
     vocab = vocab.sort_values(
         ["cnt", "word"], ascending=[False, True]

@@ -29,6 +29,8 @@ import zlib
 import numpy as np
 import pandas as pd
 
+from .shuffle import attach_payload, bucket_exchange, empty_block
+
 _MERSENNE = (1 << 61) - 1
 _MAX_HASH = (1 << 32) - 1
 
@@ -230,10 +232,9 @@ def minhash_dedup_pairs(
     # signature does NOT replicate ×bands through the shuffle (~10× less
     # exchange traffic than sig-carrying band rows); candidate pairs join
     # their two signatures afterwards, and the pair set is a tiny fraction
-    # of the corpus. The shuffle key is a COARSE hash bucket
-    # (band_key % n_shuffle_buckets): micro-groups kill a per-exact-key
-    # groupby, so exact-band grouping happens inside each shuffled group.
-    n_shuffle_buckets = 1024
+    # of the corpus. The exchange runs on a COARSE hash bucket of band_key
+    # (1024 buckets): micro-groups kill a per-exact-key groupby, so
+    # exact-band grouping happens inside each bucket.
 
     def band_ids(batch):
         # Arrow in/out, fully vectorized: decode the sig matrix as a numpy
@@ -250,7 +251,6 @@ def minhash_dedup_pairs(
             {
                 "doc_id": doc_col.take(idx),
                 "band_key": pa.array(flat_keys),
-                "shuffle_key": pa.array(flat_keys % n_shuffle_buckets),
             }
         )
 
@@ -279,8 +279,12 @@ def minhash_dedup_pairs(
             }
         )
 
-    cand = banded.groupby("shuffle_key").map_groups(
-        candidate_pairs, batch_format="pandas"
+    cand = bucket_exchange(
+        banded,
+        candidate_pairs,
+        key="band_key",
+        schema=[("doc_a", "int64"), ("doc_b", "int64")],
+        n_buckets=1024,
     )
 
     # Attach each candidate's two signatures with the Arrow-native
@@ -290,8 +294,6 @@ def minhash_dedup_pairs(
     # bands dedup inside the first merge (they always share doc_a and
     # therefore the same bucket).
     import pyarrow as pa
-
-    from .shuffle import attach_payload
 
     with_a = attach_payload(
         cand, sigs,
@@ -304,14 +306,7 @@ def minhash_dedup_pairs(
         carry_ids=["doc_a", "doc_b"], carry_payloads={"sig_a": pa.binary()},
     )
 
-    OUT_SCHEMA = pa.schema(
-        [("doc_a", pa.int64()), ("doc_b", pa.int64()),
-         ("est_jaccard", pa.float64())]
-    )
-
     def verify_est(batch: pa.Table) -> pa.Table:
-        if "doc_a" not in batch.column_names or batch.num_rows == 0:
-            return OUT_SCHEMA.empty_table()
         # Uniform-width sig rows decode to one (n, num_perm) matrix each;
         # the estimate is a single vectorized row-mean of equality.
         sa = np.frombuffer(
@@ -362,8 +357,6 @@ def minhash_dedup_pairs_sigcarry(
     sigs = minhash_signatures(
         ds, num_perm=num_perm, shingle_k=shingle_k, concurrency=concurrency
     )
-    n_shuffle_buckets = 1024
-
     def band_rows(batch):
         sig_mat = _sig_matrix(batch.column("sig"), num_perm)
         keys = _band_keys(sig_mat, bands, rows_per_band)
@@ -377,7 +370,6 @@ def minhash_dedup_pairs_sigcarry(
                 "doc_id": doc_col.take(idx),
                 "sig": sig_col.take(idx),
                 "band_key": pa.array(flat_keys),
-                "shuffle_key": pa.array(flat_keys % n_shuffle_buckets),
             }
         )
 
@@ -412,22 +404,15 @@ def minhash_dedup_pairs_sigcarry(
             }
         )
 
-    pairs = banded.groupby("shuffle_key").map_groups(
-        verify_in_bucket, batch_format="pandas"
+    cols = [("doc_a", "int64"), ("doc_b", "int64"), ("est_jaccard", "float64")]
+    pairs = bucket_exchange(
+        banded, verify_in_bucket, key="band_key", schema=cols, n_buckets=1024
     )
 
     def dedup_group(group: pd.DataFrame) -> pd.DataFrame:
-        if "doc_a" not in group.columns or group.empty:
-            return pd.DataFrame(
-                {
-                    "doc_a": pd.Series(dtype="int64"),
-                    "doc_b": pd.Series(dtype="int64"),
-                    "est_jaccard": pd.Series(dtype="float64"),
-                }
-            )
         return group.drop_duplicates(subset=["doc_a", "doc_b"])
 
-    return pairs.groupby("doc_a").map_groups(dedup_group, batch_format="pandas")
+    return bucket_exchange(pairs, dedup_group, key="doc_a", schema=cols)
 
 
 def exact_dedup(ds, key_column: str = "text", id_column: str = "doc_id"):
@@ -452,14 +437,20 @@ def exact_dedup(ds, key_column: str = "text", id_column: str = "doc_id"):
     hashed = ds.map_batches(hash_batch, batch_format="pandas")
 
     def keep_first(group: pd.DataFrame) -> pd.DataFrame:
+        agg = group.groupby("content_hash")[id_column].agg(["min", "size"])
         return pd.DataFrame(
             {
-                id_column: [group[id_column].min()],
-                "dup_count": [len(group)],
+                id_column: agg["min"].to_numpy(),
+                "dup_count": agg["size"].to_numpy(dtype=np.int64),
             }
         )
 
-    return hashed.groupby("content_hash").map_groups(keep_first, batch_format="pandas")
+    return bucket_exchange(
+        hashed,
+        keep_first,
+        key="content_hash",
+        schema=[(id_column, "int64"), ("dup_count", "int64")],
+    )
 
 
 def dedup_groups(pairs_df: pd.DataFrame) -> pd.DataFrame:
@@ -478,8 +469,8 @@ def dedup_groups(pairs_df: pd.DataFrame) -> pd.DataFrame:
     by pair count automatically.
     """
     if "doc_a" not in pairs_df.columns or not len(pairs_df):
-        # zero-pair input arrives as a zero-COLUMN frame (map_groups emits
-        # column-less blocks for empty hash partitions)
+        # zero-pair input arrives as a zero-COLUMN frame (Ray's to_pandas
+        # of a Dataset whose blocks are all empty)
         return pd.DataFrame(
             {
                 "doc_id": pd.Series(dtype="int64"),
@@ -604,15 +595,7 @@ def label_propagation_groups_ds(pairs_ds, max_iters: int = 50):
     use label_propagation_groups for the driver-collected frame.
     """
     n_buckets = 64
-
-    def _bucket(values: pd.Series) -> pd.Series:
-        hashed = pd.util.hash_array(values.to_numpy()) % n_buckets
-        return pd.Series(hashed.astype("int64"), index=values.index)
-
-    def _empty_labels() -> pd.DataFrame:
-        return pd.DataFrame(
-            {"node": pd.Series(dtype="int64"), "label": pd.Series(dtype="int64")}
-        )
+    label_cols = [("node", "int64"), ("label", "int64")]
 
     # Directed edge list (both directions), reused every round.
     edges = pairs_ds.map_batches(
@@ -630,8 +613,6 @@ def label_propagation_groups_ds(pairs_ds, max_iters: int = 50):
     ).materialize()
 
     def reduce_min(group: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in group.columns or group.empty:
-            return _empty_labels()
         return group.groupby("node", as_index=False)["label"].min()
 
     def reduce_min_tracked(group: pd.DataFrame) -> pd.DataFrame:
@@ -639,10 +620,6 @@ def label_propagation_groups_ds(pairs_ds, max_iters: int = 50):
         emitting a per-node ``changed`` flag — the distributed fixpoint
         signal. The convergence test is then a scalar sum over ``changed``,
         never a driver collect of the label table."""
-        if "node" not in group.columns or group.empty:
-            out = _empty_labels()
-            out["changed"] = pd.Series(dtype="int64")
-            return out
         new = group.groupby("node", as_index=False)["label"].min()
         cur = group[group["is_cur"]].groupby("node")["label"].min()
         # float64 so absent-current nodes (shouldn't occur: every node is
@@ -654,17 +631,8 @@ def label_propagation_groups_ds(pairs_ds, max_iters: int = 50):
         ).astype("int64")
         return new[["node", "label", "changed"]]
 
-    def with_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in batch.columns or batch.empty:
-            out = _empty_labels()
-            out["bucket"] = pd.Series(dtype="int64")
-            return out
-        out = batch[["node", "label"]].copy()
-        out["bucket"] = _bucket(out["node"])
-        return out
-
     # Initial label: min(self, direct neighbors).
-    current = (
+    current = bucket_exchange(
         edges.map_batches(
             lambda batch: pd.DataFrame(
                 {
@@ -673,27 +641,16 @@ def label_propagation_groups_ds(pairs_ds, max_iters: int = 50):
                 }
             ),
             batch_format="pandas",
-        )
-        .map_batches(with_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(reduce_min, batch_format="pandas")
-        .materialize()
-    )
+        ),
+        reduce_min,
+        key="node",
+        schema=label_cols,
+        n_buckets=n_buckets,
+    ).materialize()
 
     def tag_edges(batch: pd.DataFrame) -> pd.DataFrame:
-        if "src" not in batch.columns or batch.empty:
-            return pd.DataFrame(
-                {
-                    "bucket": pd.Series(dtype="int64"),
-                    "key": pd.Series(dtype="int64"),
-                    "dst": pd.Series(dtype="int64"),
-                    "label": pd.Series(dtype="int64"),
-                    "is_label": pd.Series(dtype="bool"),
-                }
-            )
         return pd.DataFrame(
             {
-                "bucket": _bucket(batch["src"]),
                 "key": batch["src"],
                 "dst": batch["dst"],
                 "label": np.int64(-1),
@@ -702,19 +659,8 @@ def label_propagation_groups_ds(pairs_ds, max_iters: int = 50):
         )
 
     def tag_labels(batch: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in batch.columns or batch.empty:
-            return pd.DataFrame(
-                {
-                    "bucket": pd.Series(dtype="int64"),
-                    "key": pd.Series(dtype="int64"),
-                    "dst": pd.Series(dtype="int64"),
-                    "label": pd.Series(dtype="int64"),
-                    "is_label": pd.Series(dtype="bool"),
-                }
-            )
         return pd.DataFrame(
             {
-                "bucket": _bucket(batch["node"]),
                 "key": batch["node"],
                 "dst": batch["node"],
                 "label": batch["label"],
@@ -726,7 +672,7 @@ def label_propagation_groups_ds(pairs_ds, max_iters: int = 50):
         e = group[~group["is_label"]]
         lab = group[group["is_label"]]
         if e.empty or lab.empty:
-            return _empty_labels()
+            return None
         m = e[["key", "dst"]].merge(
             lab[["key", "label"]].drop_duplicates("key"), on="key", how="inner"
         )
@@ -736,10 +682,6 @@ def label_propagation_groups_ds(pairs_ds, max_iters: int = 50):
         # Pointer jumping: a label row (node → L) also acts as an edge
         # L → node, so each round a node can adopt label(label(node)) —
         # convergence in O(log diameter) rounds instead of O(diameter).
-        if "node" not in batch.columns or batch.empty:
-            return pd.DataFrame(
-                {"src": pd.Series(dtype="int64"), "dst": pd.Series(dtype="int64")}
-            )
         return pd.DataFrame(
             {
                 "src": batch["label"].astype("int64"),
@@ -748,40 +690,38 @@ def label_propagation_groups_ds(pairs_ds, max_iters: int = 50):
         )
 
     def cur_tagged(batch: pd.DataFrame) -> pd.DataFrame:
-        out = with_bucket(batch)
-        out["is_cur"] = (
-            pd.Series(dtype="bool") if out.empty else True
-        )
-        return out
+        return batch[["node", "label"]].assign(is_cur=True)
 
     def recv_tagged(batch: pd.DataFrame) -> pd.DataFrame:
-        out = with_bucket(batch)
-        out["is_cur"] = (
-            pd.Series(dtype="bool") if out.empty else False
-        )
-        return out
+        return batch[["node", "label"]].assign(is_cur=False)
 
     def changed_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        n = int(batch["changed"].sum()) if "changed" in batch.columns else 0
-        return pd.DataFrame({"n": [n]})
+        return pd.DataFrame({"n": [int(batch["changed"].sum())]})
 
     for _ in range(max_iters):
         iteration_edges = edges.union(
             current.map_batches(jump_edges, batch_format="pandas")
         )
-        received = (
-            iteration_edges.map_batches(tag_edges, batch_format="pandas")
-            .union(current.map_batches(tag_labels, batch_format="pandas"))
-            .groupby("bucket")
-            .map_groups(propagate, batch_format="pandas")
+        received = bucket_exchange(
+            [
+                iteration_edges.map_batches(tag_edges, batch_format="pandas"),
+                current.map_batches(tag_labels, batch_format="pandas"),
+            ],
+            propagate,
+            key="key",
+            schema=label_cols,
+            n_buckets=n_buckets,
         )
-        merged = (
-            current.map_batches(cur_tagged, batch_format="pandas")
-            .union(received.map_batches(recv_tagged, batch_format="pandas"))
-            .groupby("bucket")
-            .map_groups(reduce_min_tracked, batch_format="pandas")
-            .materialize()
-        )
+        merged = bucket_exchange(
+            [
+                current.map_batches(cur_tagged, batch_format="pandas"),
+                received.map_batches(recv_tagged, batch_format="pandas"),
+            ],
+            reduce_min_tracked,
+            key="node",
+            schema=label_cols + [("changed", "int64")],
+            n_buckets=n_buckets,
+        ).materialize()
         current = merged
         # Distributed fixpoint test: per-block scalar partials of the
         # changed-label count — the driver sees one int per block, never
@@ -795,10 +735,6 @@ def label_propagation_groups_ds(pairs_ds, max_iters: int = 50):
             break
 
     def to_groups(batch: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in batch.columns or batch.empty:
-            return pd.DataFrame(
-                {c: pd.Series(dtype=t) for c, t in _GROUP_COLS}
-            )
         out = pd.DataFrame(
             {
                 "doc_id": batch["node"].astype("int64"),
@@ -821,26 +757,22 @@ def neardup_best_keep_distributed(docs, groups_ds, n_buckets: int = 64):
     corpus token counts meet in a doc-bucket tagged-union merge (the
     corpus side ships ids + counts only — 16 B/doc on the wire, the text
     never leaves its reading task), then ranking runs inside
-    group-bucket map_groups (exact per-component groupby, the
+    a group-bucket exchange (exact per-component groupby, the
     events_top_users_per_type pattern). Two AllToAlls, driver sees
     nothing until the caller consumes the result.
 
     Returns a Dataset with one row per component member:
     (doc_id, group_id, n_tokens, keep).
     """
-    from .shuffle import empty_frame, hash_bucket
 
     union_cols = [
         ("doc_id", "int64"),
         ("group_id", "int64"),
         ("n_tokens", "int64"),
         ("tag", "int64"),
-        ("bucket", "int64"),
     ]
 
     def member_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in batch.columns or not len(batch):
-            return empty_frame(union_cols)
         out = pd.DataFrame(
             {
                 "doc_id": batch["doc_id"].astype("int64").reset_index(
@@ -853,12 +785,9 @@ def neardup_best_keep_distributed(docs, groups_ds, n_buckets: int = 64):
                 "tag": np.int64(1),
             }
         )
-        out["bucket"] = hash_bucket(out["doc_id"], n_buckets)
         return out[[c for c, _ in union_cols]]
 
     def count_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in batch.columns or not len(batch):
-            return empty_frame(union_cols)
         n_tokens = (
             batch["text"].fillna("").str.findall(r"[^\t\n\f\r ]+").str.len()
         )
@@ -872,26 +801,21 @@ def neardup_best_keep_distributed(docs, groups_ds, n_buckets: int = 64):
                 "tag": np.int64(0),
             }
         )
-        out["bucket"] = hash_bucket(out["doc_id"], n_buckets)
         return out[[c for c, _ in union_cols]]
 
     mid_cols = [
         ("doc_id", "int64"),
         ("group_id", "int64"),
         ("n_tokens", "int64"),
-        ("gbucket", "int64"),
     ]
 
     def attach_tokens(group: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in group.columns or not len(group):
-            return empty_frame(mid_cols)
         mem = group[group["tag"] == 1]
         if not len(mem):
-            return empty_frame(mid_cols)
+            return None
         cnt = group.loc[group["tag"] == 0, ["doc_id", "n_tokens"]]
         m = mem[["doc_id", "group_id"]].merge(cnt, on="doc_id", how="left")
         m["n_tokens"] = m["n_tokens"].fillna(0).astype("int64")
-        m["gbucket"] = hash_bucket(m["group_id"], n_buckets)
         return m.astype("int64")[[c for c, _ in mid_cols]]
 
     out_cols = [
@@ -902,8 +826,6 @@ def neardup_best_keep_distributed(docs, groups_ds, n_buckets: int = 64):
     ]
 
     def rank_in_group(group: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in group.columns or not len(group):
-            return empty_frame(out_cols)
         g = group.sort_values(
             ["group_id", "n_tokens", "doc_id"],
             ascending=[True, False, True],
@@ -911,13 +833,18 @@ def neardup_best_keep_distributed(docs, groups_ds, n_buckets: int = 64):
         g["keep"] = (g["group_id"] != g["group_id"].shift()).astype("int64")
         return g.astype("int64")[[c for c, _ in out_cols]]
 
-    return (
-        groups_ds.map_batches(member_rows, batch_format="pandas")
-        .union(docs.map_batches(count_rows, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(attach_tokens, batch_format="pandas")
-        .groupby("gbucket")
-        .map_groups(rank_in_group, batch_format="pandas")
+    members = bucket_exchange(
+        [
+            groups_ds.map_batches(member_rows, batch_format="pandas"),
+            docs.map_batches(count_rows, batch_format="pandas"),
+        ],
+        attach_tokens,
+        key="doc_id",
+        schema=mid_cols,
+        n_buckets=n_buckets,
+    )
+    return bucket_exchange(
+        members, rank_in_group, key="group_id", schema=out_cols, n_buckets=n_buckets
     )
 
 
@@ -931,17 +858,13 @@ def neardup_survivors_distributed(docs, groups_ds, n_buckets: int = 64):
     doc-bucket tagged-union merge and the anti-join happens per bucket —
     one ids-only AllToAll. Returns a Dataset of (doc_id,).
     """
-    from .shuffle import empty_frame, hash_bucket
 
     union_cols = [
         ("doc_id", "int64"),
         ("tag", "int64"),
-        ("bucket", "int64"),
     ]
 
     def pruned_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in batch.columns or not len(batch):
-            return empty_frame(union_cols)
         sel = batch.loc[~batch["is_canonical"].astype(bool)]
         out = pd.DataFrame(
             {
@@ -951,12 +874,9 @@ def neardup_survivors_distributed(docs, groups_ds, n_buckets: int = 64):
                 "tag": np.int64(1),
             }
         )
-        out["bucket"] = hash_bucket(out["doc_id"], n_buckets)
         return out[[c for c, _ in union_cols]]
 
     def id_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in batch.columns or not len(batch):
-            return empty_frame(union_cols)
         out = pd.DataFrame(
             {
                 "doc_id": batch["doc_id"].astype("int64").reset_index(
@@ -965,23 +885,24 @@ def neardup_survivors_distributed(docs, groups_ds, n_buckets: int = 64):
                 "tag": np.int64(0),
             }
         )
-        out["bucket"] = hash_bucket(out["doc_id"], n_buckets)
         return out[[c for c, _ in union_cols]]
 
     def anti(group: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in group.columns or not len(group):
-            return empty_frame([("doc_id", "int64")])
         pruned = group.loc[group["tag"] == 1, "doc_id"]
         keep = group.loc[
             (group["tag"] == 0) & ~group["doc_id"].isin(pruned), ["doc_id"]
         ]
         return keep.astype("int64").reset_index(drop=True)
 
-    return (
-        groups_ds.map_batches(pruned_rows, batch_format="pandas")
-        .union(docs.map_batches(id_rows, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(anti, batch_format="pandas")
+    return bucket_exchange(
+        [
+            groups_ds.map_batches(pruned_rows, batch_format="pandas"),
+            docs.map_batches(id_rows, batch_format="pandas"),
+        ],
+        anti,
+        key="doc_id",
+        schema=[("doc_id", "int64")],
+        n_buckets=n_buckets,
     )
 
 
@@ -1112,18 +1033,14 @@ def duplicated_ngram_spans(ds, n: int = 5, n_buckets: int = 512):
     indices under the oracle's tokenization. md5 keying makes a false
     merge cryptographically negligible (and the oracle hashes identically,
     so the check would catch one)."""
+    gram_cols = [("gram_key", "object"), ("doc_id", "int64"), ("pos", "int64")]
+    hit_cols = [("doc_id", "int64"), ("pos", "int64")]
+    span_cols = [("doc_id", "int64"), ("start_word", "int64"), ("end_word", "int64")]
+
     def gram_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "gram_key": pd.Series(dtype="object"),
-                "doc_id": pd.Series(dtype="int64"),
-                "pos": pd.Series(dtype="int64"),
-                "gbucket": pd.Series(dtype="int64"),
-            }
-        )
         grams = gram_key_frame(batch["text"], n)
         if not len(grams):
-            return empty
+            return empty_block(gram_cols)
         doc_ids = (
             batch["doc_id"].reset_index(drop=True).to_numpy(dtype=np.int64)
         )
@@ -1132,45 +1049,20 @@ def duplicated_ngram_spans(ds, n: int = 5, n_buckets: int = 512):
                 "gram_key": grams["gram_key"],
                 "doc_id": doc_ids[grams["i"].to_numpy()],
                 "pos": grams["pos"],
-                "gbucket": pd.Series(
-                    [int(k[:4], 16) % n_buckets for k in grams["gram_key"]],
-                    dtype="int64",
-                ),
             }
         )
 
     grams = ds.map_batches(gram_rows, batch_format="pandas")
 
     def dup_hits(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "doc_id": pd.Series(dtype="int64"),
-                "pos": pd.Series(dtype="int64"),
-                "dbucket": pd.Series(dtype="int64"),
-            }
-        )
-        if "gram_key" not in group.columns or len(group) == 0:
-            return empty
         counts = group.groupby("gram_key")["gram_key"].transform("size")
-        hits = group.loc[counts >= 2, ["doc_id", "pos"]]
-        if not len(hits):
-            return empty
-        hits = hits.copy()
-        hits["dbucket"] = (hits["doc_id"] % 64).astype("int64")
-        return hits.reset_index(drop=True)
+        return group.loc[counts >= 2, ["doc_id", "pos"]].reset_index(drop=True)
 
-    hits = grams.groupby("gbucket").map_groups(dup_hits, batch_format="pandas")
+    hits = bucket_exchange(
+        grams, dup_hits, key="gram_key", schema=hit_cols, n_buckets=n_buckets
+    )
 
     def merge_intervals(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "doc_id": pd.Series(dtype="int64"),
-                "start_word": pd.Series(dtype="int64"),
-                "end_word": pd.Series(dtype="int64"),
-            }
-        )
-        if "doc_id" not in group.columns or len(group) == 0:
-            return empty
         g = group.sort_values(["doc_id", "pos"])
         doc = g["doc_id"].to_numpy(dtype=np.int64)
         pos = g["pos"].to_numpy(dtype=np.int64)
@@ -1191,9 +1083,7 @@ def duplicated_ngram_spans(ds, n: int = 5, n_buckets: int = 512):
         agg["end_word"] += n
         return agg.reset_index(drop=True)[["doc_id", "start_word", "end_word"]]
 
-    return hits.groupby("dbucket").map_groups(
-        merge_intervals, batch_format="pandas"
-    )
+    return bucket_exchange(hits, merge_intervals, key="doc_id", schema=span_cols)
 
 
 def simhash_pairs(ds, max_hamming: int = 3, n_buckets: int = 256):
@@ -1246,22 +1136,11 @@ def hamming64_pairs(
                     }
                 )
             )
-        out = pd.concat(frames, ignore_index=True)
-        out["bucket"] = (
-            (out["band_id"] * 65536 + out["band_val"]) % n_buckets
-        ).astype("int64")
-        return out
+        return pd.concat(frames, ignore_index=True)
 
-    pcols = [
-        ("doc_a", "int64"),
-        ("doc_b", "int64"),
-        ("hamming", "int64"),
-        ("pbucket", "int64"),
-    ]
+    cols = [("doc_a", "int64"), ("doc_b", "int64"), ("hamming", "int64")]
 
     def pairs_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if "band_id" not in group.columns or len(group) == 0:
-            return _empty(pcols)
         rows_a: list[int] = []
         rows_b: list[int] = []
         rows_h: list[int] = []
@@ -1281,40 +1160,31 @@ def hamming64_pairs(
                 rows_b.extend(ids[i + 1 :][hit].tolist())
                 rows_h.extend(hams[hit].tolist())
         if not rows_a:
-            return _empty(pcols)
-        out = pd.DataFrame(
+            return None
+        return pd.DataFrame(
             {
                 "doc_a": pd.Series(rows_a, dtype="int64"),
                 "doc_b": pd.Series(rows_b, dtype="int64"),
                 "hamming": pd.Series(rows_h, dtype="int64"),
             }
         )
-        out["pbucket"] = (out["doc_a"] % 64).astype("int64")
-        return out
 
     def dedup_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        cols = [("doc_a", "int64"), ("doc_b", "int64"), ("hamming", "int64")]
-        if "doc_a" not in group.columns or len(group) == 0:
-            return _empty(cols)
         return (
             group.drop_duplicates(["doc_a", "doc_b"])[
                 ["doc_a", "doc_b", "hamming"]
             ].reset_index(drop=True)
         )
 
-    return (
-        sigs.map_batches(band_rows, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-        .groupby("pbucket")
-        .map_groups(dedup_pairs, batch_format="pandas")
+    pairs = bucket_exchange(
+        sigs.map_batches(band_rows, batch_format="pandas"),
+        pairs_in_bucket,
+        key=["band_id", "band_val"],
+        schema=cols,
+        n_buckets=n_buckets,
     )
-
-
-def _empty(cols: list[tuple[str, object]]) -> pd.DataFrame:
-    from .shuffle import empty_frame
-
-    return empty_frame(cols)
+    # a pair found via several bands meets its duplicates in one doc_a bucket
+    return bucket_exchange(pairs, dedup_pairs, key="doc_a", schema=cols)
 
 
 def line_dedup(
@@ -1348,17 +1218,10 @@ def line_dedup(
     corpus-level yield; per-doc rows feed the usual keep/cut policies.
     """
 
+    line_cols = [("line_key", "object"), ("doc_id", "int64"), ("line_idx", "int64")]
+    doc_cols = [("doc_id", "int64"), ("n_lines", "int64"), ("n_kept", "int64")]
+
     def line_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        empty = _empty(
-            [
-                ("line_key", "object"),
-                ("doc_id", "int64"),
-                ("line_idx", "int64"),
-                ("lbucket", "int64"),
-            ]
-        )
-        if not len(batch):
-            return empty
         keys: list[str] = []
         doc_ids: list[int] = []
         idxs: list[int] = []
@@ -1370,31 +1233,18 @@ def line_dedup(
                 doc_ids.append(int(doc_id))
                 idxs.append(i // words_per_line)
         if not keys:
-            return empty
+            return empty_block(line_cols)
         return pd.DataFrame(
             {
                 "line_key": pd.Series(keys, dtype="object"),
                 "doc_id": pd.Series(doc_ids, dtype="int64"),
                 "line_idx": pd.Series(idxs, dtype="int64"),
-                "lbucket": pd.Series(
-                    [int(k[:4], 16) % n_buckets for k in keys], dtype="int64"
-                ),
             }
         )
 
     lines = ds.map_batches(line_rows, batch_format="pandas")
 
     def keep_partial(group: pd.DataFrame) -> pd.DataFrame:
-        empty = _empty(
-            [
-                ("doc_id", "int64"),
-                ("n_lines", "int64"),
-                ("n_kept", "int64"),
-                ("dbucket", "int64"),
-            ]
-        )
-        if "line_key" not in group.columns or len(group) == 0:
-            return empty
         g = group.sort_values(["line_key", "doc_id", "line_idx"], kind="stable")
         k = g["line_key"].to_numpy()
         first = np.ones(len(g), dtype=bool)
@@ -1403,25 +1253,19 @@ def line_dedup(
         agg = g.groupby("doc_id", as_index=False).agg(
             n_lines=("kept", "size"), n_kept=("kept", "sum")
         )
-        agg["dbucket"] = (agg["doc_id"] % 64).astype("int64")
         return agg.astype(
             {"doc_id": "int64", "n_lines": "int64", "n_kept": "int64"}
         )
 
-    partials = lines.groupby("lbucket").map_groups(
-        keep_partial, batch_format="pandas"
+    partials = bucket_exchange(
+        lines, keep_partial, key="line_key", schema=doc_cols, n_buckets=n_buckets
     )
 
     def total(group: pd.DataFrame) -> pd.DataFrame:
-        empty = _empty(
-            [("doc_id", "int64"), ("n_lines", "int64"), ("n_kept", "int64")]
-        )
-        if "doc_id" not in group.columns or len(group) == 0:
-            return empty
         return (
             group.groupby("doc_id", as_index=False)
             .agg(n_lines=("n_lines", "sum"), n_kept=("n_kept", "sum"))
             .astype({"doc_id": "int64", "n_lines": "int64", "n_kept": "int64"})
         )
 
-    return partials.groupby("dbucket").map_groups(total, batch_format="pandas")
+    return bucket_exchange(partials, total, key="doc_id", schema=doc_cols)

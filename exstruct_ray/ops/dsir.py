@@ -40,6 +40,8 @@ import hashlib
 import numpy as np
 import pandas as pd
 
+from .shuffle import bucket_exchange, to_frame
+
 
 def _gram_buckets(text: str, n_buckets: int) -> np.ndarray:
     words = (text or "").split(" ")
@@ -76,8 +78,6 @@ def gram_count_tables(
     the corpus' own high-resource slice, the common bootstrap when no
     external quality corpus is mounted).
     """
-    n_coarse = 64
-
     def count_partial(batch: pd.DataFrame) -> pd.DataFrame:
         src = np.zeros(n_buckets, dtype=np.int64)
         tgt = np.zeros(n_buckets, dtype=np.int64)
@@ -95,32 +95,27 @@ def gram_count_tables(
                 "b": nz.astype("int64"),
                 "s": src[nz].astype("int64"),
                 "t": tgt[nz].astype("int64"),
-                "coarse": (nz % n_coarse).astype("int64"),
             }
         )
 
     def combine(group: pd.DataFrame) -> pd.DataFrame:
-        if "b" not in group.columns or len(group) == 0:
-            return pd.DataFrame(
-                {
-                    "b": pd.Series(dtype="int64"),
-                    "s": pd.Series(dtype="int64"),
-                    "t": pd.Series(dtype="int64"),
-                }
-            )
         return group.groupby("b", as_index=False).agg(
             s=("s", "sum"), t=("t", "sum")
         )
 
-    counts = (
-        ds.map_batches(count_partial, batch_format="pandas")
-        .groupby("coarse")
-        .map_groups(combine, batch_format="pandas")
-        .to_pandas()
+    cols = [("b", "int64"), ("s", "int64"), ("t", "int64")]
+    counts = to_frame(
+        bucket_exchange(
+            ds.map_batches(count_partial, batch_format="pandas"),
+            combine,
+            key="b",
+            schema=cols,
+        ),
+        cols,
     )
     src = np.zeros(n_buckets, dtype=np.int64)
     tgt = np.zeros(n_buckets, dtype=np.int64)
-    if len(counts) and "b" in counts.columns:
+    if len(counts):
         src[counts["b"].to_numpy()] = counts["s"].to_numpy()
         tgt[counts["b"].to_numpy()] = counts["t"].to_numpy()
     return src, tgt

@@ -6,7 +6,7 @@ the dedup_groups / label_propagation_groups split (``ops/dedup.py``):
 - ``pagerank_driver``: numpy over edge arrays on the driver — exact, one
   pass, no shuffles. Right whenever the pair set fits driver memory.
 - ``pagerank_distributed``: the scale path — per-iteration contribution
-  exchange via the tagged-union bucket merge (no Dataset.join; see
+  exchange via ``bucket_exchange`` (no Dataset.join; see
   ``ops/shuffle.py``). The edge list never leaves the cluster; the driver
   only sees the final (node, pr) table, one row per *duplicated* doc.
 - ``pagerank_auto``: routes by pair count, invisible to callers/oracles.
@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .shuffle import empty_frame, hash_bucket
+from .shuffle import bucket_exchange, to_frame
 
 PR_SCALE = 1_000_000_000_000  # S: integer mass units
 
@@ -74,82 +74,54 @@ def pagerank_driver(
 def pagerank_distributed(
     pairs_ds, n_iter: int = 3, S: int = PR_SCALE, n_buckets: int = 64
 ) -> pd.DataFrame:
-    """PageRank via per-iteration bucket-merged contribution exchange.
+    """PageRank via per-iteration bucket-exchanged contributions.
 
-    Two tagged-union bucket merges per iteration (contribution send keyed
-    by src, inflow reduce keyed by dst); the pr table — (bucket, node,
-    deg, pr), one row per duplicated doc — is the only thing materialized
+    Two tagged-union bucket exchanges per iteration (contribution send
+    keyed by src, inflow reduce keyed by dst); the pr table — (node, deg,
+    pr), one row per duplicated doc — is the only thing materialized
     between rounds, and deg rides it so the degree join happens once.
     """
-    EDGE_COLS = [("bucket", "int64"), ("src", "int64"), ("dst", "int64")]
 
     def both_dirs(batch: pd.DataFrame) -> pd.DataFrame:
-        if "doc_a" not in batch.columns or batch.empty:
-            return empty_frame(EDGE_COLS)
-        src = pd.concat([batch["doc_a"], batch["doc_b"]], ignore_index=True).astype(
-            "int64"
-        )
-        dst = pd.concat([batch["doc_b"], batch["doc_a"]], ignore_index=True).astype(
-            "int64"
-        )
-        return pd.DataFrame(
-            {"bucket": hash_bucket(src, n_buckets), "src": src, "dst": dst}
-        )
+        src = pd.concat([batch["doc_a"], batch["doc_b"]], ignore_index=True)
+        dst = pd.concat([batch["doc_b"], batch["doc_a"]], ignore_index=True)
+        return pd.DataFrame({"src": src.astype("int64"), "dst": dst.astype("int64")})
 
-    # Reused every iteration; bucketed by src once.
+    # Reused every iteration.
     edges = pairs_ds.map_batches(both_dirs, batch_format="pandas").materialize()
     if edges.count() == 0:
         return pd.DataFrame(
             {"doc_id": pd.Series(dtype="int64"), "pr": pd.Series(dtype="int64")}
         )
 
-    NODE_COLS = [("bucket", "int64"), ("node", "int64"), ("deg", "int64")]
+    NODE_COLS = [("node", "int64"), ("deg", "int64")]
+    PR_COLS = NODE_COLS + [("pr", "int64")]
 
     def deg_in_group(group: pd.DataFrame) -> pd.DataFrame:
-        # bucket = hash(src): every src's edges land in exactly ONE group,
-        # so per-group value_counts IS the exact global degree.
-        if "src" not in group.columns or group.empty:
-            return empty_frame(NODE_COLS)
+        # every src's edges land in exactly ONE bucket, so per-bucket
+        # counts ARE the exact global degree.
         counts = group.groupby("src").size()
         return pd.DataFrame(
             {
-                "bucket": hash_bucket(
-                    pd.Series(counts.index.to_numpy()), n_buckets
-                ),
                 "node": counts.index.to_numpy(np.int64),
                 "deg": counts.to_numpy(np.int64),
             }
         )
 
-    nodes = (
-        edges.groupby("bucket")
-        .map_groups(deg_in_group, batch_format="pandas")
-        .materialize()
-    )
+    nodes = bucket_exchange(
+        edges, deg_in_group, key="src", schema=NODE_COLS, n_buckets=n_buckets
+    ).materialize()
     n = nodes.count()
     base = S // n
-
-    def seed_pr(batch: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in batch.columns or batch.empty:
-            return empty_frame(NODE_COLS + [("pr", "int64")])
-        out = batch[["bucket", "node", "deg"]].copy()
-        out["pr"] = np.int64(base)
-        return out
-
-    pr = nodes.map_batches(seed_pr, batch_format="pandas").materialize()
+    pr = nodes.map_batches(
+        lambda b: b[["node", "deg"]].assign(pr=np.int64(base)),
+        batch_format="pandas",
+    ).materialize()
 
     # Exchange 1 (contribution send): edges keyed by src x pr keyed by node.
-    SEND_COLS = [
-        ("bucket", "int64"), ("key", "int64"), ("dst", "int64"),
-        ("pr", "int64"), ("deg", "int64"), ("is_pr", "bool"),
-    ]
-
     def tag_edges(batch: pd.DataFrame) -> pd.DataFrame:
-        if "src" not in batch.columns or batch.empty:
-            return empty_frame(SEND_COLS)
         return pd.DataFrame(
             {
-                "bucket": batch["bucket"],
                 "key": batch["src"],
                 "dst": batch["dst"],
                 "pr": np.int64(0),
@@ -159,11 +131,8 @@ def pagerank_distributed(
         )
 
     def tag_pr(batch: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in batch.columns or batch.empty:
-            return empty_frame(SEND_COLS)
         return pd.DataFrame(
             {
-                "bucket": batch["bucket"],
                 "key": batch["node"],
                 "dst": batch["node"],
                 "pr": batch["pr"],
@@ -172,41 +141,26 @@ def pagerank_distributed(
             }
         )
 
-    CONTRIB_COLS = [("bucket", "int64"), ("dst", "int64"), ("contrib", "int64")]
-
     def send_contribs(group: pd.DataFrame) -> pd.DataFrame:
-        if "key" not in group.columns or group.empty:
-            return empty_frame(CONTRIB_COLS)
         e = group[~group["is_pr"]]
         p = group[group["is_pr"]]
         if e.empty or p.empty:
-            return empty_frame(CONTRIB_COLS)
+            return None
         m = e[["key", "dst"]].merge(
             p[["key", "pr", "deg"]].drop_duplicates("key"), on="key", how="inner"
         )
-        dst = m["dst"].to_numpy(np.int64)
-        contrib = m["pr"].to_numpy(np.int64) // m["deg"].to_numpy(np.int64)
         return pd.DataFrame(
             {
-                "bucket": hash_bucket(pd.Series(dst), n_buckets),
-                "dst": dst,
-                "contrib": contrib,
+                "dst": m["dst"].to_numpy(np.int64),
+                "contrib": m["pr"].to_numpy(np.int64) // m["deg"].to_numpy(np.int64),
             }
         )
 
     # Exchange 2 (inflow reduce + rank update): contribs keyed by dst x
     # pr table keyed by node (provides the node universe and carries deg).
-    RECV_COLS = [
-        ("bucket", "int64"), ("key", "int64"), ("contrib", "int64"),
-        ("deg", "int64"), ("is_node", "bool"),
-    ]
-
     def tag_contribs(batch: pd.DataFrame) -> pd.DataFrame:
-        if "dst" not in batch.columns or batch.empty:
-            return empty_frame(RECV_COLS)
         return pd.DataFrame(
             {
-                "bucket": batch["bucket"],
                 "key": batch["dst"],
                 "contrib": batch["contrib"],
                 "deg": np.int64(0),
@@ -215,11 +169,8 @@ def pagerank_distributed(
         )
 
     def tag_nodes(batch: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in batch.columns or batch.empty:
-            return empty_frame(RECV_COLS)
         return pd.DataFrame(
             {
-                "bucket": batch["bucket"],
                 "key": batch["node"],
                 "contrib": np.int64(0),
                 "deg": batch["deg"],
@@ -228,11 +179,9 @@ def pagerank_distributed(
         )
 
     def update_pr(group: pd.DataFrame) -> pd.DataFrame:
-        if "key" not in group.columns or group.empty:
-            return empty_frame(NODE_COLS + [("pr", "int64")])
         node_rows = group[group["is_node"]]
         if node_rows.empty:
-            return empty_frame(NODE_COLS + [("pr", "int64")])
+            return None
         inflow = (
             group[~group["is_node"]]
             .groupby("key")["contrib"]
@@ -241,38 +190,39 @@ def pagerank_distributed(
             .fillna(0)
             .to_numpy(np.int64)
         )
-        new_pr = 15 * base // 100 + 85 * inflow // 100
         return pd.DataFrame(
             {
-                "bucket": node_rows["bucket"].to_numpy(np.int64),
                 "node": node_rows["key"].to_numpy(np.int64),
                 "deg": node_rows["deg"].to_numpy(np.int64),
-                "pr": new_pr,
+                "pr": 15 * base // 100 + 85 * inflow // 100,
             }
         )
 
     for _ in range(n_iter):
-        contribs = (
-            edges.map_batches(tag_edges, batch_format="pandas")
-            .union(pr.map_batches(tag_pr, batch_format="pandas"))
-            .groupby("bucket")
-            .map_groups(send_contribs, batch_format="pandas")
+        contribs = bucket_exchange(
+            [
+                edges.map_batches(tag_edges, batch_format="pandas"),
+                pr.map_batches(tag_pr, batch_format="pandas"),
+            ],
+            send_contribs,
+            key="key",
+            schema=[("dst", "int64"), ("contrib", "int64")],
+            n_buckets=n_buckets,
         )
-        pr = (
-            contribs.map_batches(tag_contribs, batch_format="pandas")
-            .union(pr.map_batches(tag_nodes, batch_format="pandas"))
-            .groupby("bucket")
-            .map_groups(update_pr, batch_format="pandas")
-            .materialize()
-        )
+        pr = bucket_exchange(
+            [
+                contribs.map_batches(tag_contribs, batch_format="pandas"),
+                pr.map_batches(tag_nodes, batch_format="pandas"),
+            ],
+            update_pr,
+            key="key",
+            schema=PR_COLS,
+            n_buckets=n_buckets,
+        ).materialize()
 
-    out = pr.to_pandas()
-    if "node" not in out.columns or not len(out):
-        return pd.DataFrame(
-            {"doc_id": pd.Series(dtype="int64"), "pr": pd.Series(dtype="int64")}
-        )
     return (
-        out.rename(columns={"node": "doc_id"})[["doc_id", "pr"]]
+        to_frame(pr, PR_COLS)
+        .rename(columns={"node": "doc_id"})[["doc_id", "pr"]]
         .astype({"doc_id": "int64", "pr": "int64"})
         .sort_values("doc_id")
         .reset_index(drop=True)

@@ -26,6 +26,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .shuffle import bucket_exchange, to_frame
+
 KMEANS_SCALE = 1_000_000.0  # micro-units
 
 
@@ -130,15 +132,17 @@ def kmeans_fit_q(
     ONE materialized quantized table instead of m sliced re-quantizations
     (per-element quantize-then-slice ≡ slice-then-quantize).
     """
+    import pyarrow.compute as pc
     import ray
 
     qe_dim = dim if qe_dim is None else qe_dim
     hi = lo + dim
 
     # deterministic init: vec_id < k (tiny collect)
+    # Arrow mask: a batch with no vec_id < k stays a typed empty block.
     init_rows = (
         qds.map_batches(
-            lambda b: b[b["vec_id"] < k], batch_format="pandas"
+            lambda b: b.filter(pc.less(b["vec_id"], k)), batch_format="pyarrow"
         )
         .to_pandas()
         .sort_values("vec_id")
@@ -417,17 +421,7 @@ def semdedup(
 
     assigned = qds.map_batches(assign_final, batch_format="pandas")
 
-    def prune_group(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "vec_id": pd.Series(dtype="int64"),
-                "cluster_id": pd.Series(dtype="int64"),
-                "keep": pd.Series(dtype="int64"),
-            }
-        )
-        # zero-column blocks appear for hash partitions with no groups
-        if "vec_id" not in group.columns or len(group) == 0:
-            return empty
+    def prune_cluster(group: pd.DataFrame) -> pd.DataFrame:
         ids = group["vec_id"].to_numpy(dtype=np.int64)
         order = np.argsort(ids)
         ids = ids[order]
@@ -458,17 +452,17 @@ def semdedup(
             }
         )
 
-    out = assigned.groupby("cluster_id").map_groups(
-        prune_group, batch_format="pandas"
-    ).to_pandas()
-    if "vec_id" not in out.columns:
-        return pd.DataFrame(
-            {
-                "vec_id": pd.Series(dtype="int64"),
-                "cluster_id": pd.Series(dtype="int64"),
-                "keep": pd.Series(dtype="int64"),
-            }
+    def prune_group(group: pd.DataFrame) -> pd.DataFrame:
+        # a bucket may hold several clusters; pairs never cross clusters
+        return pd.concat(
+            [prune_cluster(g) for _, g in group.groupby("cluster_id")],
+            ignore_index=True,
         )
+
+    cols = [("vec_id", "int64"), ("cluster_id", "int64"), ("keep", "int64")]
+    out = to_frame(
+        bucket_exchange(assigned, prune_group, key="cluster_id", schema=cols), cols
+    )
     return out.sort_values("vec_id").reset_index(drop=True)
 
 

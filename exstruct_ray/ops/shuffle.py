@@ -1,34 +1,217 @@
-"""Shared primitives of the tagged-union bucket-merge pattern.
+"""One exchange primitive for every coarse-bucket shuffle.
 
-The engine's manual shuffle join (used instead of Dataset.join, whose
-hash aggregator cannot finalize partitions that received no blocks —
-routine with tiny pair sets): both sides compute a coarse hash bucket,
-union into one tagged stream, and groupby(bucket).map_groups runs the
-exact merge inside each group. These two helpers are the pieces every
-site needs identical: a deterministic bucket hash and a typed empty
-frame (schema unification across zero-row blocks — an untyped empty
-frame yields null Arrow columns that conflict with non-empty blocks).
+``bucket_exchange`` is the engine's only ``groupby → map_groups`` style
+exchange (and its replacement for ``Dataset.join``). It owns the whole
+decision: it tags each side with a deterministic hash bucket of a key
+column, unions the sides, partitions on the bucket and runs the caller's
+reduce once per bucket group. Callers write only the tag of each side
+and the exact in-group reduce.
+
+Empty hash partitions are the failure mode it exists for. Ray's sort
+emits a zero-column block for every partition that receives no rows;
+pandas reduces then KeyError, pyarrow joins reject the block, and the
+executor logs a schema-divergence warning. ``bucket_exchange`` therefore
+counts rows per bucket first and sorts on explicit boundaries drawn from
+the occupied buckets only (placed at row-count quantiles, so a skewed
+key spreads over partitions), which leaves no partition empty. A reduce
+that returns nothing still yields one typed block built from the
+declared output schema.
+
+The other helpers are the pieces several sites share: the bucket hash,
+a typed empty block for map UDFs, ``to_frame`` (a ``to_pandas`` that
+keeps the declared columns when every block is empty) and
+``attach_payload`` (the Arrow-native "pairs ⋈ per-doc payload" reduce).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+
+import ray
+
+# Bucket column the exchange adds to every side and drops before the reduce.
+BUCKET = "__bucket"
 
 
 def hash_bucket_np(values: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Coarse deterministic bucket of an int64 key array (int64).
+    """Coarse deterministic bucket (int64) of a key array: integers,
+    strings or other objects ``pd.util.hash_array`` hashes.
 
     pd.util.hash_array, never builtin hash(): the per-process salt would
     split partials across workers."""
     return (pd.util.hash_array(values) % n_buckets).astype("int64")
 
 
-def hash_bucket(values: pd.Series, n_buckets: int) -> pd.Series:
-    """Coarse deterministic bucket of a key column (int64)."""
-    return pd.Series(
-        hash_bucket_np(values.to_numpy(), n_buckets), index=values.index
+def _key_hash_bucket(block, key: str | list[str], n_buckets: int) -> np.ndarray:
+    cols = [
+        block[k].to_numpy()
+        if isinstance(block, pd.DataFrame)
+        else block.column(k).to_numpy(zero_copy_only=False)
+        for k in ([key] if isinstance(key, str) else key)
+    ]
+    if len(cols) == 1:
+        return hash_bucket_np(cols[0], n_buckets)
+    h = np.zeros(len(cols[0]), dtype=np.uint64)
+    for c in cols:
+        h = h * np.uint64(1_000_003) + pd.util.hash_array(c)
+    return (h % np.uint64(n_buckets)).astype("int64")
+
+
+def _arrow_schema(schema) -> pa.Schema:
+    """Declared output schema as Arrow: a ``pa.Schema`` as is, or a
+    ``[(col, pandas dtype)]`` list (object → string)."""
+    if isinstance(schema, pa.Schema):
+        return schema
+    fields = []
+    for col, t in schema:
+        dt = np.dtype(t)
+        fields.append((col, pa.string() if dt.kind == "O" else pa.from_numpy_dtype(dt)))
+    return pa.schema(fields)
+
+
+def _as_format(block, to_arrow: bool):
+    if isinstance(block, pd.DataFrame):
+        return pa.Table.from_pandas(block, preserve_index=False) if to_arrow else block
+    return block if to_arrow else block.to_pandas()
+
+
+@ray.remote(num_returns=2)
+def _tag_block(block, key, n_buckets: int, to_arrow: bool):
+    """Bucket-tag one block; second return: (bucket counts, metadata, schema)."""
+    from ray.data.block import BlockAccessor
+
+    block = _as_format(block, to_arrow)
+    b = _key_hash_bucket(block, key, n_buckets)
+    if to_arrow:
+        block = block.append_column(BUCKET, pa.array(b))
+    else:
+        block = block.assign(**{BUCKET: b})
+    acc = BlockAccessor.for_block(block)
+    info = (np.bincount(b, minlength=n_buckets), acc.get_metadata(), acc.schema())
+    return block, info
+
+
+def _tagged_input(sides, key, n_buckets: int, to_arrow: bool):
+    """Run the sides, drop their empty blocks and bucket-tag the rest.
+
+    Returns the tagged Dataset (stats lineage kept, as
+    ``Dataset.materialize`` does), per-bucket row counts and the block
+    count. Empty blocks never reach a map stage here: Ray skips the UDF
+    on an empty input block and emits a zero-column block instead."""
+    from ray.data._internal.execution.interfaces import RefBundle
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.input_data_operator import InputData
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data.dataset import MaterializedDataset
+
+    mat = (sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]).materialize()
+    refs = [
+        ref
+        for bundle in mat.iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows
+    ]
+    tagged = [_tag_block.remote(r, key, n_buckets, to_arrow) for r in refs]
+    infos = ray.get([info for _, info in tagged])
+    bundles = [
+        RefBundle(blocks=((block, meta),), owns_blocks=False, schema=schema)
+        for (block, _), (_, meta, schema) in zip(tagged, infos)
+    ]
+    ds = MaterializedDataset(
+        ExecutionPlan(mat._plan.stats(), data_context=mat.context),
+        LogicalPlan(InputData(input_data=bundles), mat.context),
     )
+    ds._plan.execute()
+    counts = sum((c for c, _, _ in infos), np.zeros(n_buckets, dtype=np.int64))
+    return ds, counts, len(bundles)
+
+
+def _boundaries(counts: np.ndarray, n_parts: int) -> list[int]:
+    """Sort boundaries over the occupied buckets only, at row-count
+    quantiles: every partition starts at an occupied bucket, so none is
+    empty, and a heavy bucket does not drag its neighbours along."""
+    occupied = np.flatnonzero(counts)
+    cum = np.cumsum(counts[occupied])
+    targets = cum[-1] * np.arange(1, n_parts) / n_parts
+    idx = np.unique(np.searchsorted(cum, targets, side="right"))
+    idx = idx[(idx > 0) & (idx < len(occupied))]
+    return [int(b) for b in occupied[idx]]
+
+
+def bucket_exchange(
+    sides,
+    reduce,
+    *,
+    key: str | list[str],
+    schema,
+    n_buckets: int = 64,
+    batch_format: str = "pandas",
+):
+    """Shuffle ``sides`` on a hash bucket of ``key`` and run ``reduce``
+    once per bucket.
+
+    ``sides`` is one Dataset or a list of Datasets whose rows share
+    columns (the tagged union of a join). ``reduce(group)`` receives all
+    rows of one bucket in ``batch_format`` (``"pandas"`` or
+    ``"pyarrow"``), bucket column removed, so rows with equal ``key``
+    always meet in one call; it returns a frame/table, possibly empty, or
+    ``None``. ``schema`` declares the output: a ``pa.Schema`` or a
+    ``[(col, pandas dtype)]`` list. No output block is
+    zero-column: a partition whose reduces all return nothing yields one
+    empty Arrow table of ``schema`` (Arrow, not pandas, so Ray's block
+    sizing never samples an empty object column). The exchange's map
+    operator is named after ``reduce.__name__``.
+
+    The sides run (and their blocks are bucket-tagged) when this is
+    called; the exchange itself stays lazy.
+    """
+    import ray.data
+
+    to_arrow = batch_format == "pyarrow"
+    empty = empty_block(schema)
+    sides = list(sides) if isinstance(sides, (list, tuple)) else [sides]
+    ds, counts, n_blocks = _tagged_input(sides, key, n_buckets, to_arrow)
+    if not n_blocks:
+        return ray.data.from_arrow(empty)
+
+    def apply(block):
+        block = _as_format(block, to_arrow)
+        b = np.asarray(block[BUCKET], dtype=np.int64)
+        if (b[1:] < b[:-1]).any():  # the single-partition path is unsorted
+            order = np.argsort(b, kind="stable")
+            b = b[order]
+            block = block.take(order) if to_arrow else block.iloc[order]
+        if to_arrow:
+            rows = block.drop_columns([BUCKET])
+            cut = lambda s, e: rows.slice(s, e - s)  # noqa: E731
+        else:
+            rows = block.drop(columns=[BUCKET])
+            cut = lambda s, e: rows.iloc[s:e].reset_index(drop=True)  # noqa: E731
+        ends = [*(np.flatnonzero(b[1:] != b[:-1]) + 1), len(b)]
+        yielded = False
+        for s, e in zip([0, *ends[:-1]], ends):
+            out = reduce(cut(s, e))
+            if out is not None and len(out):
+                yielded = True
+                yield out
+        if not yielded:
+            yield empty
+
+    apply.__name__ = reduce.__name__
+    bounds = _boundaries(counts, n_blocks)
+    # One occupied bucket or one block: a single partition, no sampling.
+    shuffled = ds.sort(BUCKET, boundaries=bounds) if bounds else ds.repartition(1)
+    return shuffled.map_batches(apply, batch_size=None, batch_format=None)
+
+
+def to_frame(ds, schema) -> pd.DataFrame:
+    """``ds.to_pandas()`` that keeps the declared columns and dtypes when
+    every block is empty (Ray's batch iterator skips empty blocks, so the
+    plain call returns a column-less frame)."""
+    out = ds.to_pandas()
+    return out if len(out.columns) else empty_block(schema).to_pandas()
 
 
 def md5_mod_int(values, mod: int) -> np.ndarray:
@@ -53,9 +236,12 @@ def md5_mod_int(values, mod: int) -> np.ndarray:
     )
 
 
-def empty_frame(cols: list[tuple[str, object]]) -> pd.DataFrame:
-    """Zero-row frame with pinned dtypes for block-schema unification."""
-    return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols})
+def empty_block(cols) -> pa.Table:
+    """Zero-row Arrow table of ``cols`` (``[(col, dtype)]`` or a schema):
+    what a map UDF returns for an empty batch. A zero-row pandas block
+    with an object column makes Ray's block sizing log a numpy
+    ``vectorize`` error; an Arrow one does not."""
+    return _arrow_schema(cols).empty_table()
 
 
 def attach_payload(
@@ -103,13 +289,6 @@ def attach_payload(
             return pa.array([""] * n, dtype)
         return pa.array([b""] * n, dtype)
 
-    union_fields = (
-        [("bucket", pa.int64()), ("key", pa.int64())]
-        + [(c, pa.int64()) for c in carry_ids]
-        + list(carry_payloads.items())
-        + [("payload", payload_type), ("is_payload", pa.bool_())]
-    )
-    union_schema = pa.schema(union_fields)
     out_schema = pa.schema(
         [(c, pa.int64()) for c in carry_ids]
         + list(carry_payloads.items())
@@ -120,14 +299,8 @@ def attach_payload(
         return col.combine_chunks().to_numpy(zero_copy_only=False)
 
     def tag_pairs(batch: pa.Table) -> pa.Table:
-        if on not in batch.column_names or batch.num_rows == 0:
-            return union_schema.empty_table()
         n = batch.num_rows
-        keys = pc.cast(batch[on], pa.int64())
-        cols: dict[str, object] = {
-            "bucket": pa.array(hash_bucket_np(_np(keys), n_buckets)),
-            "key": keys,
-        }
+        cols: dict[str, object] = {"key": pc.cast(batch[on], pa.int64())}
         for c in carry_ids:
             cols[c] = pc.cast(batch[c], pa.int64())
         for c, t in carry_payloads.items():
@@ -137,14 +310,8 @@ def attach_payload(
         return pa.table(cols)
 
     def tag_payloads(batch: pa.Table) -> pa.Table:
-        if payload_key not in batch.column_names or batch.num_rows == 0:
-            return union_schema.empty_table()
         n = batch.num_rows
-        keys = pc.cast(batch[payload_key], pa.int64())
-        cols: dict[str, object] = {
-            "bucket": pa.array(hash_bucket_np(_np(keys), n_buckets)),
-            "key": keys,
-        }
+        cols: dict[str, object] = {"key": pc.cast(batch[payload_key], pa.int64())}
         zeros = pa.array(np.zeros(n, dtype=np.int64))
         for c in carry_ids:
             cols[c] = zeros
@@ -155,15 +322,12 @@ def attach_payload(
         return pa.table(cols)
 
     def merge(group: pa.Table) -> pa.Table:
-        # map_groups emits zero-column blocks for empty hash partitions
-        if "key" not in group.column_names or group.num_rows == 0:
-            return out_schema.empty_table()
         group = group.combine_chunks()
         is_p = _np(group["is_payload"]).astype(bool)
         pair_t = group.filter(pa.array(~is_p))
         pay_t = group.filter(pa.array(is_p))
         if pair_t.num_rows == 0 or pay_t.num_rows == 0:
-            return out_schema.empty_table()
+            return None
         if dedup_pairs:
             idc = [_np(pair_t[c]) for c in carry_ids]
             order = np.lexsort(idc[::-1])
@@ -192,7 +356,14 @@ def attach_payload(
         cols[out] = payload_vals
         return pa.table(cols)
 
-    tagged = pairs_ds.map_batches(tag_pairs, batch_format="pyarrow").union(
-        payload_ds.map_batches(tag_payloads, batch_format="pyarrow")
+    return bucket_exchange(
+        [
+            pairs_ds.map_batches(tag_pairs, batch_format="pyarrow"),
+            payload_ds.map_batches(tag_payloads, batch_format="pyarrow"),
+        ],
+        merge,
+        key="key",
+        schema=out_schema,
+        n_buckets=n_buckets,
+        batch_format="pyarrow",
     )
-    return tagged.groupby("bucket").map_groups(merge, batch_format="pyarrow")

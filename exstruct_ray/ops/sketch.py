@@ -30,6 +30,7 @@ import math
 import numpy as np
 import pandas as pd
 
+from .shuffle import bucket_exchange, empty_block, to_frame
 from .text import RE2_WS_PATTERN
 
 # ---------------------------------------------------------------------------
@@ -159,13 +160,6 @@ def hll_ngram_distinct(ds, n: int = 3, include_exact: bool = True) -> pd.DataFra
         )
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
-        if "key" not in group.columns or group.empty:
-            return pd.DataFrame(
-                {
-                    "key": pd.Series(dtype="int64"),
-                    "out": pd.Series(dtype="int64"),
-                }
-            )
         rows_k: list[int] = []
         rows_v: list[int] = []
         for key, g in group.groupby("key"):
@@ -183,20 +177,23 @@ def hll_ngram_distinct(ds, n: int = 3, include_exact: bool = True) -> pd.DataFra
             }
         )
 
-    merged = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("key")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
+    cols = [("key", "int64"), ("out", "int64")]
+    merged = to_frame(
+        bucket_exchange(
+            ds.map_batches(partial, batch_format="pandas"),
+            merge,
+            key="key",
+            schema=cols,
+        ),
+        cols,
     )
     registers = np.zeros(HLL_M, dtype=np.int64)
     n_exact = 0
-    if "key" in merged.columns:
-        for key, out in zip(merged["key"], merged["out"]):
-            if key < (1 << 32):
-                registers[int(key)] = out
-            else:
-                n_exact += int(out)
+    for key, out in zip(merged["key"], merged["out"]):
+        if key < (1 << 32):
+            registers[int(key)] = out
+        else:
+            n_exact += int(out)
     row = hll_estimate_from_registers(registers)
     result = {
         "m": [row["m"]],
@@ -271,24 +268,22 @@ def countmin_token_counts(ds, probes: list[str]) -> pd.DataFrame:
         )
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
-        if "cell" not in group.columns or group.empty:
-            return pd.DataFrame(
-                {"cell": pd.Series(dtype="int64"), "n": pd.Series(dtype="int64")}
-            )
         out = group.groupby("cell", as_index=False).agg(n=("n", "sum"))
         out["cell"] = out["cell"].astype("int64")
         out["n"] = out["n"].astype("int64")
         return out
 
-    merged = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("cell")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
+    cols = [("cell", "int64"), ("n", "int64")]
+    merged = to_frame(
+        bucket_exchange(
+            ds.map_batches(partial, batch_format="pandas"),
+            merge,
+            key="cell",
+            schema=cols,
+        ),
+        cols,
     )
-    counts: dict[int, int] = {}
-    if "cell" in merged.columns:
-        counts = dict(zip(merged["cell"].astype(int), merged["n"].astype(int)))
+    counts = dict(zip(merged["cell"].astype(int), merged["n"].astype(int)))
     rows = []
     for i, token in enumerate(probe_list):
         est = min(counts.get(_cm_cell(j, token), 0) for j in range(CM_DEPTH))
@@ -422,10 +417,6 @@ def distributed_quantile_disc(
             return pd.DataFrame({"b": ub.astype("int64"), "cnt": uc.astype("int64")})
 
         def hist_merge(batch: pd.DataFrame) -> pd.DataFrame:
-            if "b" not in batch.columns or batch.empty:
-                return pd.DataFrame(
-                    {"b": pd.Series(dtype="int64"), "cnt": pd.Series(dtype="int64")}
-                )
             out = batch.groupby("b", as_index=False).agg(cnt=("cnt", "sum"))
             out["b"] = out["b"].astype("int64")
             out["cnt"] = out["cnt"].astype("int64")
@@ -600,7 +591,7 @@ def hll_group_distinct(ds, group_col: str, value_col: str) -> pd.DataFrame:
     mergeable combiner: each batch emits (group, bucket, max-rho) partials
     — ≤ m tiny rows per group per batch regardless of how many values the
     batch held — and the group shuffle moves ONLY those registers, never
-    the values. The estimator finalizes inside each group's map_groups
+    the values. The estimator finalizes inside each group's bucket-exchange
     task (no driver reduce at all). This is the pre-aggregate-before-
     shuffle rule applied to a sketch: the exact-distinct alternative
     ships every distinct value through the exchange.
@@ -608,6 +599,9 @@ def hll_group_distinct(ds, group_col: str, value_col: str) -> pd.DataFrame:
     Values are hashed as str(int(v)) — the CAST(v AS VARCHAR) idiom the
     SQL oracle mirrors for integer columns.
     """
+
+    reg_cols = [(group_col, "object"), ("bucket", "int64"), ("rho", "int64")]
+    cols = [(group_col, "object"), ("v_empty", "int64"), ("estimate", "int64")]
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         # Dedup (group, value) pairs BEFORE hashing: md5 (oracle-parity
@@ -623,13 +617,7 @@ def hll_group_distinct(ds, group_col: str, value_col: str) -> pd.DataFrame:
             if prev is None or rho > prev:
                 regs[key] = rho
         if not regs:
-            return pd.DataFrame(
-                {
-                    group_col: pd.Series(dtype="object"),
-                    "bucket": pd.Series(dtype="int64"),
-                    "rho": pd.Series(dtype="int64"),
-                }
-            )
+            return empty_block(reg_cols)
         groups, buckets = zip(*regs.keys())
         return pd.DataFrame(
             {
@@ -639,41 +627,33 @@ def hll_group_distinct(ds, group_col: str, value_col: str) -> pd.DataFrame:
             }
         )
 
-    def finalize(group: pd.DataFrame) -> pd.DataFrame:
-        if group_col not in group.columns or group.empty:
-            return pd.DataFrame(
-                {
-                    group_col: pd.Series(dtype="object"),
-                    "v_empty": pd.Series(dtype="int64"),
-                    "estimate": pd.Series(dtype="int64"),
-                }
-            )
+    def finalize_one(group: pd.DataFrame) -> dict:
         registers = np.zeros(HLL_M, dtype=np.int64)
         maxes = group.groupby("bucket")["rho"].max()
         registers[maxes.index.to_numpy(dtype=np.int64)] = maxes.to_numpy(
             dtype=np.int64
         )
         row = hll_estimate_from_registers(registers)
-        return pd.DataFrame(
-            {
-                group_col: [group[group_col].iloc[0]],
-                "v_empty": pd.Series([row["v_empty"]], dtype="int64"),
-                "estimate": pd.Series([row["estimate"]], dtype="int64"),
-            }
-        )
+        return {
+            group_col: group[group_col].iloc[0],
+            "v_empty": row["v_empty"],
+            "estimate": row["estimate"],
+        }
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(group_col)
-        .map_groups(finalize, batch_format="pandas")
-        .to_pandas()
+    def finalize(group: pd.DataFrame) -> pd.DataFrame:
+        rows = [
+            finalize_one(g)
+            for _, g in group.groupby(group_col, dropna=False, sort=False)
+        ]
+        return pd.DataFrame(rows).astype({"v_empty": "int64", "estimate": "int64"})
+
+    out = to_frame(
+        bucket_exchange(
+            ds.map_batches(partial, batch_format="pandas"),
+            finalize,
+            key=group_col,
+            schema=cols,
+        ),
+        cols,
     )
-    if group_col not in out.columns:
-        return pd.DataFrame(
-            {
-                group_col: pd.Series(dtype="object"),
-                "v_empty": pd.Series(dtype="int64"),
-                "estimate": pd.Series(dtype="int64"),
-            }
-        )
     return out.sort_values(group_col).reset_index(drop=True)

@@ -13,6 +13,8 @@ import re
 import numpy as np
 import pandas as pd
 
+from .shuffle import bucket_exchange, empty_block, to_frame
+
 
 def _stats_batch(batch):
     """Arrow-native text stats: every counter is a pyarrow.compute RE2
@@ -496,6 +498,8 @@ def corpus_token_counts(ds, n_buckets: int = 256) -> pd.DataFrame:
     max-rarity default); at sandbox scale the full table ships.
     """
 
+    cols = [("token", "object"), ("n", "int64")]
+
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         tokens = (
             batch["text"]
@@ -506,46 +510,26 @@ def corpus_token_counts(ds, n_buckets: int = 256) -> pd.DataFrame:
             .dropna()
         )
         if not len(tokens):
-            return pd.DataFrame(
-                {
-                    "token": pd.Series(dtype="object"),
-                    "n": pd.Series(dtype="int64"),
-                    "bucket": pd.Series(dtype="int64"),
-                }
-            )
+            return empty_block(cols)
         counts = tokens.value_counts()
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"token": counts.index, "n": counts.to_numpy(dtype=np.int64)}
         )
-        # zlib.crc32 — deterministic across worker processes (builtin
-        # hash() is per-process salted and would split a token's partial
-        # counts across buckets)
-        import zlib
-
-        out["bucket"] = (
-            out["token"]
-            .map(lambda t: zlib.crc32(t.encode("utf-8")) % n_buckets)
-            .astype("int64")
-        )
-        return out
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
-        if "token" not in group.columns or len(group) == 0:
-            return pd.DataFrame(
-                {
-                    "token": pd.Series(dtype="object"),
-                    "n": pd.Series(dtype="int64"),
-                }
-            )
         agg = group.groupby("token", sort=False)["n"].sum().reset_index()
         agg["n"] = agg["n"].astype("int64")
         return agg
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
+    return to_frame(
+        bucket_exchange(
+            ds.map_batches(partial, batch_format="pandas"),
+            merge,
+            key="token",
+            schema=cols,
+            n_buckets=n_buckets,
+        ),
+        cols,
     )
 
 
@@ -619,23 +603,10 @@ def winnow_overlap_pairs(
 
     fps = ds.map_batches(winnow_fingerprints_batch, batch_format="pandas")
 
-    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch[["doc_id", "fingerprint"]].copy()
-        out["bucket"] = (out["fingerprint"] % n_buckets).astype("int64")
-        return out
-
-    pcols = [
-        ("doc_a", "int64"),
-        ("doc_b", "int64"),
-        ("n", "int64"),
-        ("pbucket", "int64"),
-    ]
+    pcols = [("doc_a", "int64"), ("doc_b", "int64"), ("n", "int64")]
+    cols = [("doc_a", "int64"), ("doc_b", "int64"), ("n_shared", "int64")]
 
     def pairs_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        from .shuffle import empty_frame
-
-        if "fingerprint" not in group.columns or len(group) == 0:
-            return empty_frame(pcols)
         rows_a: list[int] = []
         rows_b: list[int] = []
         for _, g in group.groupby("fingerprint"):
@@ -646,7 +617,7 @@ def winnow_overlap_pairs(
             rows_a.extend(ids[ii].tolist())
             rows_b.extend(ids[jj].tolist())
         if not rows_a:
-            return empty_frame(pcols)
+            return None
         out = (
             pd.DataFrame(
                 {
@@ -659,15 +630,9 @@ def winnow_overlap_pairs(
             .rename(columns={"size": "n"})
         )
         out["n"] = out["n"].astype("int64")
-        out["pbucket"] = (out["doc_a"] % 64).astype("int64")
         return out
 
     def merge_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        from .shuffle import empty_frame
-
-        cols = [("doc_a", "int64"), ("doc_b", "int64"), ("n_shared", "int64")]
-        if "doc_a" not in group.columns or len(group) == 0:
-            return empty_frame(cols)
         agg = group.groupby(["doc_a", "doc_b"], as_index=False)["n"].sum()
         agg = agg[agg["n"] >= min_shared]
         return pd.DataFrame(
@@ -678,13 +643,14 @@ def winnow_overlap_pairs(
             }
         ).reset_index(drop=True)
 
-    return (
-        fps.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-        .groupby("pbucket")
-        .map_groups(merge_pairs, batch_format="pandas")
+    pairs = bucket_exchange(
+        fps.map_batches(lambda b: b[["doc_id", "fingerprint"]], batch_format="pandas"),
+        pairs_in_bucket,
+        key="fingerprint",
+        schema=pcols,
+        n_buckets=n_buckets,
     )
+    return bucket_exchange(pairs, merge_pairs, key="doc_a", schema=cols)
 
 
 BIGRAM_RARITY_SCALE = 1_000_000  # smaller than unigram scale: the per-
@@ -710,46 +676,31 @@ def corpus_bigram_counts(ds, n_buckets: int = 256) -> pd.DataFrame:
     bigram-vocabulary-sized (the broadcast small side); truncate to top-V
     before broadcasting at web scale."""
 
+    cols = [("bigram", "object"), ("n", "int64")]
+
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         bigrams = _bigram_lists(batch["text"]).explode().dropna()
         if not len(bigrams):
-            return pd.DataFrame(
-                {
-                    "bigram": pd.Series(dtype="object"),
-                    "n": pd.Series(dtype="int64"),
-                    "bucket": pd.Series(dtype="int64"),
-                }
-            )
+            return empty_block(cols)
         counts = bigrams.value_counts()
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"bigram": counts.index, "n": counts.to_numpy(dtype=np.int64)}
         )
-        import zlib
-
-        out["bucket"] = (
-            out["bigram"]
-            .map(lambda t: zlib.crc32(t.encode("utf-8")) % n_buckets)
-            .astype("int64")
-        )
-        return out
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
-        if "bigram" not in group.columns or not len(group):
-            return pd.DataFrame(
-                {
-                    "bigram": pd.Series(dtype="object"),
-                    "n": pd.Series(dtype="int64"),
-                }
-            )
         agg = group.groupby("bigram", as_index=False)["n"].sum()
         agg["n"] = agg["n"].astype("int64")
         return agg
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
+    return to_frame(
+        bucket_exchange(
+            ds.map_batches(partial, batch_format="pandas"),
+            merge,
+            key="bigram",
+            schema=cols,
+            n_buckets=n_buckets,
+        ),
+        cols,
     )
 
 
@@ -759,9 +710,9 @@ def bigram_rarity_table(counts_df: pd.DataFrame) -> pd.Series:
     analogue of -log P(w2|w1), where prefix_count is the sum of the
     bigram counts sharing w1 (NOT the unigram count: doc-final tokens
     never open a bigram, and the SQL oracle uses the same definition)."""
-    if not len(counts_df) or "bigram" not in counts_df.columns:
-        # zero-column block from a groupby with no groups (the corpus has
-        # no bigrams at all) — an empty rarity table scores everything 0
+    if not len(counts_df):
+        # the corpus has no bigrams at all: an empty rarity table scores
+        # everything 0
         return pd.Series(dtype="int64")
     w1 = counts_df["bigram"].str.split(_BIGRAM_SEP, n=1).str[0]
     prefix = counts_df["n"].groupby(w1.to_numpy()).sum()

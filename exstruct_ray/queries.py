@@ -16,11 +16,29 @@ import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
 
+from .ops.shuffle import bucket_exchange, empty_block, to_frame
+
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
     import ray.data
 
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+
+
+_HAMMING_PAIR_COLS = [("doc_a", "int64"), ("doc_b", "int64"), ("hamming", "int64")]
+
+
+def _bench_slice(ds, bench: bool = True):
+    """Rows of the held-out benchmark slice (``doc_id % 97 == 0``), or the
+    rest with ``bench=False``. An Arrow mask, so a batch with no kept row
+    stays a typed empty block."""
+    import pyarrow as pa
+
+    def keep(b):
+        hit = b["doc_id"].to_numpy() % 97 == 0
+        return b.filter(pa.array(hit if bench else ~hit))
+
+    return ds.map_batches(keep, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +140,20 @@ def q1_pricing_summary(sf_dir: str):
         out["avg_qty"] = out["sum_qty"] / out["count_order"]
         return out
 
-    result = (
-        partials.groupby(["l_returnflag", "l_linestatus"])
-        .map_groups(final, batch_format="pandas")
-        .to_pandas()
-    )
+    result = bucket_exchange(
+        partials,
+        final,
+        key=["l_returnflag", "l_linestatus"],
+        schema=[
+            ("l_returnflag", "object"),
+            ("l_linestatus", "object"),
+            ("count_order", "int64"),
+            ("sum_qty", "float64"),
+            ("sum_base_price", "float64"),
+            ("sum_disc_price", "float64"),
+            ("avg_qty", "float64"),
+        ],
+    ).to_pandas()
     result["count_order"] = result["count_order"].astype("int64")
     return result.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
 
@@ -194,7 +221,6 @@ def revenue_by_nation(sf_dir: str):
             }
         )
         agg = tmp.groupby("key", as_index=False).sum()
-        agg["bucket"] = (agg["key"] % n_buckets).astype("int64")
         agg["nkey"] = np.int64(-1)
         agg["is_cust"] = False
         return agg
@@ -205,7 +231,6 @@ def revenue_by_nation(sf_dir: str):
                 "key": batch["c_custkey"].astype("int64"),
                 "rev100": np.int64(0),
                 "n_orders": np.int64(0),
-                "bucket": (batch["c_custkey"] % n_buckets).astype("int64"),
                 "nkey": batch["c_nationkey"].astype("int64"),
                 "is_cust": True,
             }
@@ -213,21 +238,12 @@ def revenue_by_nation(sf_dir: str):
 
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     customer = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    tagged = orders.map_batches(order_partials, batch_format="pandas").union(
-        customer.map_batches(cust_rows, batch_format="pandas")
-    )
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         o = group[~group["is_cust"]]
         c = group[group["is_cust"]]
         if o.empty or c.empty:
-            return pd.DataFrame(
-                {
-                    "n_name": pd.Series(dtype="object"),
-                    "rev100": pd.Series(dtype="int64"),
-                    "n_orders": pd.Series(dtype="int64"),
-                }
-            )
+            return None
         osum = o.groupby("key", as_index=False)[["rev100", "n_orders"]].sum()
         m = osum.merge(
             c[["key", "nkey"]].drop_duplicates("key"), on="key", how="inner"
@@ -236,15 +252,20 @@ def revenue_by_nation(sf_dir: str):
         m = m.dropna(subset=["n_name"])
         return m.groupby("n_name", as_index=False)[["rev100", "n_orders"]].sum()
 
-    partials = (
-        tagged.groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
+    schema = [("n_name", "object"), ("rev100", "int64"), ("n_orders", "int64")]
+    partials = to_frame(
+        bucket_exchange(
+            [
+                orders.map_batches(order_partials, batch_format="pandas"),
+                customer.map_batches(cust_rows, batch_format="pandas"),
+            ],
+            merge,
+            key="key",
+            schema=schema,
+            n_buckets=n_buckets,
+        ),
+        schema,
     )
-    if "n_name" not in partials.columns:
-        partials = pd.DataFrame(
-            {"n_name": [], "rev100": [], "n_orders": []}
-        )
     out = partials.groupby("n_name", as_index=False)[["rev100", "n_orders"]].sum()
     out["n_orders"] = out["n_orders"].astype("int64")
     out["revenue"] = out.pop("rev100") / 100.0
@@ -296,14 +317,21 @@ def _hourly_grid(ds, with_value: bool) -> pd.DataFrame:
     def final(group: pd.DataFrame) -> pd.DataFrame:
         return group.groupby(["bucket", "event_type"], as_index=False).sum()
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["bucket", "event_type"])
-        .map_groups(final, batch_format="pandas")
-        .to_pandas()
+    schema = [
+        ("bucket", "datetime64[us]"),
+        ("event_type", "object"),
+        ("n_events", "int64"),
+    ] + ([("val100", "int64")] if with_value else [])
+    out = to_frame(
+        bucket_exchange(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            final,
+            key=["bucket", "event_type"],
+            schema=schema,
+        ),
+        schema,
     )
-    if "n_events" in out.columns:
-        out["n_events"] = out["n_events"].astype("int64")
+    out["n_events"] = out["n_events"].astype("int64")
     return out
 
 
@@ -332,7 +360,7 @@ def events_hourly_anomaly(sf_dir: str):
     int64 at cluster scale)."""
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
     grid = _hourly_grid(ds, with_value=False)
-    if "event_type" not in grid.columns or not len(grid):
+    if not len(grid):
         return pd.DataFrame(
             {
                 "event_type": pd.Series(dtype="object"),
@@ -389,10 +417,7 @@ def distinct_users(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
 
     def local_unique(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.drop_duplicates()
-        out = out.copy()
-        out["bucket"] = (out["user_id"] % 64).astype("int64")
-        return out
+        return batch.drop_duplicates()
 
     def bucket_count(group: pd.DataFrame) -> pd.DataFrame:
         uniq = group.drop_duplicates(subset=["event_type", "user_id"])
@@ -400,19 +425,21 @@ def distinct_users(sf_dir: str):
             n_users=("user_id", "count")
         )
 
-    out = (
-        ds.map_batches(local_unique, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_count, batch_format="pandas")
-        .groupby("event_type")
-        .map_groups(
-            lambda g: g.groupby("event_type", as_index=False).agg(
-                n_users=("n_users", "sum")
-            ),
-            batch_format="pandas",
+    def type_total(group: pd.DataFrame) -> pd.DataFrame:
+        return group.groupby("event_type", as_index=False).agg(
+            n_users=("n_users", "sum")
         )
-        .to_pandas()
+
+    schema = [("event_type", "object"), ("n_users", "int64")]
+    per_bucket = bucket_exchange(
+        ds.map_batches(local_unique, batch_format="pandas"),
+        bucket_count,
+        key="user_id",
+        schema=schema,
     )
+    out = bucket_exchange(
+        per_bucket, type_total, key="event_type", schema=schema
+    ).to_pandas()
     out["n_users"] = out["n_users"].astype("int64")
     return out.sort_values("event_type").reset_index(drop=True)
 
@@ -439,7 +466,6 @@ def events_asof_orders(sf_dir: str):
     def tag_orders(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "bucket": (batch["o_custkey"] % n_buckets).astype("int64"),
                 "key": batch["o_custkey"].astype("int64"),
                 "t": batch["o_orderdate"],
                 "event_id": np.int64(-1),
@@ -452,7 +478,6 @@ def events_asof_orders(sf_dir: str):
     def tag_events(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "bucket": (batch["user_id"] % n_buckets).astype("int64"),
                 "key": batch["user_id"].astype("int64"),
                 "t": batch["ts"],
                 "event_id": batch["event_id"].astype("int64"),
@@ -462,21 +487,11 @@ def events_asof_orders(sf_dir: str):
             }
         )
 
-    tagged = orders.map_batches(tag_orders, batch_format="pandas").union(
-        events.map_batches(tag_events, batch_format="pandas")
-    )
-
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         o = group[group["is_order"]]
         e = group[~group["is_order"]]
         if o.empty or e.empty:
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series(dtype="int64"),
-                    "o_orderkey": pd.Series(dtype="int64"),
-                    "o_totalprice": pd.Series(dtype="float64"),
-                }
-            )
+            return None
         # merge_asof(direction="backward") takes the LAST order row with
         # t <= event t per key — sorting orders by (t, o_orderkey) makes
         # date ties resolve to the largest orderkey (oracle semantics).
@@ -498,20 +513,24 @@ def events_asof_orders(sf_dir: str):
             }
         )
 
-    out = (
-        tagged.groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
+    schema = [
+        ("event_id", "int64"),
+        ("o_orderkey", "int64"),
+        ("o_totalprice", "float64"),
+    ]
+    out = to_frame(
+        bucket_exchange(
+            [
+                orders.map_batches(tag_orders, batch_format="pandas"),
+                events.map_batches(tag_events, batch_format="pandas"),
+            ],
+            merge,
+            key="key",
+            schema=schema,
+            n_buckets=n_buckets,
+        ),
+        schema,
     )
-    if "event_id" not in out.columns:
-        # every hash partition emitted zero-column blocks (no matches)
-        out = pd.DataFrame(
-            {
-                "event_id": pd.Series(dtype="int64"),
-                "o_orderkey": pd.Series(dtype="int64"),
-                "o_totalprice": pd.Series(dtype="float64"),
-            }
-        )
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -538,7 +557,6 @@ def events_in_order_window(sf_dir: str):
     def tag_orders(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "bucket": (batch["o_custkey"] % n_buckets).astype("int64"),
                 "key": batch["o_custkey"].astype("int64"),
                 "t": batch["o_orderdate"],
                 "o_orderkey": batch["o_orderkey"].astype("int64"),
@@ -549,7 +567,6 @@ def events_in_order_window(sf_dir: str):
     def tag_events(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "bucket": (batch["user_id"] % n_buckets).astype("int64"),
                 "key": batch["user_id"].astype("int64"),
                 "t": batch["ts"],
                 "o_orderkey": np.int64(-1),
@@ -557,21 +574,11 @@ def events_in_order_window(sf_dir: str):
             }
         )
 
-    tagged = orders.map_batches(tag_orders, batch_format="pandas").union(
-        events.map_batches(tag_events, batch_format="pandas")
-    )
-
     def match(group: pd.DataFrame) -> pd.DataFrame:
         o = group[group["is_order"]]
         e = group[~group["is_order"]]
-        empty = pd.DataFrame(
-            {
-                "o_orderkey": pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64"),
-            }
-        )
         if o.empty:
-            return empty
+            return None
         if e.empty:
             return pd.DataFrame(
                 {
@@ -620,18 +627,20 @@ def events_in_order_window(sf_dir: str):
             }
         )
 
-    out = (
-        tagged.groupby("bucket")
-        .map_groups(match, batch_format="pandas")
-        .to_pandas()
+    schema = [("o_orderkey", "int64"), ("n_events", "int64")]
+    out = to_frame(
+        bucket_exchange(
+            [
+                orders.map_batches(tag_orders, batch_format="pandas"),
+                events.map_batches(tag_events, batch_format="pandas"),
+            ],
+            match,
+            key="key",
+            schema=schema,
+            n_buckets=n_buckets,
+        ),
+        schema,
     )
-    if "o_orderkey" not in out.columns:
-        out = pd.DataFrame(
-            {
-                "o_orderkey": pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64"),
-            }
-        )
     return out.sort_values("o_orderkey").reset_index(drop=True)
 
 
@@ -747,19 +756,21 @@ def part_type_stats(sf_dir: str):
             max_size=("p_size", "max"),
         )
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("p_type")
-        .map_groups(
-            lambda g: g.groupby("p_type", as_index=False).agg(
-                n_parts=("n_parts", "sum"),
-                price100=("price100", "sum"),
-                max_size=("max_size", "max"),
-            ),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
+    out = bucket_exchange(
+        ds.map_batches(partial, batch_format="pandas"),
+        lambda g: g.groupby("p_type", as_index=False).agg(
+            n_parts=("n_parts", "sum"),
+            price100=("price100", "sum"),
+            max_size=("max_size", "max"),
+        ),
+        key="p_type",
+        schema=[
+            ("p_type", "object"),
+            ("n_parts", "int64"),
+            ("price100", "int64"),
+            ("max_size", "int32"),
+        ],
+    ).to_pandas()
     out["n_parts"] = out["n_parts"].astype("int64")
     out["max_size"] = out["max_size"].astype("int32")
     out["sum_price"] = out.pop("price100") / 100.0
@@ -807,15 +818,12 @@ def doc_lang_counts(sf_dir: str):
         out = batch.groupby("lang", as_index=False).size()
         return out.rename(columns={"size": "n_docs"})
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("lang")
-        .map_groups(
-            lambda g: g.groupby("lang", as_index=False).agg(n_docs=("n_docs", "sum")),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
+    out = bucket_exchange(
+        ds.map_batches(partial, batch_format="pandas"),
+        lambda g: g.groupby("lang", as_index=False).agg(n_docs=("n_docs", "sum")),
+        key="lang",
+        schema=[("lang", "object"), ("n_docs", "int64")],
+    ).to_pandas()
     out["n_docs"] = out["n_docs"].astype("int64")
     return out.sort_values("lang").reset_index(drop=True)
 
@@ -849,14 +857,6 @@ def doc_lang_mismatch_by_source(sf_dir: str):
     )
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in batch.columns or not len(batch):
-            return pd.DataFrame(
-                {
-                    "source": pd.Series(dtype="object"),
-                    "n_docs": pd.Series(dtype="int64"),
-                    "n_mismatch": pd.Series(dtype="int64"),
-                }
-            )
         lb = _lang_batch(batch)
         # NULL lang is never a mismatch; NULL source rows drop (groupby
         # dropna) — both matching the oracle's CASE / WHERE semantics
@@ -1064,60 +1064,82 @@ def embedding_label_centroids(sf_dir: str):
             )
         return pd.DataFrame(rows)
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("label")
-        .map_groups(
-            lambda g: g.groupby("label", as_index=False).agg(
-                n_vecs=("n_vecs", "sum"), sum0=("sum0", "sum")
-            ),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
+    out = bucket_exchange(
+        ds.map_batches(partial, batch_format="pandas"),
+        lambda g: g.groupby("label", as_index=False).agg(
+            n_vecs=("n_vecs", "sum"), sum0=("sum0", "sum")
+        ),
+        key="label",
+        schema=[("label", "int64"), ("n_vecs", "int64"), ("sum0", "float64")],
+    ).to_pandas()
     out["n_vecs"] = out["n_vecs"].astype("int64")
     return out.sort_values("label").reset_index(drop=True)
 
 
 def lineitem_join_orders(sf_dir: str):
-    """Distributed hash join (Dataset.join): revenue per order priority.
+    """Shuffle join: revenue per order priority.
 
-    The one genuinely large⋈large join in the suite — demonstrates the
-    engine's shuffle-join operator (lineitem ⋈ orders on orderkey), followed
-    by in-batch partial aggregation.
+    The one genuinely large⋈large join in the suite (lineitem ⋈ orders on
+    orderkey). lineitem pre-aggregates per orderkey inside each batch,
+    the partials meet the orders rows in one bucket exchange, and each
+    bucket emits per-priority partial sums — a handful of rows per bucket
+    that the driver folds.
     """
+    def item_partials(batch: pd.DataFrame) -> pd.DataFrame:
+        disc_price = batch["l_extendedprice"] * (1 - batch["l_discount"])
+        tmp = pd.DataFrame(
+            {
+                "key": batch["l_orderkey"].astype("int64"),
+                "rev10000": np.rint(disc_price * 10000).astype("int64"),
+                "n_items": np.int64(1),
+            }
+        )
+        agg = tmp.groupby("key", as_index=False).sum()
+        agg["prio"] = ""
+        agg["is_order"] = False
+        return agg
+
+    def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {
+                "key": batch["o_orderkey"].astype("int64"),
+                "rev10000": np.int64(0),
+                "n_items": np.int64(0),
+                "prio": batch["o_orderpriority"],
+                "is_order": True,
+            }
+        )
+
+    def merge_priority(group: pd.DataFrame) -> pd.DataFrame:
+        items = group[~group["is_order"]]
+        orders = group[group["is_order"]].drop_duplicates("key")
+        m = items.groupby("key", as_index=False)[["rev10000", "n_items"]].sum()
+        m = m.merge(orders[["key", "prio"]], on="key", how="inner")
+        m = m.rename(columns={"prio": "o_orderpriority"})
+        return m.groupby("o_orderpriority", as_index=False)[
+            ["rev10000", "n_items"]
+        ].sum()
+
     lineitem = _read(
         sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"]
     )
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
-    joined = lineitem.join(
-        orders,
-        join_type="inner",
-        num_partitions=16,
-        on=("l_orderkey",),
-        right_on=("o_orderkey",),
+    schema = [("o_orderpriority", "object"), ("rev10000", "int64"), ("n_items", "int64")]
+    partials = to_frame(
+        bucket_exchange(
+            [
+                lineitem.map_batches(item_partials, batch_format="pandas"),
+                orders.map_batches(order_rows, batch_format="pandas"),
+            ],
+            merge_priority,
+            key="key",
+            schema=schema,
+        ),
+        schema,
     )
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        disc_price = batch["l_extendedprice"] * (1 - batch["l_discount"])
-        tmp = pd.DataFrame(
-            {
-                "o_orderpriority": batch["o_orderpriority"],
-                "rev10000": np.rint(disc_price * 10000).astype("int64"),
-                "n_items": 1,
-            }
-        )
-        return tmp.groupby("o_orderpriority", as_index=False).sum()
-
-    out = (
-        joined.map_batches(partial, batch_format="pandas")
-        .groupby("o_orderpriority")
-        .map_groups(
-            lambda g: g.groupby("o_orderpriority", as_index=False).sum(),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
+    out = partials.groupby("o_orderpriority", as_index=False)[
+        ["rev10000", "n_items"]
+    ].sum()
     out["n_items"] = out["n_items"].astype("int64")
     out["revenue"] = out.pop("rev10000") / 10000.0
     return out.sort_values("o_orderpriority").reset_index(drop=True)
@@ -1134,8 +1156,6 @@ def order_priority_counts(sf_dir: str):
     only per-(bucket, priority) count partials reach the driver. Exchange
     bytes = distinct keys + filtered orders ids, never the lineitem table.
     """
-    from .ops.shuffle import empty_frame, hash_bucket
-
     n_buckets = 64
     lo = pd.Timestamp("1995-01-01")
     hi = pd.Timestamp("1995-04-01")
@@ -1146,18 +1166,16 @@ def order_priority_counts(sf_dir: str):
     lineitem = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_returnflag"])
 
     TAG_COLS = [
-        ("bucket", "int64"), ("key", "int64"),
-        ("priority", "object"), ("is_order", "bool"),
+        ("key", "int64"), ("priority", "object"), ("is_order", "bool"),
     ]
 
     def tag_orders(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[(batch["o_orderdate"] >= lo) & (batch["o_orderdate"] < hi)]
         if sel.empty:
-            return empty_frame(TAG_COLS)
+            return empty_block(TAG_COLS)
         keys = sel["o_orderkey"].astype("int64")
         return pd.DataFrame(
             {
-                "bucket": hash_bucket(keys, n_buckets),
                 "key": keys,
                 "priority": sel["o_orderpriority"].astype(object),
                 "is_order": True,
@@ -1171,10 +1189,9 @@ def order_priority_counts(sf_dir: str):
             .astype("int64")
         )
         if keys.empty:
-            return empty_frame(TAG_COLS)
+            return empty_block(TAG_COLS)
         return pd.DataFrame(
             {
-                "bucket": hash_bucket(keys, n_buckets),
                 "key": keys,
                 "priority": "",
                 "is_order": False,
@@ -1182,33 +1199,30 @@ def order_priority_counts(sf_dir: str):
         )
 
     def semi_count(group: pd.DataFrame) -> pd.DataFrame:
-        cols = [("o_orderpriority", "object"), ("order_count", "int64")]
-        if "key" not in group.columns or group.empty:
-            return empty_frame(cols)
         o = group[group["is_order"]]
         returned = group.loc[~group["is_order"], "key"].unique()
         if o.empty or not len(returned):
-            return empty_frame(cols)
+            return None
         hit = o[o["key"].isin(returned)]
         out = (
             hit.groupby("priority").size().rename("order_count").reset_index()
         )
         return out.rename(columns={"priority": "o_orderpriority"})
 
-    partials = (
-        orders.map_batches(tag_orders, batch_format="pandas")
-        .union(lineitem.map_batches(tag_returned, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(semi_count, batch_format="pandas")
-        .to_pandas()  # <= n_buckets × priorities rows
+    schema = [("o_orderpriority", "object"), ("order_count", "int64")]
+    partials = to_frame(  # <= n_buckets × priorities rows
+        bucket_exchange(
+            [
+                orders.map_batches(tag_orders, batch_format="pandas"),
+                lineitem.map_batches(tag_returned, batch_format="pandas"),
+            ],
+            semi_count,
+            key="key",
+            schema=schema,
+            n_buckets=n_buckets,
+        ),
+        schema,
     )
-    if "o_orderpriority" not in partials.columns or partials.empty:
-        return pd.DataFrame(
-            {
-                "o_orderpriority": pd.Series(dtype="object"),
-                "order_count": pd.Series(dtype="int64"),
-            }
-        )
     out = (
         partials.groupby("o_orderpriority", as_index=False)["order_count"]
         .sum()
@@ -1227,8 +1241,6 @@ def customers_inactive_2001(sf_dir: str):
     segment) partials (count + integer-cent balance sums — the suite's
     standard exact-float protocol) reach the driver.
     """
-    from .ops.shuffle import empty_frame, hash_bucket
-
     n_buckets = 64
     cutoff = pd.Timestamp("2001-01-01")
 
@@ -1238,15 +1250,14 @@ def customers_inactive_2001(sf_dir: str):
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
 
     TAG_COLS = [
-        ("bucket", "int64"), ("key", "int64"), ("segment", "object"),
-        ("bal100", "int64"), ("is_cust", "bool"),
+        ("key", "int64"), ("segment", "object"), ("bal100", "int64"),
+        ("is_cust", "bool"),
     ]
 
     def tag_cust(batch: pd.DataFrame) -> pd.DataFrame:
         keys = batch["c_custkey"].astype("int64")
         return pd.DataFrame(
             {
-                "bucket": hash_bucket(keys, n_buckets),
                 "key": keys,
                 "segment": batch["c_mktsegment"].astype(object),
                 "bal100": np.rint(batch["c_acctbal"] * 100).astype("int64"),
@@ -1261,10 +1272,9 @@ def customers_inactive_2001(sf_dir: str):
             .astype("int64")
         )
         if keys.empty:
-            return empty_frame(TAG_COLS)
+            return empty_block(TAG_COLS)
         return pd.DataFrame(
             {
-                "bucket": hash_bucket(keys, n_buckets),
                 "key": keys,
                 "segment": "",
                 "bal100": np.int64(0),
@@ -1273,39 +1283,32 @@ def customers_inactive_2001(sf_dir: str):
         )
 
     def anti_agg(group: pd.DataFrame) -> pd.DataFrame:
-        cols = [
-            ("c_mktsegment", "object"), ("n_customers", "int64"),
-            ("bal100", "int64"),
-        ]
-        if "key" not in group.columns or group.empty:
-            return empty_frame(cols)
         c = group[group["is_cust"]]
-        if c.empty:
-            return empty_frame(cols)
         active = group.loc[~group["is_cust"], "key"].unique()
         miss = c[~c["key"].isin(active)]
         if miss.empty:
-            return empty_frame(cols)
+            return None
         out = miss.groupby("segment").agg(
             n_customers=("key", "size"), bal100=("bal100", "sum")
         ).reset_index()
         return out.rename(columns={"segment": "c_mktsegment"})
 
-    partials = (
-        cust.map_batches(tag_cust, batch_format="pandas")
-        .union(orders.map_batches(tag_active, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(anti_agg, batch_format="pandas")
-        .to_pandas()
+    schema = [
+        ("c_mktsegment", "object"), ("n_customers", "int64"), ("bal100", "int64"),
+    ]
+    partials = to_frame(
+        bucket_exchange(
+            [
+                cust.map_batches(tag_cust, batch_format="pandas"),
+                orders.map_batches(tag_active, batch_format="pandas"),
+            ],
+            anti_agg,
+            key="key",
+            schema=schema,
+            n_buckets=n_buckets,
+        ),
+        schema,
     )
-    if "c_mktsegment" not in partials.columns or partials.empty:
-        return pd.DataFrame(
-            {
-                "c_mktsegment": pd.Series(dtype="object"),
-                "n_customers": pd.Series(dtype="int64"),
-                "total_acctbal": pd.Series(dtype="float64"),
-            }
-        )
     out = partials.groupby("c_mktsegment", as_index=False).agg(
         n_customers=("n_customers", "sum"), bal100=("bal100", "sum")
     )
@@ -1343,22 +1346,19 @@ def supplier_balance_by_region(sf_dir: str):
 
     from .stages.pipeline import _default_concurrency
 
-    out = (
-        _read(sf_dir, "supplier", columns=["s_nationkey", "s_acctbal"])
-        .map_batches(
-            RegionAgg,
-            fn_constructor_kwargs={"lookup_ref": ref},
-            batch_format="pandas",
-            concurrency=_default_concurrency(),
-            num_cpus=1,
-        )
-        .groupby("r_name")
-        .map_groups(
-            lambda g: g.groupby("r_name", as_index=False).sum(),
-            batch_format="pandas",
-        )
-        .to_pandas()
+    partials = _read(sf_dir, "supplier", columns=["s_nationkey", "s_acctbal"]).map_batches(
+        RegionAgg,
+        fn_constructor_kwargs={"lookup_ref": ref},
+        batch_format="pandas",
+        concurrency=_default_concurrency(),
+        num_cpus=1,
     )
+    out = bucket_exchange(
+        partials,
+        lambda g: g.groupby("r_name", as_index=False).sum(),
+        key="r_name",
+        schema=[("r_name", "object"), ("bal100", "int64"), ("n_suppliers", "int64")],
+    ).to_pandas()
     out["n_suppliers"] = out["n_suppliers"].astype("int64")
     out["total_balance"] = out.pop("bal100") / 100.0
     return out.sort_values("r_name").reset_index(drop=True)
@@ -1379,11 +1379,6 @@ def orders_running_total(sf_dir: str):
         columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
     )
 
-    def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["bucket"] = (batch["o_custkey"] % n_buckets).astype("int64")
-        return batch
-
     def window(group: pd.DataFrame) -> pd.DataFrame:
         group = group.sort_values(["o_custkey", "o_orderdate", "o_orderkey"])
         cents = np.rint(group["o_totalprice"] * 100).astype("int64")
@@ -1393,12 +1388,13 @@ def orders_running_total(sf_dir: str):
         )
         return out
 
-    out = (
-        ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(window, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_exchange(
+        ds,
+        window,
+        key="o_custkey",
+        schema=[("o_orderkey", "int64"), ("o_custkey", "int64"), ("running_total", "float64")],
+        n_buckets=n_buckets,
+    ).to_pandas()
     return out.sort_values("o_orderkey").reset_index(drop=True)
 
 
@@ -1412,11 +1408,6 @@ def events_sessionize(sf_dir: str):
     n_buckets = 64
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
     gap = pd.Timedelta(minutes=30)
-
-    def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["bucket"] = (batch["user_id"] % n_buckets).astype("int64")
-        return batch
 
     def sessions(group: pd.DataFrame) -> pd.DataFrame:
         group = group.sort_values(["user_id", "ts"], kind="mergesort")
@@ -1434,12 +1425,13 @@ def events_sessionize(sf_dir: str):
         agg["n_sessions"] = agg["n_sessions"] + 1
         return agg
 
-    out = (
-        ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(sessions, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_exchange(
+        ds,
+        sessions,
+        key="user_id",
+        schema=[("user_id", "int64"), ("n_events", "int64"), ("n_sessions", "int64")],
+        n_buckets=n_buckets,
+    ).to_pandas()
     out["user_id"] = out["user_id"].astype("int64")
     out["n_events"] = out["n_events"].astype("int64")
     out["n_sessions"] = out["n_sessions"].astype("int64")
@@ -1722,16 +1714,9 @@ def doc_decontaminate(sf_dir: str, eval_ds=None):
 
     if eval_ds is None:
         # Fixture mode: the benchmark slice lives inside the corpus.
-        eval_side = _read(
-            sf_dir, "documents", columns=["doc_id", "text"]
-        ).map_batches(
-            lambda b: b[b["doc_id"] % 97 == 0], batch_format="pandas"
-        )
-        corpus = _read(
-            sf_dir, "documents", columns=["doc_id", "text"]
-        ).map_batches(
-            lambda b: b[b["doc_id"] % 97 != 0], batch_format="pandas"
-        )
+        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
+        eval_side = _bench_slice(docs)
+        corpus = _bench_slice(docs, bench=False)
     else:
         eval_side = eval_ds
         corpus = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -1815,18 +1800,9 @@ def doc_vocabulary(sf_dir: str):
     token-hash bucket, exact per-token merge inside each group — same
     micro-group-avoidance pattern as the MinHash banding.
     """
-    import zlib
-
     ds = _read(sf_dir, "documents", columns=["text"])
 
-    def _empty() -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "token": pd.Series(dtype="object"),
-                "n": pd.Series(dtype="int64"),
-                "bucket": pd.Series(dtype="int64"),
-            }
-        )
+    schema = [("token", "object"), ("n", "int64")]
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         # RE2-whitespace tokenization with empty tokens dropped — the
@@ -1844,13 +1820,9 @@ def doc_vocabulary(sf_dir: str):
         )
         tokens = tokens[tokens != ""]
         if tokens.empty:
-            return _empty()
+            return empty_block(schema)
         counts = tokens.value_counts()
         out = pd.DataFrame({"token": counts.index, "n": counts.values})
-        out["bucket"] = [
-            zlib.crc32(t.encode("utf-8")) % 256 for t in out["token"]
-        ]
-        out["bucket"] = out["bucket"].astype("int64")
         out["n"] = out["n"].astype("int64")
         return out
 
@@ -1859,9 +1831,9 @@ def doc_vocabulary(sf_dir: str):
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         return group.groupby("token", as_index=False).agg(n=("n", "sum"))
 
-    out = (
-        partials.groupby("bucket").map_groups(merge, batch_format="pandas").to_pandas()
-    )
+    out = bucket_exchange(
+        partials, merge, key="token", schema=schema, n_buckets=256
+    ).to_pandas()
     out["n"] = out["n"].astype("int64")
     return out.sort_values("token").reset_index(drop=True)
 
@@ -1880,16 +1852,11 @@ def doc_phrase_index(sf_dir: str):
     assembly happen exactly inside each bucket group. Postings emit as a
     comma-joined string — a storage-layout choice that also keeps the
     oracle hash byte-stable."""
-    import zlib
-
-    from .ops.shuffle import empty_frame
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     pair_cols = [
         ("doc_id", "int64"),
         ("phrase", "object"),
-        ("bucket", "int64"),
     ]
     out_cols = [
         ("phrase", "object"),
@@ -1898,12 +1865,10 @@ def doc_phrase_index(sf_dir: str):
     ]
 
     def pairs(batch: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in batch.columns or not len(batch):
-            return empty_frame(pair_cols)
         toks = batch["text"].fillna("").str.findall(r"[^\t\n\f\r ]+")
         exploded = toks.reset_index(drop=True).explode().dropna()
         if not len(exploded):
-            return empty_frame(pair_cols)
+            return empty_block(pair_cols)
         wdf = pd.DataFrame(
             {"i": exploded.index.to_numpy(), "w": exploded.to_numpy()}
         )
@@ -1911,7 +1876,7 @@ def doc_phrase_index(sf_dir: str):
         wdf["phrase"] = wdf["w"] + " " + nxt
         wdf = wdf.dropna(subset=["phrase"])
         if not len(wdf):
-            return empty_frame(pair_cols)
+            return empty_block(pair_cols)
         doc_ids = batch["doc_id"].reset_index(drop=True).to_numpy(
             dtype=np.int64
         )
@@ -1921,16 +1886,9 @@ def doc_phrase_index(sf_dir: str):
                 "phrase": wdf["phrase"].to_numpy(),
             }
         ).drop_duplicates()
-        out["bucket"] = pd.Series(
-            [zlib.crc32(p.encode("utf-8")) % 256 for p in out["phrase"]],
-            index=out.index,
-            dtype="int64",
-        )
         return out.reset_index(drop=True)
 
     def build(group: pd.DataFrame) -> pd.DataFrame:
-        if "phrase" not in group.columns or not len(group):
-            return empty_frame(out_cols)
         g = group.sort_values(["phrase", "doc_id"])
         agg = g.groupby("phrase")["doc_id"].agg(
             df="size",
@@ -1945,14 +1903,16 @@ def doc_phrase_index(sf_dir: str):
             }
         )
 
-    out = (
-        ds.map_batches(pairs, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(build, batch_format="pandas")
-        .to_pandas()
+    out = to_frame(
+        bucket_exchange(
+            ds.map_batches(pairs, batch_format="pandas"),
+            build,
+            key="phrase",
+            schema=out_cols,
+            n_buckets=256,
+        ),
+        out_cols,
     )
-    if "phrase" not in out.columns or not len(out):
-        return empty_frame(out_cols)
     return out.sort_values("phrase").reset_index(drop=True)
 
 
@@ -2070,14 +2030,7 @@ def doc_ngram_verified_pairs(sf_dir: str):
         payload_type=pa.large_string(),
     )
 
-    OUT_SCHEMA = pa.schema(
-        [("doc_a", pa.int64()), ("doc_b", pa.int64()),
-         ("jaccard", pa.float64())]
-    )
-
     def verify(batch: pa.Table) -> pa.Table:
-        if "doc_a" not in batch.column_names or batch.num_rows == 0:
-            return OUT_SCHEMA.empty_table()
         rows = {"doc_a": [], "doc_b": [], "jaccard": []}
         for a, b, ta, tb in zip(
             batch["doc_a"].to_pylist(), batch["doc_b"].to_pylist(),
@@ -2908,18 +2861,8 @@ def doc_epoch_shuffle(sf_dir: str):
     seed = "epoch0"
 
     ids = _read(sf_dir, "documents", columns=["doc_id"])
-    key_cols = [
-        ("doc_id", "int64"),
-        ("key", "object"),
-        ("shard_id", "int64"),
-        ("g", "int64"),
-    ]
 
     def key_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        from .ops.shuffle import empty_frame
-
-        if "doc_id" not in batch.columns or not len(batch):
-            return empty_frame(key_cols)
         ids_ = batch["doc_id"].astype("int64").reset_index(drop=True)
         keys = [
             _hashlib.md5(f"{seed}:{d}".encode()).hexdigest() for d in ids_
@@ -2942,13 +2885,6 @@ def doc_epoch_shuffle(sf_dir: str):
     keyed = ids.map_batches(key_rows, batch_format="pandas").materialize()
 
     def count_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        if "g" not in batch.columns or not len(batch):
-            return pd.DataFrame(
-                {
-                    "g": pd.Series(dtype="int64"),
-                    "n": pd.Series(dtype="int64"),
-                }
-            )
         out = batch.groupby("g").size().rename("n").reset_index()
         return out.astype({"g": "int64", "n": "int64"})
 
@@ -2976,31 +2912,22 @@ def doc_epoch_shuffle(sf_dir: str):
     ]
 
     def rank_group(group: pd.DataFrame, _ref=off_ref) -> pd.DataFrame:
-        from .ops.shuffle import empty_frame
-
-        if "doc_id" not in group.columns or not len(group):
-            return empty_frame(out_cols)
         offsets = ray.get(_ref)
-        base = int(offsets[int(group["g"].iloc[0])])
-        g2 = group.sort_values(["key", "doc_id"]).reset_index(drop=True)
+        g2 = group.sort_values(["g", "key", "doc_id"]).reset_index(drop=True)
+        base = g2["g"].map(offsets).to_numpy(dtype=np.int64)
         return pd.DataFrame(
             {
                 "doc_id": g2["doc_id"].astype("int64"),
                 "shard_id": g2["shard_id"].astype("int64"),
                 "pos_in_shard": pd.Series(
-                    base + np.arange(len(g2), dtype=np.int64),
-                    dtype="int64",
+                    base + g2.groupby("g").cumcount().to_numpy(), dtype="int64"
                 ),
             }
         )
 
-    out = keyed.groupby("g").map_groups(
-        rank_group, batch_format="pandas"
-    ).to_pandas()
-    if "doc_id" not in out.columns or not len(out):
-        from .ops.shuffle import empty_frame
-
-        return empty_frame(out_cols)
+    out = to_frame(
+        bucket_exchange(keyed, rank_group, key="g", schema=out_cols), out_cols
+    )
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -3050,8 +2977,6 @@ def textdoc_media_balance(sf_dir: str):
     )
 
     def balance(batch: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in batch.columns or not len(batch):
-            return empty
         rows = []
         for doc_id, spans in zip(batch["doc_id"], batch["spans"]):
             chars = 0
@@ -3184,9 +3109,6 @@ def doc_tfidf_top_terms(sf_dir: str):
     merge, per-doc top-3 inside a doc-bucket groupby. The compact tf
     table is materialized once before its two consumers (df aggregation
     and the join) — the lineage-re-execution rule."""
-    import zlib
-
-    from .ops.shuffle import empty_frame
     from .ops.text import RE2_WS_PATTERN
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -3204,15 +3126,11 @@ def doc_tfidf_top_terms(sf_dir: str):
         )
         toks = toks[toks["term"] != ""]
         if toks.empty:
-            return empty_frame(
-                [("doc_id", "int64"), ("term", "object"), ("tf", "int64"), ("bucket", "int64")]
-            )
+            return empty_block([("doc_id", "int64"), ("term", "object"), ("tf", "int64")])
         tf = toks.groupby(["doc_id", "term"], as_index=False).size()
         tf.columns = ["doc_id", "term", "tf"]
-        tf["bucket"] = [zlib.crc32(t.encode("utf-8")) % 64 for t in tf["term"]]
         tf["doc_id"] = tf["doc_id"].astype("int64")
         tf["tf"] = tf["tf"].astype("int64")
-        tf["bucket"] = tf["bucket"].astype("int64")
         return tf
 
     # Compact (doc, term, tf) table: materialized once, consumed twice.
@@ -3220,108 +3138,65 @@ def doc_tfidf_top_terms(sf_dir: str):
 
     # df per term: partial counts per batch, exact merge per token bucket.
     def df_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        if "term" not in batch.columns or batch.empty:
-            return empty_frame([("term", "object"), ("df", "int64"), ("bucket", "int64")])
-        out = batch.groupby(["bucket", "term"], as_index=False).size()
-        out.columns = ["bucket", "term", "df"]
-        return out[["term", "df", "bucket"]]
+        out = batch.groupby("term", as_index=False).size()
+        out.columns = ["term", "df"]
+        return out
 
     # tf rows tagged is_tf=True, df rows is_tf=False; one union stream,
     # exact pandas merge inside each token bucket.
     def tag_tf(batch: pd.DataFrame) -> pd.DataFrame:
-        if "term" not in batch.columns or batch.empty:
-            return empty_frame(
-                [
-                    ("bucket", "int64"),
-                    ("term", "object"),
-                    ("doc_id", "int64"),
-                    ("tf", "int64"),
-                    ("df", "int64"),
-                    ("is_tf", "bool"),
-                ]
-            )
-        out = batch[["bucket", "term", "doc_id", "tf"]].copy()
+        out = batch[["term", "doc_id", "tf"]].copy()
         out["df"] = np.int64(0)
         out["is_tf"] = True
         return out
 
     def tag_df(batch: pd.DataFrame) -> pd.DataFrame:
-        if "term" not in batch.columns or batch.empty:
-            return empty_frame(
-                [
-                    ("bucket", "int64"),
-                    ("term", "object"),
-                    ("doc_id", "int64"),
-                    ("tf", "int64"),
-                    ("df", "int64"),
-                    ("is_tf", "bool"),
-                ]
-            )
-        out = batch[["bucket", "term"]].copy()
+        out = batch[["term"]].copy()
         out["doc_id"] = np.int64(0)
         out["tf"] = np.int64(0)
         out["df"] = batch["df"].astype("int64")
         out["is_tf"] = False
         return out
 
-    df_ds = (
-        tf_ds.map_batches(df_partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(
-            lambda g: g.groupby(["bucket", "term"], as_index=False).agg(df=("df", "sum"))
-            if "term" in g.columns and not g.empty
-            else empty_frame([("bucket", "int64"), ("term", "object"), ("df", "int64")]),
-            batch_format="pandas",
-        )
-    )
-
-    union = tf_ds.map_batches(tag_tf, batch_format="pandas").union(
-        df_ds.map_batches(tag_df, batch_format="pandas")
+    df_ds = bucket_exchange(
+        tf_ds.map_batches(df_partial, batch_format="pandas"),
+        lambda g: g.groupby("term", as_index=False).agg(df=("df", "sum")),
+        key="term",
+        schema=[("term", "object"), ("df", "int64")],
     )
 
     def join_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        cols = [("doc_id", "int64"), ("term", "object"), ("tf", "int64"), ("df", "int64")]
-        if "is_tf" not in group.columns or group.empty:
-            return empty_frame(cols)
         tf_rows = group[group["is_tf"]][["doc_id", "term", "tf"]]
         df_rows = group[~group["is_tf"]][["term", "df"]]
         if tf_rows.empty or df_rows.empty:
-            return empty_frame(cols)
+            return None
         out = tf_rows.merge(df_rows, on="term", how="inner")
         out["doc_id"] = out["doc_id"].astype("int64")
         out["tf"] = out["tf"].astype("int64")
         out["df"] = out["df"].astype("int64")
         return out[["doc_id", "term", "tf", "df"]]
 
-    scored = union.groupby("bucket").map_groups(join_in_bucket, batch_format="pandas")
+    scored = bucket_exchange(
+        [
+            tf_ds.map_batches(tag_tf, batch_format="pandas"),
+            df_ds.map_batches(tag_df, batch_format="pandas"),
+        ],
+        join_in_bucket,
+        key="term",
+        schema=[("doc_id", "int64"), ("term", "object"), ("tf", "int64"), ("df", "int64")],
+    )
 
     # Per-doc top-3: coarse doc-hash bucket shuffle, exact rank in-group.
-    def add_doc_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in batch.columns or batch.empty:
-            return empty_frame(
-                [
-                    ("doc_id", "int64"),
-                    ("term", "object"),
-                    ("tf", "int64"),
-                    ("df", "int64"),
-                    ("doc_bucket", "int64"),
-                ]
-            )
-        out = batch.copy()
-        out["doc_bucket"] = (out["doc_id"] % 64).astype("int64")
-        return out
+    cols = [
+        ("doc_id", "int64"),
+        ("rank", "int64"),
+        ("term", "object"),
+        ("tf", "int64"),
+        ("df", "int64"),
+        ("score", "float64"),
+    ]
 
     def topk_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        cols = [
-            ("doc_id", "int64"),
-            ("rank", "int64"),
-            ("term", "object"),
-            ("tf", "int64"),
-            ("df", "int64"),
-            ("score", "float64"),
-        ]
-        if "doc_id" not in group.columns or group.empty:
-            return empty_frame(cols)
         g = group.copy()
         g["score"] = g["tf"].to_numpy(dtype=np.float64) / g["df"].to_numpy(
             dtype=np.float64
@@ -3334,23 +3209,9 @@ def doc_tfidf_top_terms(sf_dir: str):
         g["rank"] = g["rank"].astype("int64")
         return g[["doc_id", "rank", "term", "tf", "df", "score"]]
 
-    out = (
-        scored.map_batches(add_doc_bucket, batch_format="pandas")
-        .groupby("doc_bucket")
-        .map_groups(topk_in_bucket, batch_format="pandas")
-        .to_pandas()
+    out = to_frame(
+        bucket_exchange(scored, topk_in_bucket, key="doc_id", schema=cols), cols
     )
-    if "doc_id" not in out.columns:
-        return pd.DataFrame(
-            {
-                "doc_id": pd.Series(dtype="int64"),
-                "rank": pd.Series(dtype="int64"),
-                "term": pd.Series(dtype="object"),
-                "tf": pd.Series(dtype="int64"),
-                "df": pd.Series(dtype="int64"),
-                "score": pd.Series(dtype="float64"),
-            }
-        )
     return out.sort_values(["doc_id", "rank"]).reset_index(drop=True)
 
 
@@ -3515,18 +3376,16 @@ def doc_bloom_decontaminate(sf_dir: str):
     from .ops.sketch import BLOOM_K, bloom_decontaminate, build_bloom
     from .ops.text import word_ngram_set
 
-    bench_rows = (
+    bench_rows = _bench_slice(
         _read(sf_dir, "documents", columns=["doc_id", "text"])
-        .map_batches(lambda b: b[b["doc_id"] % 97 == 0], batch_format="pandas")
-        .to_pandas()
-    )
+    ).to_pandas()
     bench_grams: set[str] = set()
     for text in bench_rows.get("text", []):
         bench_grams |= word_ngram_set(text, 3)
     bloom_ref = ray.put(build_bloom(bench_grams))
 
-    corpus = _read(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
-        lambda b: b[b["doc_id"] % 97 != 0], batch_format="pandas"
+    corpus = _bench_slice(
+        _read(sf_dir, "documents", columns=["doc_id", "text"]), bench=False
     )
     out = bloom_decontaminate(corpus, bloom_ref, n=3).to_pandas()
     if "doc_id" not in out.columns:
@@ -3644,8 +3503,6 @@ def _pack_survivors(survivors, count_col: str) -> pd.DataFrame:
     reduce (no AllToAll), driver prefixes the tiny totals, then one
     in-bucket vectorized cumsum pass adds the bucket base. Returns
     (doc_id, <count_col>, pack_id, offset_in_pack) sorted by doc_id."""
-    from .ops.shuffle import empty_frame
-
     final_cols = [
         ("doc_id", "int64"),
         (count_col, "int64"),
@@ -3654,15 +3511,11 @@ def _pack_survivors(survivors, count_col: str) -> pd.DataFrame:
     ]
 
     def sums_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        if "bucket" not in batch.columns or batch.empty:
-            return empty_frame([("bucket", "int64"), ("total", "int64")])
         return batch.groupby("bucket", as_index=False).agg(
             total=(count_col, "sum")
         ).astype("int64")
 
     def sums_merge(batch: pd.DataFrame) -> pd.DataFrame:
-        if "bucket" not in batch.columns or batch.empty:
-            return empty_frame([("bucket", "int64"), ("total", "int64")])
         return batch.groupby("bucket", as_index=False).agg(
             total=("total", "sum")
         ).astype("int64")
@@ -3678,23 +3531,21 @@ def _pack_survivors(survivors, count_col: str) -> pd.DataFrame:
     base = totals.cumsum().shift(fill_value=0).to_dict()
 
     def pack_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in group.columns or group.empty:
-            return empty_frame(final_cols)
-        g = group.sort_values("doc_id").reset_index(drop=True)
-        start = int(base.get(int(g["bucket"].iloc[0]), 0)) + np.concatenate(
-            [[0], g[count_col].to_numpy()[:-1].cumsum()]
+        g = group.sort_values(["bucket", "doc_id"]).reset_index(drop=True)
+        # exclusive cumsum inside each range bucket, plus its base
+        start = (
+            g["bucket"].map(base).fillna(0).to_numpy(dtype=np.int64)
+            + g.groupby("bucket")[count_col].cumsum().to_numpy()
+            - g[count_col].to_numpy()
         )
         g["pack_id"] = (start // PACK_SEQ_LEN).astype("int64")
         g["offset_in_pack"] = (start % PACK_SEQ_LEN).astype("int64")
         return g[[c for c, _ in final_cols]]
 
-    out = (
-        survivors.groupby("bucket")
-        .map_groups(pack_in_bucket, batch_format="pandas")
-        .to_pandas()
+    out = to_frame(
+        bucket_exchange(survivors, pack_in_bucket, key="bucket", schema=final_cols),
+        final_cols,
     )
-    if "doc_id" not in out.columns:
-        return pd.DataFrame({c: pd.Series(dtype=t) for c, t in final_cols})
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -4109,15 +3960,10 @@ def doc_duplicated_spans(sf_dir: str):
     from .ops.dedup import duplicated_ngram_spans
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    out = duplicated_ngram_spans(ds, n=5).to_pandas()
-    if "doc_id" not in out.columns or not len(out):
-        return pd.DataFrame(
-            {
-                "doc_id": pd.Series(dtype="int64"),
-                "start_word": pd.Series(dtype="int64"),
-                "end_word": pd.Series(dtype="int64"),
-            }
-        )
+    out = to_frame(
+        duplicated_ngram_spans(ds, n=5),
+        [("doc_id", "int64"), ("start_word", "int64"), ("end_word", "int64")],
+    )
     return out.sort_values(["doc_id", "start_word"]).reset_index(drop=True)
 
 
@@ -4174,7 +4020,6 @@ def doc_exactsubstr_cut(sf_dir: str):
     joined by single spaces — ExactSubstr's whitespace tokenization
     already erased the original spacing)."""
     from .ops.dedup import duplicated_ngram_spans
-    from .ops.shuffle import empty_frame, hash_bucket
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     spans = duplicated_ngram_spans(docs, n=5)
@@ -4191,12 +4036,9 @@ def doc_exactsubstr_cut(sf_dir: str):
         ("start_word", "int64"),
         ("end_word", "int64"),
         ("text", "object"),
-        ("bucket", "int64"),
     ]
 
     def tag_docs(batch: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in batch.columns or not len(batch):
-            return empty_frame(union_cols)
         out = pd.DataFrame(
             {
                 "doc_id": batch["doc_id"].astype("int64").reset_index(
@@ -4208,12 +4050,9 @@ def doc_exactsubstr_cut(sf_dir: str):
                 "text": batch["text"].fillna("").reset_index(drop=True),
             }
         )
-        out["bucket"] = hash_bucket(out["doc_id"], 64)
         return out[[c for c, _ in union_cols]]
 
     def tag_spans(batch: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in batch.columns or not len(batch):
-            return empty_frame(union_cols)
         out = pd.DataFrame(
             {
                 "doc_id": batch["doc_id"].astype("int64").reset_index(
@@ -4229,12 +4068,9 @@ def doc_exactsubstr_cut(sf_dir: str):
                 "text": "",
             }
         )
-        out["bucket"] = hash_bucket(out["doc_id"], 64)
         return out[[c for c, _ in union_cols]]
 
     def cut_group(group: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in group.columns or not len(group):
-            return empty_frame(out_cols)
         is_span = group["tag"].to_numpy() == 1
         docs_g = group.loc[~is_span]
         spans_g = group.loc[is_span].sort_values(["doc_id", "start_word"])
@@ -4277,14 +4113,18 @@ def doc_exactsubstr_cut(sf_dir: str):
             }
         )
 
-    tagged = docs.map_batches(tag_docs, batch_format="pandas").union(
-        spans.map_batches(tag_spans, batch_format="pandas")
+    out = to_frame(
+        bucket_exchange(
+            [
+                docs.map_batches(tag_docs, batch_format="pandas"),
+                spans.map_batches(tag_spans, batch_format="pandas"),
+            ],
+            cut_group,
+            key="doc_id",
+            schema=out_cols,
+        ),
+        out_cols,
     )
-    out = tagged.groupby("bucket").map_groups(
-        cut_group, batch_format="pandas"
-    ).to_pandas()
-    if "doc_id" not in out.columns or not len(out):
-        return empty_frame(out_cols)
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -4737,23 +4577,18 @@ def _boilerplate_by_source_distributed(docs, dup_ds):
     meet in a doc-bucket tagged-union merge whose groups fold straight to
     per-source partials; the driver folds source-cardinality × n_buckets
     rows. NULL sources excluded (the pinned contract)."""
-    from .ops.shuffle import empty_frame, hash_bucket
-
     union_cols = [
         ("doc_id", "int64"),
         ("source", "object"),
         ("n_tokens", "int64"),
         ("dup_tokens", "int64"),
         ("tag", "int64"),
-        ("bucket", "int64"),
     ]
 
     def corpus_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in batch.columns or not len(batch):
-            return empty_frame(union_cols)
         batch = batch[batch["source"].notna()].reset_index(drop=True)
         if not len(batch):
-            return empty_frame(union_cols)
+            return empty_block(union_cols)
         n_tokens = (
             batch["text"].fillna("").str.findall(r"[^\t\n\f\r ]+").str.len()
         )
@@ -4766,12 +4601,9 @@ def _boilerplate_by_source_distributed(docs, dup_ds):
                 "tag": np.int64(0),
             }
         )
-        out["bucket"] = hash_bucket(out["doc_id"], 64)
         return out[[c for c, _ in union_cols]]
 
     def dup_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in batch.columns or not len(batch):
-            return empty_frame(union_cols)
         out = pd.DataFrame(
             {
                 "doc_id": batch["doc_id"].astype("int64").reset_index(
@@ -4785,7 +4617,6 @@ def _boilerplate_by_source_distributed(docs, dup_ds):
                 "tag": np.int64(1),
             }
         )
-        out["bucket"] = hash_bucket(out["doc_id"], 64)
         return out[[c for c, _ in union_cols]]
 
     part_cols = [
@@ -4796,11 +4627,9 @@ def _boilerplate_by_source_distributed(docs, dup_ds):
     ]
 
     def merge_to_source(group: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in group.columns or not len(group):
-            return empty_frame(part_cols)
         c = group.loc[group["tag"] == 0, ["doc_id", "source", "n_tokens"]]
         if not len(c):
-            return empty_frame(part_cols)
+            return None
         d = group.loc[group["tag"] == 1, ["doc_id", "dup_tokens"]]
         m = c.merge(d, on="doc_id", how="left")
         m["dup_tokens"] = m["dup_tokens"].fillna(0).astype("int64")
@@ -4811,15 +4640,18 @@ def _boilerplate_by_source_distributed(docs, dup_ds):
         )
         return agg[[c for c, _ in part_cols]]
 
-    parts = (
-        docs.map_batches(corpus_rows, batch_format="pandas")
-        .union(dup_ds.map_batches(dup_rows, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(merge_to_source, batch_format="pandas")
-        .to_pandas()
+    parts = to_frame(
+        bucket_exchange(
+            [
+                docs.map_batches(corpus_rows, batch_format="pandas"),
+                dup_ds.map_batches(dup_rows, batch_format="pandas"),
+            ],
+            merge_to_source,
+            key="doc_id",
+            schema=part_cols,
+        ),
+        part_cols,
     )
-    if "source" not in parts.columns or not len(parts):
-        return empty_frame(part_cols + [("dup_permille", "int64")])
     out = parts.groupby("source", as_index=False)[
         ["n_docs", "n_tokens", "dup_tokens"]
     ].sum()
@@ -4860,7 +4692,6 @@ def doc_boilerplate_by_source(
     import ray
 
     from .ops.dedup import duplicated_ngram_spans
-    from .ops.shuffle import empty_frame, hash_bucket
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text", "source"])
     spans = duplicated_ngram_spans(docs, n=5)
@@ -4868,12 +4699,9 @@ def doc_boilerplate_by_source(
     dd_cols = [
         ("doc_id", "int64"),
         ("dup_tokens", "int64"),
-        ("bucket", "int64"),
     ]
 
     def span_partials(batch: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in batch.columns or not len(batch):
-            return empty_frame(dd_cols)
         agg = (
             pd.DataFrame(
                 {
@@ -4888,32 +4716,26 @@ def doc_boilerplate_by_source(
             .groupby("doc_id", as_index=False)
             .sum()
         )
-        agg["bucket"] = hash_bucket(agg["doc_id"], 64)
         return agg.astype("int64")[[c for c, _ in dd_cols]]
 
     def span_exact(group: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in group.columns or not len(group):
-            return empty_frame(dd_cols[:2])
         return (
             group.groupby("doc_id", as_index=False)["dup_tokens"]
             .sum()
             .astype("int64")
         )
 
-    dup_ds = (
-        spans.map_batches(span_partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(span_exact, batch_format="pandas")
-        .materialize()
-    )
+    dup_ds = bucket_exchange(
+        spans.map_batches(span_partials, batch_format="pandas"),
+        span_exact,
+        key="doc_id",
+        schema=dd_cols,
+    ).materialize()
     if dup_ds.count() > driver_member_limit:
         return _boilerplate_by_source_distributed(docs, dup_ds)
 
-    dup = dup_ds.to_pandas()
-    if "doc_id" in dup.columns and len(dup):
-        dup_per_doc = dup.set_index("doc_id")["dup_tokens"].astype("int64")
-    else:
-        dup_per_doc = pd.Series(dtype="int64")
+    dup = to_frame(dup_ds, dd_cols)
+    dup_per_doc = dup.set_index("doc_id")["dup_tokens"].astype("int64")
     members = set(int(d) for d in dup_per_doc.index)
     ref = ray.put(members)
 
@@ -5055,13 +4877,10 @@ def source_syndication_pairs(sf_dir: str, min_shared: int = 10):
     sources²-sized partial table and applies the threshold."""
     from itertools import combinations
 
-    from .ops.shuffle import empty_frame
-
     docs = _read(sf_dir, "documents", columns=["text", "source"])
     gram_cols = [
         ("gram_key", "object"),
         ("source", "object"),
-        ("gbucket", "int64"),
     ]
     pair_cols = [
         ("source_a", "object"),
@@ -5072,14 +4891,12 @@ def source_syndication_pairs(sf_dir: str, min_shared: int = 10):
     def gram_rows(batch: pd.DataFrame) -> pd.DataFrame:
         from .ops.dedup import gram_key_frame
 
-        if "text" not in batch.columns or not len(batch):
-            return empty_frame(gram_cols)
         batch = batch[batch["source"].notna()].reset_index(drop=True)
         if not len(batch):
-            return empty_frame(gram_cols)
+            return empty_block(gram_cols)
         grams = gram_key_frame(batch["text"], 5, with_pos=False)
         if not len(grams):
-            return empty_frame(gram_cols)
+            return empty_block(gram_cols)
         srcs = batch["source"].reset_index(drop=True).to_numpy()
         out = pd.DataFrame(
             {
@@ -5087,16 +4904,9 @@ def source_syndication_pairs(sf_dir: str, min_shared: int = 10):
                 "source": srcs[grams["i"].to_numpy()],
             }
         ).drop_duplicates()
-        out["gbucket"] = pd.Series(
-            [int(k[:4], 16) % 512 for k in out["gram_key"]],
-            index=out.index,
-            dtype="int64",
-        )
         return out.reset_index(drop=True)
 
     def pair_counts(group: pd.DataFrame) -> pd.DataFrame:
-        if "gram_key" not in group.columns or not len(group):
-            return empty_frame(pair_cols)
         sp = group[["gram_key", "source"]].drop_duplicates()
         acc: dict[tuple, int] = {}
         for _, sub in sp.groupby("gram_key")["source"]:
@@ -5106,7 +4916,7 @@ def source_syndication_pairs(sf_dir: str, min_shared: int = 10):
             for a, b in combinations(ss, 2):
                 acc[(a, b)] = acc.get((a, b), 0) + 1
         if not acc:
-            return empty_frame(pair_cols)
+            return None
         return pd.DataFrame(
             {
                 "source_a": [k[0] for k in acc],
@@ -5115,21 +4925,16 @@ def source_syndication_pairs(sf_dir: str, min_shared: int = 10):
             }
         )
 
-    partials = (
-        docs.map_batches(gram_rows, batch_format="pandas")
-        .groupby("gbucket")
-        .map_groups(pair_counts, batch_format="pandas")
-        .to_pandas()
+    partials = to_frame(
+        bucket_exchange(
+            docs.map_batches(gram_rows, batch_format="pandas"),
+            pair_counts,
+            key="gram_key",
+            schema=pair_cols,
+            n_buckets=512,
+        ),
+        pair_cols,
     )
-    empty = pd.DataFrame(
-        {
-            "source_a": pd.Series(dtype="object"),
-            "source_b": pd.Series(dtype="object"),
-            "n_shared_grams": pd.Series(dtype="int64"),
-        }
-    )
-    if "source_a" not in partials.columns or not len(partials):
-        return empty
     out = (
         partials.groupby(["source_a", "source_b"], as_index=False)["n"]
         .sum()
@@ -5179,7 +4984,6 @@ def doc_cut_packs(sf_dir: str):
     the doc_pack_sequences pattern (tree-reduced bucket totals, driver
     prefixes the tiny totals, vectorized in-bucket cumsum)."""
     from .ops.dedup import duplicated_ngram_spans
-    from .ops.shuffle import empty_frame
 
     bucket_width = 1024
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -5193,8 +4997,6 @@ def doc_cut_packs(sf_dir: str):
     ]
 
     def count_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in batch.columns or not len(batch):
-            return empty_frame(union_cols)
         n_tokens = (
             batch["text"].fillna("").str.findall(r"[^\t\n\f\r ]+").str.len()
         )
@@ -5211,8 +5013,6 @@ def doc_cut_packs(sf_dir: str):
         return out[[c for c, _ in union_cols]]
 
     def span_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in batch.columns or not len(batch):
-            return empty_frame(union_cols)
         out = pd.DataFrame(
             {
                 "doc_id": batch["doc_id"].astype("int64").reset_index(
@@ -5234,8 +5034,6 @@ def doc_cut_packs(sf_dir: str):
     ]
 
     def merge_kept(group: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in group.columns or not len(group):
-            return empty_frame(surv_cols)
         tot = group.loc[group["tag"] == 0].groupby("doc_id")["n"].sum()
         cut = group.loc[group["tag"] == 1].groupby("doc_id")["n"].sum()
         kept = (tot - cut.reindex(tot.index, fill_value=0)).astype("int64")
@@ -5249,13 +5047,15 @@ def doc_cut_packs(sf_dir: str):
         out["bucket"] = (out["doc_id"] // bucket_width).astype("int64")
         return out.astype("int64")[[c for c, _ in surv_cols]]
 
-    survivors = (
-        docs.map_batches(count_rows, batch_format="pandas")
-        .union(spans.map_batches(span_rows, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(merge_kept, batch_format="pandas")
-        .materialize()  # compact 24 B/doc table, two consumers below
-    )
+    survivors = bucket_exchange(
+        [
+            docs.map_batches(count_rows, batch_format="pandas"),
+            spans.map_batches(span_rows, batch_format="pandas"),
+        ],
+        merge_kept,
+        key="bucket",
+        schema=surv_cols,
+    ).materialize()  # compact 24 B/doc table, two consumers below
     return _pack_survivors(survivors, "n_kept")
 
 
@@ -5459,7 +5259,7 @@ def doc_neardup_best_keep(
     happens on that duplicate-count-sized table; above it (boilerplate-
     heavy crawls, dup members 30-50% of corpus) the whole selection runs
     distributed — doc-bucket tagged-union merge attaches token counts
-    ids-only, group-bucket map_groups ranks per component
+    ids-only, a group-bucket exchange ranks per component
     (ops.dedup.neardup_best_keep_distributed) — and the member table
     never touches the driver."""
     import ray
@@ -5585,13 +5385,7 @@ def _bench_grams_ref(docs, eval_ds=None, n: int = 3):
 
     from .ops.text import collect_gram_set
 
-    side = (
-        docs.map_batches(
-            lambda b: b[b["doc_id"] % 97 == 0], batch_format="pandas"
-        )
-        if eval_ds is None
-        else eval_ds
-    )
+    side = _bench_slice(docs) if eval_ds is None else eval_ds
     return ray.put(collect_gram_set(side, n=n))
 
 
@@ -5613,7 +5407,6 @@ def doc_clean_corpus(sf_dir: str, eval_ds=None):
 
     import ray
 
-    from .ops.shuffle import empty_frame, hash_bucket
     from .ops.text import gopher_signals_batch, word_ngram_set
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -5626,7 +5419,6 @@ def doc_clean_corpus(sf_dir: str, eval_ds=None):
         ("quality_keep", "int64"),
         ("decontam_keep", "int64"),
         ("dedup_keep", "int64"),
-        ("bucket", "int64"),
     ]
 
     def signals(batch: pd.DataFrame, _ref=grams_ref) -> pd.DataFrame:
@@ -5657,7 +5449,6 @@ def doc_clean_corpus(sf_dir: str, eval_ds=None):
                 "dedup_keep": np.int64(0),
             }
         )
-        out["bucket"] = hash_bucket(out["doc_id"], 64)
         return out[[c for c, _ in out_cols]]
 
     def hash_rows(batch: pd.DataFrame) -> pd.DataFrame:
@@ -5673,14 +5464,9 @@ def doc_clean_corpus(sf_dir: str, eval_ds=None):
                 "content_hash": pd.Series(hashes, dtype="object"),
             }
         )
-        out["hbucket"] = (
-            out["content_hash"].map(lambda h: int(h[:4], 16) % 64)
-        ).astype("int64")
         return out
 
     def keeper_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in group.columns or len(group) == 0:
-            return empty_frame(out_cols)
         mins = group.groupby("content_hash")["doc_id"].transform("min")
         out = pd.DataFrame(
             {
@@ -5695,26 +5481,24 @@ def doc_clean_corpus(sf_dir: str, eval_ds=None):
                 .reset_index(drop=True),
             }
         )
-        out["bucket"] = hash_bucket(out["doc_id"], 64)
         return out[[c for c, _ in out_cols]]
 
-    dedup_tags = (
-        docs.map_batches(hash_rows, batch_format="pandas")
-        .groupby("hbucket")
-        .map_groups(keeper_in_bucket, batch_format="pandas")
+    dedup_tags = bucket_exchange(
+        docs.map_batches(hash_rows, batch_format="pandas"),
+        keeper_in_bucket,
+        key="content_hash",
+        schema=out_cols,
     )
     sig = docs.map_batches(signals, batch_format="pandas")
+    cols = [
+        ("doc_id", "int64"),
+        ("quality_keep", "int64"),
+        ("dedup_keep", "int64"),
+        ("decontam_keep", "int64"),
+        ("keep", "int64"),
+    ]
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
-        cols = [
-            ("doc_id", "int64"),
-            ("quality_keep", "int64"),
-            ("dedup_keep", "int64"),
-            ("decontam_keep", "int64"),
-            ("keep", "int64"),
-        ]
-        if "doc_id" not in group.columns or len(group) == 0:
-            return empty_frame(cols)
         agg = (
             group.groupby("doc_id")[
                 ["quality_keep", "decontam_keep", "dedup_keep"]
@@ -5729,22 +5513,9 @@ def doc_clean_corpus(sf_dir: str, eval_ds=None):
         ).astype("int64")
         return agg[[c for c, _ in cols]].astype("int64")
 
-    out = (
-        sig.union(dedup_tags)
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
+    out = to_frame(
+        bucket_exchange([sig, dedup_tags], merge, key="doc_id", schema=cols), cols
     )
-    if "doc_id" not in out.columns:
-        return empty_frame(
-            [
-                ("doc_id", "int64"),
-                ("quality_keep", "int64"),
-                ("dedup_keep", "int64"),
-                ("decontam_keep", "int64"),
-                ("keep", "int64"),
-            ]
-        )
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -5827,7 +5598,6 @@ def doc_curation_packs(sf_dir: str, eval_ds=None):
 
     import ray
 
-    from .ops.shuffle import empty_frame, hash_bucket
     from .ops.text import gopher_signals_batch, word_ngram_set
 
     bucket_width = 1024  # survivor docs per range bucket
@@ -5843,7 +5613,6 @@ def doc_curation_packs(sf_dir: str, eval_ds=None):
         ("decontam_keep", "int64"),
         ("dedup_keep", "int64"),
         ("n_tokens", "int64"),
-        ("bucket", "int64"),
     ]
 
     def signals(batch: pd.DataFrame, _ref=grams_ref) -> pd.DataFrame:
@@ -5884,7 +5653,6 @@ def doc_curation_packs(sf_dir: str, eval_ds=None):
                 "n_tokens": toks,
             }
         )
-        out["bucket"] = hash_bucket(out["doc_id"], 64)
         return out[[c for c, _ in out_cols]]
 
     def hash_rows(batch: pd.DataFrame) -> pd.DataFrame:
@@ -5900,14 +5668,9 @@ def doc_curation_packs(sf_dir: str, eval_ds=None):
                 "content_hash": pd.Series(hashes, dtype="object"),
             }
         )
-        out["hbucket"] = (
-            out["content_hash"].map(lambda h: int(h[:4], 16) % 64)
-        ).astype("int64")
         return out
 
     def keeper_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in group.columns or len(group) == 0:
-            return empty_frame(out_cols)
         mins = group.groupby("content_hash")["doc_id"].transform("min")
         out = pd.DataFrame(
             {
@@ -5923,13 +5686,13 @@ def doc_curation_packs(sf_dir: str, eval_ds=None):
                 "n_tokens": np.int64(0),
             }
         )
-        out["bucket"] = hash_bucket(out["doc_id"], 64)
         return out[[c for c, _ in out_cols]]
 
-    dedup_tags = (
-        docs.map_batches(hash_rows, batch_format="pandas")
-        .groupby("hbucket")
-        .map_groups(keeper_in_bucket, batch_format="pandas")
+    dedup_tags = bucket_exchange(
+        docs.map_batches(hash_rows, batch_format="pandas"),
+        keeper_in_bucket,
+        key="content_hash",
+        schema=out_cols,
     )
     sig = docs.map_batches(signals, batch_format="pandas")
 
@@ -5940,8 +5703,6 @@ def doc_curation_packs(sf_dir: str, eval_ds=None):
     ]
 
     def merge_survivors(group: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in group.columns or len(group) == 0:
-            return empty_frame(surv_cols)
         agg = (
             group.groupby("doc_id")[
                 ["quality_keep", "decontam_keep", "dedup_keep", "n_tokens"]
@@ -5958,12 +5719,9 @@ def doc_curation_packs(sf_dir: str, eval_ds=None):
         out["bucket"] = (out["doc_id"] // bucket_width).astype("int64")
         return out.astype("int64")[[c for c, _ in surv_cols]]
 
-    survivors = (
-        sig.union(dedup_tags)
-        .groupby("bucket")
-        .map_groups(merge_survivors, batch_format="pandas")
-        .materialize()  # compact 24 B/doc table, two consumers below
-    )
+    survivors = bucket_exchange(
+        [sig, dedup_tags], merge_survivors, key="doc_id", schema=surv_cols
+    ).materialize()  # compact 24 B/doc table, two consumers below
     return _pack_survivors(survivors, "n_tokens")
 
 
@@ -6014,27 +5772,19 @@ def events_rolling_window(sf_dir: str):
     loop (the same de-looping the order-window join uses). Value sums are
     half-even micro-units (np.rint ≡ round_even) with prefix sums, so
     distributed partial order can't diverge from the oracle."""
-    from .ops.shuffle import empty_frame, hash_bucket
-
     window_us = 3_600_000_000  # 1 hour in microseconds
 
     ds = _read(
         sf_dir, "events", columns=["event_id", "ts", "user_id", "value"]
     )
 
-    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.copy()
-        out["bucket"] = hash_bucket(out["user_id"], 64)
-        return out
+    cols = [
+        ("event_id", "int64"),
+        ("n_window", "int64"),
+        ("vsum_micro", "int64"),
+    ]
 
     def roll(group: pd.DataFrame) -> pd.DataFrame:
-        cols = [
-            ("event_id", "int64"),
-            ("n_window", "int64"),
-            ("vsum_micro", "int64"),
-        ]
-        if "event_id" not in group.columns or len(group) == 0:
-            return empty_frame(cols)
         g = group.sort_values(["user_id", "ts"], kind="mergesort")
         t = g["ts"].to_numpy("datetime64[us]").astype(np.int64)
         u = g["user_id"].to_numpy(dtype=np.int64)
@@ -6065,20 +5815,7 @@ def events_rolling_window(sf_dir: str):
             }
         )
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(roll, batch_format="pandas")
-        .to_pandas()
-    )
-    if "event_id" not in out.columns:
-        return pd.DataFrame(
-            {
-                "event_id": pd.Series(dtype="int64"),
-                "n_window": pd.Series(dtype="int64"),
-                "vsum_micro": pd.Series(dtype="int64"),
-            }
-        )
+    out = to_frame(bucket_exchange(ds, roll, key="user_id", schema=cols), cols)
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -6582,7 +6319,6 @@ def q3_shipping_priority(sf_dir: str):
     shuffle); order dates ride the exchange as int64 epoch-us so the
     tagged union has one frame schema. Driver sees only per-bucket
     grouped rows."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
     cutoff = pd.Timestamp("1995-03-15")
@@ -6593,13 +6329,12 @@ def q3_shipping_priority(sf_dir: str):
         ("odate_us", "int64"),
         ("priority", "object"),
         ("is_cust", "bool"),
-        ("bucket", "int64"),
     ]
 
     def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[batch["o_orderdate"] < cutoff]
         if not len(sel):
-            return empty_frame(ocols)
+            return empty_block(ocols)
         return pd.DataFrame(
             {
                 "key": sel["o_custkey"].astype("int64").to_numpy(),
@@ -6609,16 +6344,13 @@ def q3_shipping_priority(sf_dir: str):
                 .astype(np.int64),
                 "priority": sel["o_orderpriority"].astype("object").to_numpy(),
                 "is_cust": False,
-                "bucket": (sel["o_custkey"] % n_buckets)
-                .astype("int64")
-                .to_numpy(),
             }
         )
 
     def cust_rows(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[batch["c_mktsegment"] == "BUILDING"]
         if not len(sel):
-            return empty_frame(ocols)
+            return empty_block(ocols)
         return pd.DataFrame(
             {
                 "key": sel["c_custkey"].astype("int64").to_numpy(),
@@ -6626,9 +6358,6 @@ def q3_shipping_priority(sf_dir: str):
                 "odate_us": np.int64(0),
                 "priority": "",
                 "is_cust": True,
-                "bucket": (sel["c_custkey"] % n_buckets)
-                .astype("int64")
-                .to_numpy(),
             }
         )
 
@@ -6638,9 +6367,6 @@ def q3_shipping_priority(sf_dir: str):
         columns=["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
     )
     customer = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    tagged1 = orders.map_batches(order_rows, batch_format="pandas").union(
-        customer.map_batches(cust_rows, batch_format="pandas")
-    )
 
     qcols = [
         ("orderkey", "int64"),
@@ -6648,16 +6374,13 @@ def q3_shipping_priority(sf_dir: str):
         ("priority", "object"),
         ("dp10000", "int64"),
         ("is_line", "bool"),
-        ("bucket", "int64"),
     ]
 
     def merge_custkey(group: pd.DataFrame) -> pd.DataFrame:
-        if "is_cust" not in group.columns or len(group) == 0:
-            return empty_frame(qcols)
         keys = set(group.loc[group["is_cust"], "key"])
         o = group[~group["is_cust"] & group["key"].isin(keys)]
         if not len(o):
-            return empty_frame(qcols)
+            return None
         return pd.DataFrame(
             {
                 "orderkey": o["orderkey"].to_numpy(),
@@ -6665,18 +6388,24 @@ def q3_shipping_priority(sf_dir: str):
                 "priority": o["priority"].to_numpy(),
                 "dp10000": np.int64(0),
                 "is_line": False,
-                "bucket": (o["orderkey"] % n_buckets).astype("int64").to_numpy(),
             }
         )
 
-    qualified = tagged1.groupby("bucket").map_groups(
-        merge_custkey, batch_format="pandas"
+    qualified = bucket_exchange(
+        [
+            orders.map_batches(order_rows, batch_format="pandas"),
+            customer.map_batches(cust_rows, batch_format="pandas"),
+        ],
+        merge_custkey,
+        key="key",
+        schema=qcols,
+        n_buckets=n_buckets,
     )
 
     def line_partials(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[batch["l_shipdate"] > cutoff]
         if not len(sel):
-            return empty_frame(qcols)
+            return empty_block(qcols)
         dp = np.rint(
             (sel["l_extendedprice"] * (1 - sel["l_discount"])).to_numpy()
             * 10000
@@ -6692,7 +6421,6 @@ def q3_shipping_priority(sf_dir: str):
                 "priority": "",
                 "dp10000": agg["dp10000"].astype("int64"),
                 "is_line": True,
-                "bucket": (agg["orderkey"] % n_buckets).astype("int64"),
             }
         )
 
@@ -6701,23 +6429,18 @@ def q3_shipping_priority(sf_dir: str):
         "lineitem",
         columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
     )
-    tagged2 = qualified.union(
-        lineitem.map_batches(line_partials, batch_format="pandas")
-    )
+    cols = [
+        ("l_orderkey", "int64"),
+        ("odate_us", "int64"),
+        ("o_orderpriority", "object"),
+        ("dp10000", "int64"),
+    ]
 
     def merge_orderkey(group: pd.DataFrame) -> pd.DataFrame:
-        cols = [
-            ("l_orderkey", "int64"),
-            ("odate_us", "int64"),
-            ("o_orderpriority", "object"),
-            ("dp10000", "int64"),
-        ]
-        if "is_line" not in group.columns or len(group) == 0:
-            return empty_frame(cols)
         o = group[~group["is_line"]]
         li = group[group["is_line"]]
         if o.empty or li.empty:
-            return empty_frame(cols)
+            return None
         lsum = li.groupby("orderkey", as_index=False)["dp10000"].sum()
         m = o[["orderkey", "odate_us", "priority"]].merge(
             lsum, on="orderkey", how="inner"
@@ -6731,20 +6454,16 @@ def q3_shipping_priority(sf_dir: str):
             }
         )
 
-    out = (
-        tagged2.groupby("bucket")
-        .map_groups(merge_orderkey, batch_format="pandas")
-        .to_pandas()
+    out = to_frame(
+        bucket_exchange(
+            [qualified, lineitem.map_batches(line_partials, batch_format="pandas")],
+            merge_orderkey,
+            key="orderkey",
+            schema=cols,
+            n_buckets=n_buckets,
+        ),
+        cols,
     )
-    if "l_orderkey" not in out.columns or not len(out):
-        return pd.DataFrame(
-            {
-                "l_orderkey": pd.Series(dtype="int64"),
-                "revenue": pd.Series(dtype="float64"),
-                "o_orderdate": pd.Series(dtype="datetime64[us]"),
-                "o_orderpriority": pd.Series(dtype="object"),
-            }
-        )
     out["revenue"] = out.pop("dp10000") / 10000.0
     out["o_orderdate"] = out.pop("odate_us").to_numpy().astype(
         "datetime64[us]"
@@ -6931,7 +6650,6 @@ def events_top_users_per_type(sf_dir: str):
     the shuffle; one coarse bucket exchange keyed on event_type merges
     exact counts; top-3 selection happens inside the group (ties break
     to the lower user_id). Only k rows per type reach the driver."""
-    from .ops.shuffle import empty_frame
 
     k = 3
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
@@ -6944,26 +6662,16 @@ def events_top_users_per_type(sf_dir: str):
                 "n": np.int64(1),
             }
         )
-        import zlib
+        return tmp.groupby(["event_type", "user_id"], as_index=False)["n"].sum()
 
-        agg = tmp.groupby(["event_type", "user_id"], as_index=False)["n"].sum()
-        # crc32: deterministic across worker processes
-        agg["bucket"] = (
-            agg["event_type"]
-            .map(lambda t: zlib.crc32(str(t).encode("utf-8")) % 16)
-            .astype("int64")
-        )
-        return agg
+    cols = [
+        ("event_type", "object"),
+        ("user_id", "int64"),
+        ("n", "int64"),
+        ("rank", "int64"),
+    ]
 
     def topk_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        cols = [
-            ("event_type", "object"),
-            ("user_id", "int64"),
-            ("n", "int64"),
-            ("rank", "int64"),
-        ]
-        if "event_type" not in group.columns or len(group) == 0:
-            return empty_frame(cols)
         agg = group.groupby(["event_type", "user_id"], as_index=False)[
             "n"
         ].sum()
@@ -6974,21 +6682,16 @@ def events_top_users_per_type(sf_dir: str):
         out = agg[agg["rank"] <= k]
         return out[[c for c, _ in cols]].reset_index(drop=True)
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(topk_in_bucket, batch_format="pandas")
-        .to_pandas()
+    out = to_frame(
+        bucket_exchange(
+            ds.map_batches(partial, batch_format="pandas"),
+            topk_in_bucket,
+            key="event_type",
+            schema=cols,
+            n_buckets=16,
+        ),
+        cols,
     )
-    if "event_type" not in out.columns:
-        return pd.DataFrame(
-            {
-                "event_type": pd.Series(dtype="object"),
-                "user_id": pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "rank": pd.Series(dtype="int64"),
-            }
-        )
     out["n"] = out["n"].astype("int64")
     return out.sort_values(["event_type", "rank"]).reset_index(drop=True)
 
@@ -7107,7 +6810,6 @@ def doc_budget_select(sf_dir: str):
     million-document tie never lands on the driver."""
     import ray
 
-    from .ops.shuffle import empty_frame
     from .ops.text import corpus_token_counts, lm_rarity_scores
 
     budget = BUDGET_TOKENS
@@ -7213,7 +6915,7 @@ def doc_budget_select(sf_dir: str):
                 ("n_tokens", "int64"), ("rb", "int64")]
         sel = batch[batch["mean_rarity"].to_numpy(dtype=np.int64) == t]
         if not len(sel):
-            return empty_frame(cols)
+            return empty_block(cols)
         did = sel["doc_id"].astype("int64").to_numpy()
         return pd.DataFrame(
             {
@@ -7246,17 +6948,18 @@ def doc_budget_select(sf_dir: str):
         run += int(w)
 
     def select_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        cols = [("doc_id", "int64"), ("mean_rarity", "int64"),
-                ("n_tokens", "int64")]
-        if "doc_id" not in group.columns or len(group) == 0:
-            return empty_frame(cols)
-        g = group.sort_values("doc_id")
-        start = bases.get(int(g["rb"].iloc[0]), 0)
-        cum = start + g["n_tokens"].to_numpy(dtype=np.int64).cumsum()
+        g = group.sort_values(["rb", "doc_id"])
+        cum = (
+            g["rb"].map(bases).fillna(0).to_numpy(dtype=np.int64)
+            + g.groupby("rb")["n_tokens"].cumsum().to_numpy(dtype=np.int64)
+        )
         return g.loc[cum <= remaining, out_cols]
 
-    kept_t = boundary.groupby("rb").map_groups(
-        select_in_bucket, batch_format="pandas"
+    kept_t = bucket_exchange(
+        boundary,
+        select_in_bucket,
+        key="rb",
+        schema=[(c, "int64") for c in out_cols],
     )
 
     out = kept_lt.union(kept_t).to_pandas()
@@ -7309,8 +7012,6 @@ def events_funnel(sf_dir: str):
     pass per bucket (the rolling-window trick: user segments offset onto
     disjoint int64 ranges, purchases probe the sorted click array — no
     per-user loop, no self-join)."""
-    from .ops.shuffle import empty_frame, hash_bucket
-
     window_us = 3_600_000_000
 
     ds = _read(sf_dir, "events", columns=["ts", "user_id", "event_type"])
@@ -7320,11 +7021,10 @@ def events_funnel(sf_dir: str):
             ("user_id", "int64"),
             ("t_us", "int64"),
             ("is_purchase", "bool"),
-            ("bucket", "int64"),
         ]
         sel = batch[batch["event_type"].isin(("click", "purchase"))]
         if not len(sel):
-            return empty_frame(cols)
+            return empty_block(cols)
         out = pd.DataFrame(
             {
                 "user_id": sel["user_id"].astype("int64").to_numpy(),
@@ -7334,13 +7034,11 @@ def events_funnel(sf_dir: str):
                 "is_purchase": (sel["event_type"] == "purchase").to_numpy(),
             }
         )
-        out["bucket"] = hash_bucket(out["user_id"], 64)
         return out
 
+    cols = [("user_id", "int64"), ("n_conversions", "int64")]
+
     def funnel(group: pd.DataFrame) -> pd.DataFrame:
-        cols = [("user_id", "int64"), ("n_conversions", "int64")]
-        if "user_id" not in group.columns or len(group) == 0:
-            return empty_frame(cols)
         u = group["user_id"].to_numpy(dtype=np.int64)
         t = group["t_us"].to_numpy(dtype=np.int64)
         users, u_codes = np.unique(u, return_inverse=True)
@@ -7366,19 +7064,15 @@ def events_funnel(sf_dir: str):
             {"user_id": users[nz], "n_conversions": counts[nz]}
         )
 
-    out = (
-        ds.map_batches(tag, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(funnel, batch_format="pandas")
-        .to_pandas()
+    out = to_frame(
+        bucket_exchange(
+            ds.map_batches(tag, batch_format="pandas"),
+            funnel,
+            key="user_id",
+            schema=cols,
+        ),
+        cols,
     )
-    if "user_id" not in out.columns:
-        return pd.DataFrame(
-            {
-                "user_id": pd.Series(dtype="int64"),
-                "n_conversions": pd.Series(dtype="int64"),
-            }
-        )
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -7406,15 +7100,7 @@ def doc_simhash_pairs(sf_dir: str):
     from .ops.dedup import simhash_pairs
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    out = simhash_pairs(ds, max_hamming=3).to_pandas()
-    if "doc_a" not in out.columns or not len(out):
-        return pd.DataFrame(
-            {
-                "doc_a": pd.Series(dtype="int64"),
-                "doc_b": pd.Series(dtype="int64"),
-                "hamming": pd.Series(dtype="int64"),
-            }
-        )
+    out = to_frame(simhash_pairs(ds, max_hamming=3), _HAMMING_PAIR_COLS)
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
@@ -7442,15 +7128,10 @@ def doc_winnow_pairs(sf_dir: str):
     from .ops.text import winnow_overlap_pairs
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    out = winnow_overlap_pairs(ds, min_shared=5, max_postings=200).to_pandas()
-    if "doc_a" not in out.columns or not len(out):
-        return pd.DataFrame(
-            {
-                "doc_a": pd.Series(dtype="int64"),
-                "doc_b": pd.Series(dtype="int64"),
-                "n_shared": pd.Series(dtype="int64"),
-            }
-        )
+    out = to_frame(
+        winnow_overlap_pairs(ds, min_shared=5, max_postings=200),
+        [("doc_a", "int64"), ("doc_b", "int64"), ("n_shared", "int64")],
+    )
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
@@ -7492,8 +7173,6 @@ def events_cohort_retention(sf_dir: str):
     (groupby-min + drop_duplicates), emitting (cohort_day, day_offset,
     partial count) rows; a tiny second groupby sums partials — distinct
     users never recount because each user lives in exactly one bucket."""
-    from .ops.shuffle import empty_frame, hash_bucket
-
     us_per_day = 86_400_000_000
 
     ds = _read(sf_dir, "events", columns=["ts", "user_id"])
@@ -7508,18 +7187,15 @@ def events_cohort_retention(sf_dir: str):
                 // us_per_day,
             }
         )
-        out = out.drop_duplicates()
-        out["bucket"] = hash_bucket(out["user_id"], 64)
-        return out
+        return out.drop_duplicates()
+
+    cols = [
+        ("cohort_day", "int64"),
+        ("day_offset", "int64"),
+        ("n_users", "int64"),
+    ]
 
     def retention_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        cols = [
-            ("cohort_day", "int64"),
-            ("day_offset", "int64"),
-            ("n_users", "int64"),
-        ]
-        if "user_id" not in group.columns or len(group) == 0:
-            return empty_frame(cols)
         g = group[["user_id", "day"]].drop_duplicates()
         first = g.groupby("user_id")["day"].transform("min")
         out = pd.DataFrame(
@@ -7536,20 +7212,15 @@ def events_cohort_retention(sf_dir: str):
         agg["n_users"] = agg["n_users"].astype("int64")
         return agg
 
-    partials = (
-        ds.map_batches(tag, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(retention_in_bucket, batch_format="pandas")
-        .to_pandas()
+    partials = to_frame(
+        bucket_exchange(
+            ds.map_batches(tag, batch_format="pandas"),
+            retention_in_bucket,
+            key="user_id",
+            schema=cols,
+        ),
+        cols,
     )
-    if "cohort_day" not in partials.columns or not len(partials):
-        return pd.DataFrame(
-            {
-                "cohort_day": pd.Series(dtype="int64"),
-                "day_offset": pd.Series(dtype="int64"),
-                "n_users": pd.Series(dtype="int64"),
-            }
-        )
     out = partials.groupby(
         ["cohort_day", "day_offset"], as_index=False
     )["n_users"].sum()
@@ -7725,24 +7396,7 @@ def doc_source_quota(sf_dir: str):
     n_buckets = 64
     ds = _read(sf_dir, "documents", columns=["doc_id", "source"])
 
-    def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
-        # md5 once per UNIQUE source in the batch (domains ≪ docs), then a
-        # vectorized map — no per-row hashing in the hot stage.
-        bucket = hash_bucket_str(n_buckets)
-        lut = {s: bucket(s) for s in batch["source"].unique()}
-        batch = batch.copy()
-        batch["bucket"] = batch["source"].map(lut).astype("int64")
-        return batch
-
     def rank_cap(group: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in group.columns or not len(group):
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(dtype="int64"),
-                    "source": pd.Series(dtype="object"),
-                    "rank_in_source": pd.Series(dtype="int64"),
-                }
-            )
         group = group.sort_values(["source", "doc_id"], kind="mergesort")
         rank = group.groupby("source").cumcount()
         out = pd.DataFrame(
@@ -7754,29 +7408,14 @@ def doc_source_quota(sf_dir: str):
         )
         return out[out["rank_in_source"] < QUOTA]
 
-    out = (
-        ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(rank_cap, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_exchange(
+        ds,
+        rank_cap,
+        key="source",
+        schema=[("doc_id", "int64"), ("source", "object"), ("rank_in_source", "int64")],
+        n_buckets=n_buckets,
+    ).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
-
-
-def hash_bucket_str(n_buckets: int):
-    """Deterministic md5-based string bucketer (stable across processes,
-    unlike Python's salted hash())."""
-    import hashlib
-
-    def bucket(s) -> int:
-        return (
-            int.from_bytes(
-                hashlib.md5(str(s).encode()).digest()[:4], "big"
-            )
-            % n_buckets
-        )
-
-    return bucket
 
 
 ORACLE_SQL["doc_source_quota"] = """
@@ -8149,18 +7788,9 @@ def image_neardup_pairs(sf_dir: str):
     sigs = _read(sf_dir, "documents", columns=["doc_id"]).map_batches(
         _ahash_frame, batch_format="pandas"
     )
-    out = (
-        hamming64_pairs(sigs, max_hamming=2, sig_col="ahash")
-        .to_pandas()
+    out = to_frame(
+        hamming64_pairs(sigs, max_hamming=2, sig_col="ahash"), _HAMMING_PAIR_COLS
     )
-    if "doc_a" not in out.columns:
-        out = pd.DataFrame(
-            {
-                "doc_a": pd.Series(dtype="int64"),
-                "doc_b": pd.Series(dtype="int64"),
-                "hamming": pd.Series(dtype="int64"),
-            }
-        )
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
@@ -8237,8 +7867,6 @@ def source_typo_pairs(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["source"])
 
     def uniq_keys(batch: pd.DataFrame) -> pd.DataFrame:
-        import zlib
-
         terms, keys = [], []
         for term in batch["source"].dropna().unique():
             variants = [term] + [
@@ -8253,9 +7881,6 @@ def source_typo_pairs(sf_dir: str):
                 "key": pd.Series(keys, dtype="object"),
             }
         )
-        out["bucket"] = out["key"].map(
-            lambda k: zlib.crc32(k.encode()) % n_buckets
-        ).astype("int64")
         return out
 
     def _lev_le1(a: str, b: str) -> bool:
@@ -8283,13 +7908,9 @@ def source_typo_pairs(sf_dir: str):
                 j += 1
         return True
 
-    pcols = [("term_a", "object"), ("term_b", "object"), ("pbucket", "int64")]
+    pcols = [("term_a", "object"), ("term_b", "object")]
 
     def pairs_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        from .ops.shuffle import empty_frame
-
-        if "key" not in group.columns or not len(group):
-            return empty_frame(pcols)
         rows_a, rows_b = [], []
         for _, g in group.groupby("key"):
             ts = sorted(set(g["term"]))
@@ -8299,46 +7920,36 @@ def source_typo_pairs(sf_dir: str):
                         rows_a.append(ts[i])
                         rows_b.append(ts[j])
         if not rows_a:
-            return empty_frame(pcols)
-        out = pd.DataFrame(
+            return None
+        return pd.DataFrame(
             {
                 "term_a": pd.Series(rows_a, dtype="object"),
                 "term_b": pd.Series(rows_b, dtype="object"),
             }
         )
-        # pair-dedup key derives from term_a only, so every duplicate of
-        # a pair (found via different shared keys) lands in one pbucket
-        out["pbucket"] = (out["term_a"].str.len() % 16).astype("int64")
-        return out
+
+    cols = [("term_a", "object"), ("term_b", "object"), ("dist", "int64")]
 
     def dedup_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        from .ops.shuffle import empty_frame
-
-        cols = [("term_a", "object"), ("term_b", "object"), ("dist", "int64")]
-        if "term_a" not in group.columns or not len(group):
-            return empty_frame(cols)
         out = group.drop_duplicates(["term_a", "term_b"])[
             ["term_a", "term_b"]
         ].copy()
         out["dist"] = (out["term_a"] != out["term_b"]).astype("int64")
         return out
 
-    out = (
-        ds.map_batches(uniq_keys, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-        .groupby("pbucket")
-        .map_groups(dedup_pairs, batch_format="pandas")
-        .to_pandas()
+    pairs = bucket_exchange(
+        ds.map_batches(uniq_keys, batch_format="pandas"),
+        pairs_in_bucket,
+        key="key",
+        schema=pcols,
+        n_buckets=n_buckets,
     )
-    if "term_a" not in out.columns:
-        out = pd.DataFrame(
-            {
-                "term_a": pd.Series(dtype="object"),
-                "term_b": pd.Series(dtype="object"),
-                "dist": pd.Series(dtype="int64"),
-            }
-        )
+    # every duplicate of a pair (found via different shared keys) meets
+    # in one term_a bucket
+    out = to_frame(
+        bucket_exchange(pairs, dedup_pairs, key="term_a", schema=cols, n_buckets=16),
+        cols,
+    )
     return out.sort_values(["term_a", "term_b"]).reset_index(drop=True)
 
 
@@ -8506,7 +8117,6 @@ def q5_local_supplier_volume(sf_dir: str):
         in-bucket; each bucket emits <=|nations| partial sums.
     Driver folds <=25*64 partial rows. Money is integer 1e-4 dollars end
     to end (the repo's exact-aggregate convention vs DuckDB)."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
     lo = pd.Timestamp("1996-01-01")
@@ -8538,34 +8148,31 @@ def q5_local_supplier_volume(sf_dir: str):
         ("orderkey", "int64"),
         ("nkey", "int64"),
         ("is_cust", "bool"),
-        ("bucket", "int64"),
     ]
 
     def cust_rows(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[batch["c_nationkey"].isin(asia_nations)]
         if not len(sel):
-            return empty_frame(cols1)
+            return empty_block(cols1)
         return pd.DataFrame(
             {
                 "key": sel["c_custkey"].astype("int64").to_numpy(),
                 "orderkey": np.int64(-1),
                 "nkey": sel["c_nationkey"].astype("int64").to_numpy(),
                 "is_cust": True,
-                "bucket": (sel["c_custkey"] % n_buckets).astype("int64").to_numpy(),
             }
         )
 
     def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[(batch["o_orderdate"] >= lo) & (batch["o_orderdate"] < hi)]
         if not len(sel):
-            return empty_frame(cols1)
+            return empty_block(cols1)
         return pd.DataFrame(
             {
                 "key": sel["o_custkey"].astype("int64").to_numpy(),
                 "orderkey": sel["o_orderkey"].astype("int64").to_numpy(),
                 "nkey": np.int64(-1),
                 "is_cust": False,
-                "bucket": (sel["o_custkey"] % n_buckets).astype("int64").to_numpy(),
             }
         )
 
@@ -8573,21 +8180,15 @@ def q5_local_supplier_volume(sf_dir: str):
     orders = _read(
         sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"]
     )
-    tagged1 = customer.map_batches(cust_rows, batch_format="pandas").union(
-        orders.map_batches(order_rows, batch_format="pandas")
-    )
 
     cols2 = [
         ("orderkey", "int64"),
         ("nkey", "int64"),
         ("dp10000", "int64"),
         ("is_line", "bool"),
-        ("bucket", "int64"),
     ]
 
     def merge_custkey(group: pd.DataFrame) -> pd.DataFrame:
-        if "is_cust" not in group.columns or len(group) == 0:
-            return empty_frame(cols2)
         cust = group[group["is_cust"]]
         o = group[~group["is_cust"]].merge(
             cust[["key", "nkey"]].rename(columns={"nkey": "cn"}),
@@ -8595,26 +8196,32 @@ def q5_local_supplier_volume(sf_dir: str):
             how="inner",
         )
         if not len(o):
-            return empty_frame(cols2)
+            return None
         return pd.DataFrame(
             {
                 "orderkey": o["orderkey"].astype("int64").to_numpy(),
                 "nkey": o["cn"].astype("int64").to_numpy(),
                 "dp10000": np.int64(0),
                 "is_line": False,
-                "bucket": (o["orderkey"] % n_buckets).astype("int64").to_numpy(),
             }
         )
 
-    qualified = tagged1.groupby("bucket").map_groups(
-        merge_custkey, batch_format="pandas"
+    qualified = bucket_exchange(
+        [
+            customer.map_batches(cust_rows, batch_format="pandas"),
+            orders.map_batches(order_rows, batch_format="pandas"),
+        ],
+        merge_custkey,
+        key="key",
+        schema=cols2,
+        n_buckets=n_buckets,
     )
 
     def line_partials(batch: pd.DataFrame) -> pd.DataFrame:
         nk = batch["l_suppkey"].map(supp_nation)
         sel = batch[nk.notna()].copy()
         if not len(sel):
-            return empty_frame(cols2)
+            return empty_block(cols2)
         sel["nkey"] = nk[nk.notna()].astype("int64").to_numpy()
         sel["dp10000"] = np.rint(
             (sel["l_extendedprice"] * (1 - sel["l_discount"])).to_numpy() * 10000
@@ -8626,7 +8233,6 @@ def q5_local_supplier_volume(sf_dir: str):
                 "nkey": agg["nkey"].astype("int64"),
                 "dp10000": agg["dp10000"].astype("int64"),
                 "is_line": True,
-                "bucket": (agg["l_orderkey"] % n_buckets).astype("int64"),
             }
         )
 
@@ -8635,42 +8241,35 @@ def q5_local_supplier_volume(sf_dir: str):
         "lineitem",
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     )
-    tagged2 = qualified.union(
-        lineitem.map_batches(line_partials, batch_format="pandas")
-    )
+    cols = [("nkey", "int64"), ("dp10000", "int64")]
 
     def merge_orderkey(group: pd.DataFrame) -> pd.DataFrame:
-        cols = [("nkey", "int64"), ("dp10000", "int64")]
-        if "is_line" not in group.columns or len(group) == 0:
-            return empty_frame(cols)
         o = group[~group["is_line"]]
         li = group[group["is_line"]]
         if o.empty or li.empty:
-            return empty_frame(cols)
+            return None
         # The colocation predicate: customer nation == supplier nation.
         m = li.merge(
             o[["orderkey", "nkey"]], on=["orderkey", "nkey"], how="inner"
         )
         if not len(m):
-            return empty_frame(cols)
+            return None
         return (
             m.groupby("nkey", as_index=False)["dp10000"]
             .sum()
             .astype({"nkey": "int64", "dp10000": "int64"})
         )
 
-    parts = (
-        tagged2.groupby("bucket")
-        .map_groups(merge_orderkey, batch_format="pandas")
-        .to_pandas()
+    parts = to_frame(
+        bucket_exchange(
+            [qualified, lineitem.map_batches(line_partials, batch_format="pandas")],
+            merge_orderkey,
+            key="orderkey",
+            schema=cols,
+            n_buckets=n_buckets,
+        ),
+        cols,
     )
-    if "nkey" not in parts.columns or not len(parts):
-        return pd.DataFrame(
-            {
-                "n_name": pd.Series(dtype="object"),
-                "revenue": pd.Series(dtype="float64"),
-            }
-        )
     total = parts.groupby("nkey", as_index=False)["dp10000"].sum()
     total["n_name"] = total["nkey"].map(nation_names)
     total["revenue"] = total["dp10000"] / 10000.0
@@ -8713,7 +8312,6 @@ def q10_returned_items(sf_dir: str):
     64 * 20 rows, never the full grouped table. Nation is a closure
     constant. Total order (revenue DESC, c_custkey) makes the cut
     deterministic on both engines."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
     lo = pd.Timestamp("1996-10-01")
@@ -8734,13 +8332,12 @@ def q10_returned_items(sf_dir: str):
         ("custkey", "int64"),
         ("dp10000", "int64"),
         ("is_line", "bool"),
-        ("bucket", "int64"),
     ]
 
     def line_partials(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[batch["l_returnflag"] == "R"]
         if not len(sel):
-            return empty_frame(cols1)
+            return empty_block(cols1)
         dp = np.rint(
             (sel["l_extendedprice"] * (1 - sel["l_discount"])).to_numpy() * 10000
         ).astype(np.int64)
@@ -8757,21 +8354,19 @@ def q10_returned_items(sf_dir: str):
                 "custkey": np.int64(-1),
                 "dp10000": agg["dp10000"].astype("int64"),
                 "is_line": True,
-                "bucket": (agg["orderkey"] % n_buckets).astype("int64"),
             }
         )
 
     def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[(batch["o_orderdate"] >= lo) & (batch["o_orderdate"] < hi)]
         if not len(sel):
-            return empty_frame(cols1)
+            return empty_block(cols1)
         return pd.DataFrame(
             {
                 "orderkey": sel["o_orderkey"].astype("int64").to_numpy(),
                 "custkey": sel["o_custkey"].astype("int64").to_numpy(),
                 "dp10000": np.int64(0),
                 "is_line": False,
-                "bucket": (sel["o_orderkey"] % n_buckets).astype("int64").to_numpy(),
             }
         )
 
@@ -8783,9 +8378,6 @@ def q10_returned_items(sf_dir: str):
     orders = _read(
         sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"]
     )
-    tagged1 = lineitem.map_batches(line_partials, batch_format="pandas").union(
-        orders.map_batches(order_rows, batch_format="pandas")
-    )
 
     cols2 = [
         ("custkey", "int64"),
@@ -8794,20 +8386,17 @@ def q10_returned_items(sf_dir: str):
         ("acctbal", "float64"),
         ("nkey", "int64"),
         ("is_cust", "bool"),
-        ("bucket", "int64"),
     ]
 
     def merge_orderkey(group: pd.DataFrame) -> pd.DataFrame:
-        if "is_line" not in group.columns or len(group) == 0:
-            return empty_frame(cols2)
         o = group[~group["is_line"]]
         li = group[group["is_line"]]
         if o.empty or li.empty:
-            return empty_frame(cols2)
+            return None
         lsum = li.groupby("orderkey", as_index=False)["dp10000"].sum()
         m = o[["orderkey", "custkey"]].merge(lsum, on="orderkey", how="inner")
         if not len(m):
-            return empty_frame(cols2)
+            return None
         agg = m.groupby("custkey", as_index=False)["dp10000"].sum()
         return pd.DataFrame(
             {
@@ -8817,12 +8406,18 @@ def q10_returned_items(sf_dir: str):
                 "acctbal": np.float64(0.0),
                 "nkey": np.int64(-1),
                 "is_cust": False,
-                "bucket": (agg["custkey"] % n_buckets).astype("int64"),
             }
         )
 
-    per_cust = tagged1.groupby("bucket").map_groups(
-        merge_orderkey, batch_format="pandas"
+    per_cust = bucket_exchange(
+        [
+            lineitem.map_batches(line_partials, batch_format="pandas"),
+            orders.map_batches(order_rows, batch_format="pandas"),
+        ],
+        merge_orderkey,
+        key="orderkey",
+        schema=cols2,
+        n_buckets=n_buckets,
     )
 
     def cust_rows(batch: pd.DataFrame) -> pd.DataFrame:
@@ -8834,7 +8429,6 @@ def q10_returned_items(sf_dir: str):
                 "acctbal": batch["c_acctbal"].astype("float64").to_numpy(),
                 "nkey": batch["c_nationkey"].astype("int64").to_numpy(),
                 "is_cust": True,
-                "bucket": (batch["c_custkey"] % n_buckets).astype("int64").to_numpy(),
             }
         )
 
@@ -8843,7 +8437,6 @@ def q10_returned_items(sf_dir: str):
         "customer",
         columns=["c_custkey", "c_name", "c_acctbal", "c_nationkey"],
     )
-    tagged2 = per_cust.union(customer.map_batches(cust_rows, batch_format="pandas"))
 
     out_cols = [
         ("c_custkey", "int64"),
@@ -8854,18 +8447,16 @@ def q10_returned_items(sf_dir: str):
     ]
 
     def merge_custkey(group: pd.DataFrame) -> pd.DataFrame:
-        if "is_cust" not in group.columns or len(group) == 0:
-            return empty_frame(out_cols)
         rev = group[~group["is_cust"]]
         cust = group[group["is_cust"]]
         if rev.empty or cust.empty:
-            return empty_frame(out_cols)
+            return None
         rsum = rev.groupby("custkey", as_index=False)["dp10000"].sum()
         m = cust[["custkey", "name", "acctbal", "nkey"]].merge(
             rsum, on="custkey", how="inner"
         )
         if not len(m):
-            return empty_frame(out_cols)
+            return None
         # Bucket-local top 20 under the same total order as the oracle.
         m = m.sort_values(
             ["dp10000", "custkey"], ascending=[False, True]
@@ -8880,21 +8471,16 @@ def q10_returned_items(sf_dir: str):
             }
         )
 
-    out = (
-        tagged2.groupby("bucket")
-        .map_groups(merge_custkey, batch_format="pandas")
-        .to_pandas()
+    out = to_frame(
+        bucket_exchange(
+            [per_cust, customer.map_batches(cust_rows, batch_format="pandas")],
+            merge_custkey,
+            key="custkey",
+            schema=out_cols,
+            n_buckets=n_buckets,
+        ),
+        out_cols,
     )
-    if "c_custkey" not in out.columns or not len(out):
-        return pd.DataFrame(
-            {
-                "c_custkey": pd.Series(dtype="int64"),
-                "c_name": pd.Series(dtype="object"),
-                "revenue": pd.Series(dtype="float64"),
-                "c_acctbal": pd.Series(dtype="float64"),
-                "n_name": pd.Series(dtype="object"),
-            }
-        )
     out = out.sort_values(
         ["dp10000", "c_custkey"], ascending=[False, True]
     ).head(20)
@@ -9009,7 +8595,6 @@ def q18_large_volume_customers(sf_dir: str):
     in one bucket, so the per-order sum is exact there), merge 2 attaches
     c_name in custkey buckets and emits a bucket-local top 100; the
     driver folds 64 * 100 rows."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
     threshold_q100 = 300 * 100
@@ -9021,7 +8606,6 @@ def q18_large_volume_customers(sf_dir: str):
         ("totalprice", "float64"),
         ("q100", "int64"),
         ("is_line", "bool"),
-        ("bucket", "int64"),
     ]
 
     def line_partials(batch: pd.DataFrame) -> pd.DataFrame:
@@ -9044,7 +8628,6 @@ def q18_large_volume_customers(sf_dir: str):
                 "totalprice": np.float64(0.0),
                 "q100": agg["q100"].astype("int64"),
                 "is_line": True,
-                "bucket": (agg["orderkey"] % n_buckets).astype("int64"),
             }
         )
 
@@ -9059,7 +8642,6 @@ def q18_large_volume_customers(sf_dir: str):
                 "totalprice": batch["o_totalprice"].astype("float64").to_numpy(),
                 "q100": np.int64(0),
                 "is_line": False,
-                "bucket": (batch["o_orderkey"] % n_buckets).astype("int64").to_numpy(),
             }
         )
 
@@ -9068,9 +8650,6 @@ def q18_large_volume_customers(sf_dir: str):
         sf_dir,
         "orders",
         columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
-    )
-    tagged1 = lineitem.map_batches(line_partials, batch_format="pandas").union(
-        orders.map_batches(order_rows, batch_format="pandas")
     )
 
     cols2 = [
@@ -9081,25 +8660,22 @@ def q18_large_volume_customers(sf_dir: str):
         ("q100", "int64"),
         ("name", "object"),
         ("is_cust", "bool"),
-        ("bucket", "int64"),
     ]
 
     def merge_orderkey(group: pd.DataFrame) -> pd.DataFrame:
-        if "is_line" not in group.columns or len(group) == 0:
-            return empty_frame(cols2)
         li = group[group["is_line"]]
         o = group[~group["is_line"]]
         if li.empty or o.empty:
-            return empty_frame(cols2)
+            return None
         qsum = li.groupby("orderkey", as_index=False)["q100"].sum()
         qsum = qsum[qsum["q100"] > threshold_q100]
         if not len(qsum):
-            return empty_frame(cols2)
+            return None
         m = o[["orderkey", "custkey", "odate_us", "totalprice"]].merge(
             qsum, on="orderkey", how="inner"
         )
         if not len(m):
-            return empty_frame(cols2)
+            return None
         return pd.DataFrame(
             {
                 "custkey": m["custkey"].astype("int64").to_numpy(),
@@ -9109,12 +8685,18 @@ def q18_large_volume_customers(sf_dir: str):
                 "q100": m["q100"].astype("int64").to_numpy(),
                 "name": "",
                 "is_cust": False,
-                "bucket": (m["custkey"] % n_buckets).astype("int64").to_numpy(),
             }
         )
 
-    big_orders = tagged1.groupby("bucket").map_groups(
-        merge_orderkey, batch_format="pandas"
+    big_orders = bucket_exchange(
+        [
+            lineitem.map_batches(line_partials, batch_format="pandas"),
+            orders.map_batches(order_rows, batch_format="pandas"),
+        ],
+        merge_orderkey,
+        key="orderkey",
+        schema=cols2,
+        n_buckets=n_buckets,
     )
 
     def cust_rows(batch: pd.DataFrame) -> pd.DataFrame:
@@ -9127,14 +8709,10 @@ def q18_large_volume_customers(sf_dir: str):
                 "q100": np.int64(0),
                 "name": batch["c_name"].astype("object").to_numpy(),
                 "is_cust": True,
-                "bucket": (batch["c_custkey"] % n_buckets).astype("int64").to_numpy(),
             }
         )
 
     customer = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    tagged2 = big_orders.union(
-        customer.map_batches(cust_rows, batch_format="pandas")
-    )
 
     out_cols = [
         ("c_name", "object"),
@@ -9146,19 +8724,17 @@ def q18_large_volume_customers(sf_dir: str):
     ]
 
     def merge_custkey(group: pd.DataFrame) -> pd.DataFrame:
-        if "is_cust" not in group.columns or len(group) == 0:
-            return empty_frame(out_cols)
         o = group[~group["is_cust"]]
         cust = group[group["is_cust"]]
         if o.empty or cust.empty:
-            return empty_frame(out_cols)
+            return None
         m = o.merge(
             cust[["custkey", "name"]].rename(columns={"name": "cname"}),
             on="custkey",
             how="inner",
         )
         if not len(m):
-            return empty_frame(out_cols)
+            return None
         m = m.sort_values(
             ["totalprice", "odate_us", "orderkey"],
             ascending=[False, True, True],
@@ -9174,22 +8750,19 @@ def q18_large_volume_customers(sf_dir: str):
             }
         )
 
-    out = (
-        tagged2.groupby("bucket")
-        .map_groups(merge_custkey, batch_format="pandas")
-        .to_pandas()
+    out = to_frame(
+        bucket_exchange(
+            [
+                big_orders,
+                customer.map_batches(cust_rows, batch_format="pandas"),
+            ],
+            merge_custkey,
+            key="custkey",
+            schema=out_cols,
+            n_buckets=n_buckets,
+        ),
+        out_cols,
     )
-    if "c_name" not in out.columns or not len(out):
-        return pd.DataFrame(
-            {
-                "c_name": pd.Series(dtype="object"),
-                "c_custkey": pd.Series(dtype="int64"),
-                "o_orderkey": pd.Series(dtype="int64"),
-                "o_orderdate": pd.Series(dtype="datetime64[us]"),
-                "o_totalprice": pd.Series(dtype="float64"),
-                "sum_qty": pd.Series(dtype="float64"),
-            }
-        )
     out = out.sort_values(
         ["o_totalprice", "odate_us", "o_orderkey"],
         ascending=[False, True, True],
@@ -9269,7 +8842,6 @@ def q7_volume_shipping(sf_dir: str):
     cross-direction predicate (supp_nation != cust_nation) in-bucket.
     Driver folds <= 2 * years * 64 partial rows. Integer 1e-4 dollars
     end to end."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
     nation_a, nation_b = "NATION_13", "NATION_19"
@@ -9297,14 +8869,13 @@ def q7_volume_shipping(sf_dir: str):
         ("l_year", "int64"),
         ("dp10000", "int64"),
         ("is_line", "bool"),
-        ("bucket", "int64"),
     ]
 
     def line_partials(batch: pd.DataFrame) -> pd.DataFrame:
         nm = batch["l_suppkey"].map(supp_name)
         sel = batch[nm.notna()].copy()
         if not len(sel):
-            return empty_frame(cols1)
+            return empty_block(cols1)
         sel["supp_nation"] = nm[nm.notna()].to_numpy()
         sel["l_year"] = sel["l_shipdate"].dt.year.astype("int64")
         sel["dp10000"] = np.rint(
@@ -9321,7 +8892,6 @@ def q7_volume_shipping(sf_dir: str):
                 "l_year": agg["l_year"].astype("int64"),
                 "dp10000": agg["dp10000"].astype("int64"),
                 "is_line": True,
-                "bucket": (agg["l_orderkey"] % n_buckets).astype("int64"),
             }
         )
 
@@ -9334,7 +8904,6 @@ def q7_volume_shipping(sf_dir: str):
                 "l_year": np.int64(0),
                 "dp10000": np.int64(0),
                 "is_line": False,
-                "bucket": (batch["o_orderkey"] % n_buckets).astype("int64").to_numpy(),
             }
         )
 
@@ -9344,9 +8913,6 @@ def q7_volume_shipping(sf_dir: str):
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
     )
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    tagged1 = lineitem.map_batches(line_partials, batch_format="pandas").union(
-        orders.map_batches(order_rows, batch_format="pandas")
-    )
 
     cols2 = [
         ("custkey", "int64"),
@@ -9355,23 +8921,20 @@ def q7_volume_shipping(sf_dir: str):
         ("dp10000", "int64"),
         ("cust_nation", "object"),
         ("is_cust", "bool"),
-        ("bucket", "int64"),
     ]
 
     def merge_orderkey(group: pd.DataFrame) -> pd.DataFrame:
-        if "is_line" not in group.columns or len(group) == 0:
-            return empty_frame(cols2)
         li = group[group["is_line"]]
         o = group[~group["is_line"]]
         if li.empty or o.empty:
-            return empty_frame(cols2)
+            return None
         m = li.merge(
             o[["orderkey", "custkey"]].rename(columns={"custkey": "ck"}),
             on="orderkey",
             how="inner",
         )
         if not len(m):
-            return empty_frame(cols2)
+            return None
         return pd.DataFrame(
             {
                 "custkey": m["ck"].astype("int64").to_numpy(),
@@ -9380,19 +8943,25 @@ def q7_volume_shipping(sf_dir: str):
                 "dp10000": m["dp10000"].astype("int64").to_numpy(),
                 "cust_nation": "",
                 "is_cust": False,
-                "bucket": (m["ck"] % n_buckets).astype("int64").to_numpy(),
             }
         )
 
-    with_cust = tagged1.groupby("bucket").map_groups(
-        merge_orderkey, batch_format="pandas"
+    with_cust = bucket_exchange(
+        [
+            lineitem.map_batches(line_partials, batch_format="pandas"),
+            orders.map_batches(order_rows, batch_format="pandas"),
+        ],
+        merge_orderkey,
+        key="orderkey",
+        schema=cols2,
+        n_buckets=n_buckets,
     )
 
     def cust_rows(batch: pd.DataFrame) -> pd.DataFrame:
         nm = batch["c_nationkey"].map(nk_to_name)
         sel = batch[nm.notna()]
         if not len(sel):
-            return empty_frame(cols2)
+            return empty_block(cols2)
         return pd.DataFrame(
             {
                 "custkey": sel["c_custkey"].astype("int64").to_numpy(),
@@ -9401,14 +8970,10 @@ def q7_volume_shipping(sf_dir: str):
                 "dp10000": np.int64(0),
                 "cust_nation": nm[nm.notna()].to_numpy(),
                 "is_cust": True,
-                "bucket": (sel["c_custkey"] % n_buckets).astype("int64").to_numpy(),
             }
         )
 
     customer = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    tagged2 = with_cust.union(
-        customer.map_batches(cust_rows, batch_format="pandas")
-    )
 
     out_cols = [
         ("supp_nation", "object"),
@@ -9418,12 +8983,10 @@ def q7_volume_shipping(sf_dir: str):
     ]
 
     def merge_custkey(group: pd.DataFrame) -> pd.DataFrame:
-        if "is_cust" not in group.columns or len(group) == 0:
-            return empty_frame(out_cols)
         li = group[~group["is_cust"]]
         cust = group[group["is_cust"]]
         if li.empty or cust.empty:
-            return empty_frame(out_cols)
+            return None
         m = li.merge(
             cust[["custkey", "cust_nation"]].rename(
                 columns={"cust_nation": "cn"}
@@ -9435,7 +8998,7 @@ def q7_volume_shipping(sf_dir: str):
         # target pair by construction).
         m = m[m["supp_nation"] != m["cn"]]
         if not len(m):
-            return empty_frame(out_cols)
+            return None
         agg = m.groupby(["supp_nation", "cn", "l_year"], as_index=False)[
             "dp10000"
         ].sum()
@@ -9448,20 +9011,19 @@ def q7_volume_shipping(sf_dir: str):
             }
         )
 
-    parts = (
-        tagged2.groupby("bucket")
-        .map_groups(merge_custkey, batch_format="pandas")
-        .to_pandas()
+    parts = to_frame(
+        bucket_exchange(
+            [
+                with_cust,
+                customer.map_batches(cust_rows, batch_format="pandas"),
+            ],
+            merge_custkey,
+            key="custkey",
+            schema=out_cols,
+            n_buckets=n_buckets,
+        ),
+        out_cols,
     )
-    if "supp_nation" not in parts.columns or not len(parts):
-        return pd.DataFrame(
-            {
-                "supp_nation": pd.Series(dtype="object"),
-                "cust_nation": pd.Series(dtype="object"),
-                "l_year": pd.Series(dtype="int64"),
-                "revenue": pd.Series(dtype="float64"),
-            }
-        )
     total = parts.groupby(
         ["supp_nation", "cust_nation", "l_year"], as_index=False
     )["dp10000"].sum()
@@ -9577,20 +9139,18 @@ def q13_customer_distribution(sf_dir: str):
     tiny histograms — exchange volume is O(distinct custkeys), never
     O(orders). The priority filter stands in for Q13's o_comment NOT
     LIKE (no comment column in this schema)."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
     cols = [
         ("custkey", "int64"),
         ("n_orders", "int64"),
         ("is_cust", "bool"),
-        ("bucket", "int64"),
     ]
 
     def order_partials(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[batch["o_orderpriority"] != "1-URGENT"]
         if not len(sel):
-            return empty_frame(cols)
+            return empty_block(cols)
         vc = sel["o_custkey"].value_counts()
         ck = vc.index.to_numpy(dtype=np.int64)
         return pd.DataFrame(
@@ -9598,7 +9158,6 @@ def q13_customer_distribution(sf_dir: str):
                 "custkey": ck,
                 "n_orders": vc.to_numpy(dtype=np.int64),
                 "is_cust": False,
-                "bucket": ck % n_buckets,
             }
         )
 
@@ -9609,18 +9168,15 @@ def q13_customer_distribution(sf_dir: str):
                 "custkey": ck,
                 "n_orders": np.int64(0),
                 "is_cust": True,
-                "bucket": ck % n_buckets,
             }
         )
 
     hist_cols = [("c_count", "int64"), ("ncust", "int64")]
 
     def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if "is_cust" not in group.columns or len(group) == 0:
-            return empty_frame(hist_cols)
         cust = group[group["is_cust"]]
         if cust.empty:
-            return empty_frame(hist_cols)
+            return None
         counts = (
             group[~group["is_cust"]]
             .groupby("custkey")["n_orders"]
@@ -9637,21 +9193,19 @@ def q13_customer_distribution(sf_dir: str):
 
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_orderpriority"])
     customer = _read(sf_dir, "customer", columns=["c_custkey"])
-    tagged = orders.map_batches(order_partials, batch_format="pandas").union(
-        customer.map_batches(cust_rows, batch_format="pandas")
+    parts = to_frame(
+        bucket_exchange(
+            [
+                orders.map_batches(order_partials, batch_format="pandas"),
+                customer.map_batches(cust_rows, batch_format="pandas"),
+            ],
+            merge_bucket,
+            key="custkey",
+            schema=hist_cols,
+            n_buckets=n_buckets,
+        ),
+        hist_cols,
     )
-    parts = (
-        tagged.groupby("bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    if "c_count" not in parts.columns or not len(parts):
-        return pd.DataFrame(
-            {
-                "c_count": pd.Series(dtype="int64"),
-                "custdist": pd.Series(dtype="int64"),
-            }
-        )
     agg = parts.groupby("c_count", as_index=False)["ncust"].sum()
     agg = agg.rename(columns={"ncust": "custdist"})
     agg["custdist"] = agg["custdist"].astype("int64")
@@ -9690,7 +9244,6 @@ def q8_market_share(sf_dir: str):
     division per year, matching the oracle's DOUBLE arithmetic.
     Adapted predicates: p_type = 'ECONOMY' (single-word types here),
     nation NATION_12 within region ASIA."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
     target_nation = "NATION_12"
@@ -9752,7 +9305,6 @@ def q8_market_share(sf_dir: str):
         ("den_dp", "int64"),
         ("o_year", "int64"),
         ("is_line", "bool"),
-        ("bucket", "int64"),
     ]
 
     def line_partials(batch: pd.DataFrame) -> pd.DataFrame:
@@ -9760,7 +9312,7 @@ def q8_market_share(sf_dir: str):
         ok = (keys < np_parts) & part_ok[np.clip(keys, 0, np_parts - 1)]
         sel = batch[ok]
         if not len(sel):
-            return empty_frame(cols)
+            return empty_block(cols)
         dp = np.rint(
             (sel["l_extendedprice"] * (1 - sel["l_discount"])).to_numpy() * 10000
         ).astype(np.int64)
@@ -9781,7 +9333,6 @@ def q8_market_share(sf_dir: str):
                 "den_dp": agg["den_dp"].astype("int64"),
                 "o_year": np.int64(0),
                 "is_line": True,
-                "bucket": (agg["orderkey"] % n_buckets).astype("int64"),
             }
         )
 
@@ -9795,7 +9346,7 @@ def q8_market_share(sf_dir: str):
         )
         sel = batch[ok]
         if not len(sel):
-            return empty_frame(cols)
+            return empty_block(cols)
         okey = sel["o_orderkey"].astype("int64").to_numpy()
         return pd.DataFrame(
             {
@@ -9804,22 +9355,19 @@ def q8_market_share(sf_dir: str):
                 "den_dp": np.int64(0),
                 "o_year": sel["o_orderdate"].dt.year.astype("int64").to_numpy(),
                 "is_line": False,
-                "bucket": okey % n_buckets,
             }
         )
 
     out_cols = [("o_year", "int64"), ("num_dp", "int64"), ("den_dp", "int64")]
 
     def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if "is_line" not in group.columns or len(group) == 0:
-            return empty_frame(out_cols)
         li = group[group["is_line"]]
         o = group[~group["is_line"]]
         if li.empty or o.empty:
-            return empty_frame(out_cols)
+            return None
         m = li.merge(o[["orderkey", "o_year"]], on="orderkey", how="inner")
         if not len(m):
-            return empty_frame(out_cols)
+            return None
         agg = m.groupby("o_year_y", as_index=False)[["num_dp", "den_dp"]].sum()
         return pd.DataFrame(
             {
@@ -9843,21 +9391,19 @@ def q8_market_share(sf_dir: str):
     orders = _read(
         sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"]
     )
-    tagged = lineitem.map_batches(line_partials, batch_format="pandas").union(
-        orders.map_batches(order_rows, batch_format="pandas")
+    parts = to_frame(
+        bucket_exchange(
+            [
+                lineitem.map_batches(line_partials, batch_format="pandas"),
+                orders.map_batches(order_rows, batch_format="pandas"),
+            ],
+            merge_bucket,
+            key="orderkey",
+            schema=out_cols,
+            n_buckets=n_buckets,
+        ),
+        out_cols,
     )
-    parts = (
-        tagged.groupby("bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    if "o_year" not in parts.columns or not len(parts):
-        return pd.DataFrame(
-            {
-                "o_year": pd.Series(dtype="int64"),
-                "mkt_share": pd.Series(dtype="float64"),
-            }
-        )
     agg = parts.groupby("o_year", as_index=False)[["num_dp", "den_dp"]].sum()
     agg["mkt_share"] = agg["num_dp"].astype(float) / agg["den_dp"].astype(float)
     return (
@@ -9908,7 +9454,6 @@ def q4_order_priority(sf_dir: str):
     per-(bucket, priority) counts. Exchange volume is O(distinct
     qualifying orderkeys), never O(lineitem rows); the driver merges
     <= 64 * 5 count rows."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
     lo = pd.Timestamp("1996-01-01")
@@ -9918,49 +9463,44 @@ def q4_order_priority(sf_dir: str):
         ("orderkey", "int64"),
         ("priority", "object"),
         ("is_order", "bool"),
-        ("bucket", "int64"),
     ]
 
     def line_keys(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[batch["l_returnflag"] == "R"]
         if not len(sel):
-            return empty_frame(cols)
+            return empty_block(cols)
         ok = np.unique(sel["l_orderkey"].astype("int64").to_numpy())
         return pd.DataFrame(
             {
                 "orderkey": ok,
                 "priority": "",
                 "is_order": False,
-                "bucket": ok % n_buckets,
             }
         )
 
     def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[(batch["o_orderdate"] >= lo) & (batch["o_orderdate"] < hi)]
         if not len(sel):
-            return empty_frame(cols)
+            return empty_block(cols)
         ok = sel["o_orderkey"].astype("int64").to_numpy()
         return pd.DataFrame(
             {
                 "orderkey": ok,
                 "priority": sel["o_orderpriority"].to_numpy(),
                 "is_order": True,
-                "bucket": ok % n_buckets,
             }
         )
 
     out_cols = [("o_orderpriority", "object"), ("order_count", "int64")]
 
     def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if "is_order" not in group.columns or len(group) == 0:
-            return empty_frame(out_cols)
         orders = group[group["is_order"]]
         if orders.empty:
-            return empty_frame(out_cols)
+            return None
         line_keys = group.loc[~group["is_order"], "orderkey"]
         hit = orders[orders["orderkey"].isin(set(line_keys))]
         if hit.empty:
-            return empty_frame(out_cols)
+            return None
         vc = hit["priority"].value_counts()
         return pd.DataFrame(
             {
@@ -9973,21 +9513,19 @@ def q4_order_priority(sf_dir: str):
     orders = _read(
         sf_dir, "orders", columns=["o_orderkey", "o_orderdate", "o_orderpriority"]
     )
-    tagged = lineitem.map_batches(line_keys, batch_format="pandas").union(
-        orders.map_batches(order_rows, batch_format="pandas")
+    parts = to_frame(
+        bucket_exchange(
+            [
+                lineitem.map_batches(line_keys, batch_format="pandas"),
+                orders.map_batches(order_rows, batch_format="pandas"),
+            ],
+            merge_bucket,
+            key="orderkey",
+            schema=out_cols,
+            n_buckets=n_buckets,
+        ),
+        out_cols,
     )
-    parts = (
-        tagged.groupby("bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    if "o_orderpriority" not in parts.columns or not len(parts):
-        return pd.DataFrame(
-            {
-                "o_orderpriority": pd.Series(dtype="object"),
-                "order_count": pd.Series(dtype="int64"),
-            }
-        )
     agg = parts.groupby("o_orderpriority", as_index=False)["order_count"].sum()
     agg["order_count"] = agg["order_count"].astype("int64")
     return agg.sort_values("o_orderpriority").reset_index(drop=True)
@@ -10018,7 +9556,6 @@ def q9_product_type_profit(sf_dir: str):
     ship (orderkey, year) rows; ONE orderkey-bucket exchange joins them
     and reduces to per-(bucket, nation, year) sums. Driver folds
     <= 64 * 25 * years rows and divides once."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
 
@@ -10056,7 +9593,6 @@ def q9_product_type_profit(sf_dir: str):
         ("dp", "int64"),
         ("o_year", "int64"),
         ("is_line", "bool"),
-        ("bucket", "int64"),
     ]
 
     def line_partials(batch: pd.DataFrame) -> pd.DataFrame:
@@ -10064,7 +9600,7 @@ def q9_product_type_profit(sf_dir: str):
         ok = (keys < np_parts) & part_ok[np.clip(keys, 0, np_parts - 1)]
         sel = batch[ok]
         if not len(sel):
-            return empty_frame(cols)
+            return empty_block(cols)
         pkeys = sel["l_partkey"].astype("int64").to_numpy()
         qty_c = np.rint(sel["l_quantity"].to_numpy() * 100).astype(np.int64)
         rev_dp = np.rint(
@@ -10088,7 +9624,6 @@ def q9_product_type_profit(sf_dir: str):
                 "dp": agg["dp"].astype("int64"),
                 "o_year": np.int64(0),
                 "is_line": True,
-                "bucket": (agg["orderkey"] % n_buckets).astype("int64"),
             }
         )
 
@@ -10101,26 +9636,23 @@ def q9_product_type_profit(sf_dir: str):
                 "dp": np.int64(0),
                 "o_year": batch["o_orderdate"].dt.year.astype("int64").to_numpy(),
                 "is_line": False,
-                "bucket": ok % n_buckets,
             }
         )
 
     out_cols = [("nkey", "int64"), ("o_year", "int64"), ("dp", "int64")]
 
     def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if "is_line" not in group.columns or len(group) == 0:
-            return empty_frame(out_cols)
         li = group[group["is_line"]]
         o = group[~group["is_line"]]
         if li.empty or o.empty:
-            return empty_frame(out_cols)
+            return None
         m = li.merge(
             o[["orderkey", "o_year"]].rename(columns={"o_year": "yr"}),
             on="orderkey",
             how="inner",
         )
         if not len(m):
-            return empty_frame(out_cols)
+            return None
         agg = m.groupby(["nkey", "yr"], as_index=False)["dp"].sum()
         return pd.DataFrame(
             {
@@ -10143,22 +9675,19 @@ def q9_product_type_profit(sf_dir: str):
         ],
     )
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
-    tagged = lineitem.map_batches(line_partials, batch_format="pandas").union(
-        orders.map_batches(order_rows, batch_format="pandas")
+    parts = to_frame(
+        bucket_exchange(
+            [
+                lineitem.map_batches(line_partials, batch_format="pandas"),
+                orders.map_batches(order_rows, batch_format="pandas"),
+            ],
+            merge_bucket,
+            key="orderkey",
+            schema=out_cols,
+            n_buckets=n_buckets,
+        ),
+        out_cols,
     )
-    parts = (
-        tagged.groupby("bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    if "nkey" not in parts.columns or not len(parts):
-        return pd.DataFrame(
-            {
-                "nation": pd.Series(dtype="object"),
-                "o_year": pd.Series(dtype="int64"),
-                "profit": pd.Series(dtype="float64"),
-            }
-        )
     agg = parts.groupby(["nkey", "o_year"], as_index=False)["dp"].sum()
     agg["nation"] = agg["nkey"].map(nation_names)
     agg["profit"] = agg["dp"].astype("float64") / 10000.0
@@ -10202,7 +9731,6 @@ def q15_top_supplier(sf_dir: str):
     maxima, filters to the global max, and attaches s_name from the
     broadcast supplier table — exchange volume is O(distinct suppkeys
     per batch), driver volume O(buckets)."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
     lo = pd.Timestamp("1996-01-01")
@@ -10213,8 +9741,7 @@ def q15_top_supplier(sf_dir: str):
             (batch["l_shipdate"] >= lo) & (batch["l_shipdate"] < hi)
         ]
         if not len(sel):
-            return empty_frame([("suppkey", "int64"), ("dp", "int64"),
-                                ("bucket", "int64")])
+            return empty_block([("suppkey", "int64"), ("dp", "int64")])
         dp = np.rint(
             (sel["l_extendedprice"] * (1 - sel["l_discount"])).to_numpy() * 10000
         ).astype(np.int64)
@@ -10226,15 +9753,12 @@ def q15_top_supplier(sf_dir: str):
             {
                 "suppkey": agg["suppkey"].astype("int64"),
                 "dp": agg["dp"].astype("int64"),
-                "bucket": (agg["suppkey"] % n_buckets).astype("int64"),
             }
         )
 
     out_cols = [("suppkey", "int64"), ("total_dp", "int64")]
 
     def bucket_max(group: pd.DataFrame) -> pd.DataFrame:
-        if "suppkey" not in group.columns or len(group) == 0:
-            return empty_frame(out_cols)
         totals = group.groupby("suppkey")["dp"].sum()
         mx = totals.max()
         top = totals[totals == mx]
@@ -10250,20 +9774,16 @@ def q15_top_supplier(sf_dir: str):
         "lineitem",
         columns=["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
     )
-    parts = (
-        lineitem.map_batches(partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_max, batch_format="pandas")
-        .to_pandas()
+    parts = to_frame(
+        bucket_exchange(
+            lineitem.map_batches(partials, batch_format="pandas"),
+            bucket_max,
+            key="suppkey",
+            schema=out_cols,
+            n_buckets=n_buckets,
+        ),
+        out_cols,
     )
-    if "suppkey" not in parts.columns or not len(parts):
-        return pd.DataFrame(
-            {
-                "s_suppkey": pd.Series(dtype="int64"),
-                "s_name": pd.Series(dtype="object"),
-                "total_revenue": pd.Series(dtype="float64"),
-            }
-        )
     mx = parts["total_dp"].max()
     top = parts[parts["total_dp"] == mx].copy()
     supplier = pq.read_table(
@@ -10415,7 +9935,6 @@ def q22_global_sales_opportunity(sf_dir: str):
     bal_c * cnt_pos > sum_pos_c (avg comparison cross-multiplied).
     Nation names stand in for TPC-H's phone country codes (no phone
     column in this schema)."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
     names = ["NATION_3", "NATION_7", "NATION_12", "NATION_17", "NATION_21"]
@@ -10453,18 +9972,17 @@ def q22_global_sales_opportunity(sf_dir: str):
         ("nkey", "int64"),
         ("bal_c", "int64"),
         ("is_cust", "bool"),
-        ("bucket", "int64"),
     ]
 
     def cust_rows(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[batch["c_nationkey"].isin(nkeys)]
         if not len(sel):
-            return empty_frame(cols)
+            return empty_block(cols)
         bal_c = np.rint(sel["c_acctbal"].to_numpy() * 100).astype(np.int64)
         keep = bal_c * cnt_pos > sum_pos
         sel = sel[keep]
         if not len(sel):
-            return empty_frame(cols)
+            return empty_block(cols)
         ck = sel["c_custkey"].astype("int64").to_numpy()
         return pd.DataFrame(
             {
@@ -10472,7 +9990,6 @@ def q22_global_sales_opportunity(sf_dir: str):
                 "nkey": sel["c_nationkey"].astype("int64").to_numpy(),
                 "bal_c": bal_c[keep],
                 "is_cust": True,
-                "bucket": ck % n_buckets,
             }
         )
 
@@ -10484,22 +10001,19 @@ def q22_global_sales_opportunity(sf_dir: str):
                 "nkey": np.int64(-1),
                 "bal_c": np.int64(0),
                 "is_cust": False,
-                "bucket": ck % n_buckets,
             }
         )
 
     out_cols = [("nkey", "int64"), ("numcust", "int64"), ("bal_sum", "int64")]
 
     def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if "is_cust" not in group.columns or len(group) == 0:
-            return empty_frame(out_cols)
         cust = group[group["is_cust"]]
         if cust.empty:
-            return empty_frame(out_cols)
+            return None
         has_orders = set(group.loc[~group["is_cust"], "custkey"])
         keep = cust[~cust["custkey"].isin(has_orders)]
         if keep.empty:
-            return empty_frame(out_cols)
+            return None
         agg = keep.groupby("nkey").agg(
             numcust=("custkey", "size"), bal_sum=("bal_c", "sum")
         )
@@ -10513,22 +10027,19 @@ def q22_global_sales_opportunity(sf_dir: str):
 
     customer = _read(sf_dir, "customer", columns=cust_cols)
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
-    tagged = customer.map_batches(cust_rows, batch_format="pandas").union(
-        orders.map_batches(order_keys, batch_format="pandas")
+    parts = to_frame(
+        bucket_exchange(
+            [
+                customer.map_batches(cust_rows, batch_format="pandas"),
+                orders.map_batches(order_keys, batch_format="pandas"),
+            ],
+            merge_bucket,
+            key="custkey",
+            schema=out_cols,
+            n_buckets=n_buckets,
+        ),
+        out_cols,
     )
-    parts = (
-        tagged.groupby("bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    if "nkey" not in parts.columns or not len(parts):
-        return pd.DataFrame(
-            {
-                "cntrycode": pd.Series(dtype="object"),
-                "numcust": pd.Series(dtype="int64"),
-                "totacctbal": pd.Series(dtype="float64"),
-            }
-        )
     agg = parts.groupby("nkey", as_index=False)[["numcust", "bal_sum"]].sum()
     agg["cntrycode"] = agg["nkey"].map(nation_names)
     agg["numcust"] = agg["numcust"].astype("int64")
@@ -10580,7 +10091,6 @@ def q2_min_cost_supplier(sf_dir: str):
     driver attaches names to <= qualifying-parts rows and cuts the
     global top 100. acctbal compares as raw float64 on BOTH sides (no
     cents conversion) so tie sets match the oracle bit-for-bit."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
 
@@ -10625,7 +10135,7 @@ def q2_min_cost_supplier(sf_dir: str):
         zip(sk, supplier["s_nationkey"].astype(int).map(nation_name))
     )
 
-    cols = [("partkey", "int64"), ("suppkey", "int64"), ("bucket", "int64")]
+    cols = [("partkey", "int64"), ("suppkey", "int64")]
 
     def pair_rows(batch: pd.DataFrame) -> pd.DataFrame:
         k = batch["l_partkey"].astype("int64").to_numpy()
@@ -10637,18 +10147,16 @@ def q2_min_cost_supplier(sf_dir: str):
             & supp_eu[np.clip(s, 0, ns - 1)]
         )
         if not ok.any():
-            return empty_frame(cols)
+            return empty_block(cols)
         pair = np.unique(k[ok] * np.int64(ns) + s[ok])
         pk_u, sk_u = pair // ns, pair % ns
         return pd.DataFrame(
-            {"partkey": pk_u, "suppkey": sk_u, "bucket": pk_u % n_buckets}
+            {"partkey": pk_u, "suppkey": sk_u}
         )
 
     out_cols = [("partkey", "int64"), ("suppkey", "int64")]
 
     def bucket_best(group: pd.DataFrame) -> pd.DataFrame:
-        if "partkey" not in group.columns or len(group) == 0:
-            return empty_frame(out_cols)
         pairs = group.drop_duplicates(["partkey", "suppkey"])
         bal = supp_bal[pairs["suppkey"].to_numpy()]
         best = (
@@ -10677,22 +10185,16 @@ def q2_min_cost_supplier(sf_dir: str):
         )
 
     lineitem = _read(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
-    parts = (
-        lineitem.map_batches(pair_rows, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_best, batch_format="pandas")
-        .to_pandas()
+    parts = to_frame(
+        bucket_exchange(
+            lineitem.map_batches(pair_rows, batch_format="pandas"),
+            bucket_best,
+            key="partkey",
+            schema=out_cols,
+            n_buckets=n_buckets,
+        ),
+        out_cols,
     )
-    if "partkey" not in parts.columns or not len(parts):
-        return pd.DataFrame(
-            {
-                "s_acctbal": pd.Series(dtype="float64"),
-                "s_name": pd.Series(dtype="object"),
-                "n_name": pd.Series(dtype="object"),
-                "p_partkey": pd.Series(dtype="int64"),
-                "p_brand": pd.Series(dtype="object"),
-            }
-        )
     out = pd.DataFrame(
         {
             "s_acctbal": supp_bal[parts["suppkey"].to_numpy()],
@@ -10748,7 +10250,6 @@ def q11_important_stock(sf_dir: str):
     (1000 * val_c > total, integers cross-multiplied — pigeonhole
     bounds survivors to < 1000 rows at ANY scale, so the driver
     collect is safe)."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
 
@@ -10772,14 +10273,14 @@ def q11_important_stock(sf_dir: str):
     supp_eu = np.zeros(ns, dtype=bool)
     supp_eu[sk] = supplier["s_nationkey"].isin(eu_nations).to_numpy()
 
-    cols = [("p_partkey", "int64"), ("val_c", "int64"), ("bucket", "int64")]
+    cols = [("p_partkey", "int64"), ("val_c", "int64")]
 
     def partials(batch: pd.DataFrame) -> pd.DataFrame:
         s = batch["l_suppkey"].astype("int64").to_numpy()
         ok = (s < ns) & supp_eu[np.clip(s, 0, ns - 1)]
         sel = batch[ok]
         if not len(sel):
-            return empty_frame(cols)
+            return empty_block(cols)
         val_c = np.rint(sel["l_extendedprice"].to_numpy() * 100).astype(np.int64)
         tmp = pd.DataFrame(
             {"p_partkey": sel["l_partkey"].astype("int64").to_numpy(), "v": val_c}
@@ -10789,15 +10290,12 @@ def q11_important_stock(sf_dir: str):
             {
                 "p_partkey": agg["p_partkey"].astype("int64"),
                 "val_c": agg["v"].astype("int64"),
-                "bucket": (agg["p_partkey"] % n_buckets).astype("int64"),
             }
         )
 
     out_cols = [("p_partkey", "int64"), ("val_c", "int64")]
 
     def bucket_totals(group: pd.DataFrame) -> pd.DataFrame:
-        if "p_partkey" not in group.columns or len(group) == 0:
-            return empty_frame(out_cols)
         agg = group.groupby("p_partkey", as_index=False)["val_c"].sum()
         return pd.DataFrame(
             {
@@ -10809,12 +10307,13 @@ def q11_important_stock(sf_dir: str):
     lineitem = _read(
         sf_dir, "lineitem", columns=["l_partkey", "l_suppkey", "l_extendedprice"]
     )
-    totals = (
-        lineitem.map_batches(partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_totals, batch_format="pandas")
-        .materialize()
-    )
+    totals = bucket_exchange(
+        lineitem.map_batches(partials, batch_format="pandas"),
+        bucket_totals,
+        key="p_partkey",
+        schema=out_cols,
+        n_buckets=n_buckets,
+    ).materialize()
     empty = pd.DataFrame(
         {
             "p_partkey": pd.Series(dtype="int64"),
@@ -10826,8 +10325,6 @@ def q11_important_stock(sf_dir: str):
     total = int(totals.sum("val_c"))
 
     def keep(batch: pd.DataFrame) -> pd.DataFrame:
-        if "val_c" not in batch.columns or not len(batch):
-            return empty_frame(out_cols)
         return batch[batch["val_c"].to_numpy() * 1000 > total]
 
     surv = totals.map_batches(keep, batch_format="pandas").to_pandas()
@@ -10871,7 +10368,6 @@ def q12_linestatus_priority(sf_dir: str):
     and folds to per-(bucket, linestatus) high/low counts — exchange
     volume is O(distinct orderkeys), the driver merges <= 64 * 2
     rows."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
     lo = pd.Timestamp("1997-01-01")
@@ -10884,13 +10380,12 @@ def q12_linestatus_priority(sf_dir: str):
         ("cnt", "int64"),
         ("is_high", "bool"),
         ("is_line", "bool"),
-        ("bucket", "int64"),
     ]
 
     def line_partials(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[(batch["l_shipdate"] >= lo) & (batch["l_shipdate"] < hi)]
         if not len(sel):
-            return empty_frame(cols)
+            return empty_block(cols)
         tmp = pd.DataFrame(
             {
                 "l_orderkey": sel["l_orderkey"].astype("int64").to_numpy(),
@@ -10910,7 +10405,6 @@ def q12_linestatus_priority(sf_dir: str):
                 "cnt": agg["cnt"].astype("int64").to_numpy(),
                 "is_high": False,
                 "is_line": True,
-                "bucket": ok % n_buckets,
             }
         )
 
@@ -10923,7 +10417,6 @@ def q12_linestatus_priority(sf_dir: str):
                 "cnt": np.int64(0),
                 "is_high": batch["o_orderpriority"].isin(high).to_numpy(),
                 "is_line": False,
-                "bucket": ok % n_buckets,
             }
         )
 
@@ -10934,19 +10427,17 @@ def q12_linestatus_priority(sf_dir: str):
     ]
 
     def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if "is_line" not in group.columns or len(group) == 0:
-            return empty_frame(out_cols)
         lines = group[group["is_line"]]
         orders = group[~group["is_line"]]
         if lines.empty or orders.empty:
-            return empty_frame(out_cols)
+            return None
         m = lines.merge(
             orders[["orderkey", "is_high"]].rename(columns={"is_high": "hi"}),
             on="orderkey",
             how="inner",
         )
         if not len(m):
-            return empty_frame(out_cols)
+            return None
         cnt = m["cnt"].to_numpy(dtype=np.int64)
         hi_ = m["hi"].to_numpy(dtype=bool)
         agg = pd.DataFrame(
@@ -10968,22 +10459,19 @@ def q12_linestatus_priority(sf_dir: str):
         sf_dir, "lineitem", columns=["l_orderkey", "l_linestatus", "l_shipdate"]
     )
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
-    tagged = lineitem.map_batches(line_partials, batch_format="pandas").union(
-        orders.map_batches(order_rows, batch_format="pandas")
+    parts = to_frame(
+        bucket_exchange(
+            [
+                lineitem.map_batches(line_partials, batch_format="pandas"),
+                orders.map_batches(order_rows, batch_format="pandas"),
+            ],
+            merge_bucket,
+            key="orderkey",
+            schema=out_cols,
+            n_buckets=n_buckets,
+        ),
+        out_cols,
     )
-    parts = (
-        tagged.groupby("bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    if "l_linestatus" not in parts.columns or not len(parts):
-        return pd.DataFrame(
-            {
-                "l_linestatus": pd.Series(dtype="object"),
-                "high_line_count": pd.Series(dtype="int64"),
-                "low_line_count": pd.Series(dtype="int64"),
-            }
-        )
     agg = parts.groupby("l_linestatus", as_index=False)[
         ["high_line_count", "low_line_count"]
     ].sum()
@@ -11018,7 +10506,6 @@ def q16_parts_supplier(sf_dir: str):
     group's pairs all land in one bucket, so in-bucket nunique IS the
     global distinct count). p_size is emitted as int64 on both sides
     (the parquet column is int32; the oracle CASTs)."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
     sizes = {1, 4, 7, 10, 13, 16, 19, 22}
@@ -11059,7 +10546,7 @@ def q16_parts_supplier(sf_dir: str):
     supp_excl = np.zeros(ns, dtype=bool)
     supp_excl[sk] = (supplier["s_acctbal"].to_numpy() < 0)
 
-    cols = [("gidx", "int64"), ("suppkey", "int64"), ("bucket", "int64")]
+    cols = [("gidx", "int64"), ("suppkey", "int64")]
 
     def pair_rows(batch: pd.DataFrame) -> pd.DataFrame:
         k = batch["l_partkey"].astype("int64").to_numpy()
@@ -11067,18 +10554,16 @@ def q16_parts_supplier(sf_dir: str):
         g = np.where(k < np_parts, part_gidx[np.clip(k, 0, np_parts - 1)], -1)
         ok = (g >= 0) & (s < ns) & ~supp_excl[np.clip(s, 0, ns - 1)]
         if not ok.any():
-            return empty_frame(cols)
+            return empty_block(cols)
         pair = np.unique(g[ok] * np.int64(ns) + s[ok])
         g_u, s_u = pair // ns, pair % ns
         return pd.DataFrame(
-            {"gidx": g_u, "suppkey": s_u, "bucket": g_u % n_buckets}
+            {"gidx": g_u, "suppkey": s_u}
         )
 
     out_cols = [("gidx", "int64"), ("supplier_cnt", "int64")]
 
     def bucket_counts(group: pd.DataFrame) -> pd.DataFrame:
-        if "gidx" not in group.columns or len(group) == 0:
-            return empty_frame(out_cols)
         agg = group.drop_duplicates(["gidx", "suppkey"]).groupby("gidx").size()
         return pd.DataFrame(
             {
@@ -11088,21 +10573,16 @@ def q16_parts_supplier(sf_dir: str):
         )
 
     lineitem = _read(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
-    parts = (
-        lineitem.map_batches(pair_rows, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_counts, batch_format="pandas")
-        .to_pandas()
+    parts = to_frame(
+        bucket_exchange(
+            lineitem.map_batches(pair_rows, batch_format="pandas"),
+            bucket_counts,
+            key="gidx",
+            schema=out_cols,
+            n_buckets=n_buckets,
+        ),
+        out_cols,
     )
-    if "gidx" not in parts.columns or not len(parts):
-        return pd.DataFrame(
-            {
-                "p_brand": pd.Series(dtype="object"),
-                "p_type": pd.Series(dtype="object"),
-                "p_size": pd.Series(dtype="int64"),
-                "supplier_cnt": pd.Series(dtype="int64"),
-            }
-        )
     out = pd.DataFrame(
         {
             "p_brand": groups["p_brand"].to_numpy()[parts["gidx"]],
@@ -11146,7 +10626,6 @@ def q20_potential_promotion(sf_dir: str):
     only output-eligible suppkeys ride the exchange — never the
     all-nation qualifier set), and the driver dedups <= output-size
     keys against the broadcast supplier table."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
     lo = pd.Timestamp("1995-01-01")
@@ -11173,7 +10652,6 @@ def q20_potential_promotion(sf_dir: str):
         ("partkey", "int64"),
         ("suppkey", "int64"),
         ("q", "int64"),
-        ("bucket", "int64"),
     ]
 
     def partials(batch: pd.DataFrame) -> pd.DataFrame:
@@ -11186,7 +10664,7 @@ def q20_potential_promotion(sf_dir: str):
         )
         sel = batch[ok]
         if not len(sel):
-            return empty_frame(cols)
+            return empty_block(cols)
         q_c = np.rint(sel["l_quantity"].to_numpy() * 100).astype(np.int64)
         tmp = pd.DataFrame(
             {
@@ -11201,15 +10679,12 @@ def q20_potential_promotion(sf_dir: str):
                 "partkey": agg["partkey"].astype("int64"),
                 "suppkey": agg["suppkey"].astype("int64"),
                 "q": agg["q"].astype("int64"),
-                "bucket": (agg["partkey"] % n_buckets).astype("int64"),
             }
         )
 
     out_cols = [("suppkey", "int64")]
 
     def bucket_quals(group: pd.DataFrame) -> pd.DataFrame:
-        if "partkey" not in group.columns or len(group) == 0:
-            return empty_frame(out_cols)
         agg = group.groupby(["partkey", "suppkey"], as_index=False)["q"].sum()
         tot = agg.groupby("partkey")["q"].transform("sum")
         win = agg[2 * agg["q"] > tot]
@@ -11222,16 +10697,17 @@ def q20_potential_promotion(sf_dir: str):
         "lineitem",
         columns=["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"],
     )
-    parts = (
-        lineitem.map_batches(partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_quals, batch_format="pandas")
-        .to_pandas()
+    parts = to_frame(
+        bucket_exchange(
+            lineitem.map_batches(partials, batch_format="pandas"),
+            bucket_quals,
+            key="partkey",
+            schema=out_cols,
+            n_buckets=n_buckets,
+        ),
+        out_cols,
     )
-    if "suppkey" not in parts.columns or not len(parts):
-        keys: set = set()
-    else:
-        keys = set(parts["suppkey"].astype(int))
+    keys = set(parts["suppkey"].astype(int))
     out = supplier[supplier["s_suppkey"].isin(keys)]
     return (
         out[["s_name", "s_acctbal"]]
@@ -11277,7 +10753,6 @@ def q21_waiting_suppliers(sf_dir: str):
     superset of the global cut, independent of the name tie-break).
     The driver merges <= 64 * ~100 rows, attaches names from the
     broadcast supplier table, and applies the final order."""
-    from .ops.shuffle import empty_frame
 
     n_buckets = 64
 
@@ -11286,7 +10761,6 @@ def q21_waiting_suppliers(sf_dir: str):
         ("suppkey", "int64"),
         ("ret", "int64"),
         ("is_line", "bool"),
-        ("bucket", "int64"),
     ]
 
     def line_pairs(batch: pd.DataFrame) -> pd.DataFrame:
@@ -11304,14 +10778,13 @@ def q21_waiting_suppliers(sf_dir: str):
                 "suppkey": agg["suppkey"].astype("int64"),
                 "ret": agg["ret"].astype("int64"),
                 "is_line": True,
-                "bucket": (agg["orderkey"] % n_buckets).astype("int64"),
             }
         )
 
     def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[batch["o_orderstatus"] == "F"]
         if not len(sel):
-            return empty_frame(cols)
+            return empty_block(cols)
         ok = sel["o_orderkey"].astype("int64").to_numpy()
         return pd.DataFrame(
             {
@@ -11319,19 +10792,16 @@ def q21_waiting_suppliers(sf_dir: str):
                 "suppkey": np.int64(-1),
                 "ret": np.int64(0),
                 "is_line": False,
-                "bucket": ok % n_buckets,
             }
         )
 
-    out_cols = [("suppkey", "int64"), ("numwait", "int64"), ("sbucket", "int64")]
+    out_cols = [("suppkey", "int64"), ("numwait", "int64")]
 
     def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if "is_line" not in group.columns or len(group) == 0:
-            return empty_frame(out_cols)
         lines = group[group["is_line"]]
         finished = group.loc[~group["is_line"], "orderkey"]
         if lines.empty or finished.empty:
-            return empty_frame(out_cols)
+            return None
         pairs = lines.groupby(["orderkey", "suppkey"], as_index=False)["ret"].max()
         per = pairs.groupby("orderkey").agg(
             nsupp=("suppkey", "size"), nret=("ret", "sum")
@@ -11339,7 +10809,7 @@ def q21_waiting_suppliers(sf_dir: str):
         qual = per[(per["nsupp"] >= 2) & (per["nret"] == 1)].index
         qual = pd.Index(qual).intersection(pd.Index(finished.unique()))
         if not len(qual):
-            return empty_frame(out_cols)
+            return None
         offn = pairs[(pairs["ret"] == 1) & pairs["orderkey"].isin(set(qual))]
         vc = offn["suppkey"].value_counts()
         keys = vc.index.to_numpy(dtype=np.int64)
@@ -11347,7 +10817,6 @@ def q21_waiting_suppliers(sf_dir: str):
             {
                 "suppkey": keys,
                 "numwait": vc.to_numpy(dtype=np.int64),
-                "sbucket": keys % n_buckets,
             }
         )
 
@@ -11355,15 +10824,10 @@ def q21_waiting_suppliers(sf_dir: str):
         sf_dir, "lineitem", columns=["l_orderkey", "l_suppkey", "l_returnflag"]
     )
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderstatus"])
-    tagged = lineitem.map_batches(line_pairs, batch_format="pandas").union(
-        orders.map_batches(order_rows, batch_format="pandas")
-    )
 
     fold_cols = [("suppkey", "int64"), ("numwait", "int64")]
 
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if "suppkey" not in group.columns or len(group) == 0:
-            return empty_frame(fold_cols)
         agg = group.groupby("suppkey", as_index=False)["numwait"].sum()
         if len(agg) > 100:
             cut = agg["numwait"].nlargest(100).iloc[-1]
@@ -11375,20 +10839,22 @@ def q21_waiting_suppliers(sf_dir: str):
             }
         )
 
-    parts = (
-        tagged.groupby("bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-        .groupby("sbucket")
-        .map_groups(fold_bucket, batch_format="pandas")
-        .to_pandas()
+    waits = bucket_exchange(
+        [
+            lineitem.map_batches(line_pairs, batch_format="pandas"),
+            orders.map_batches(order_rows, batch_format="pandas"),
+        ],
+        merge_bucket,
+        key="orderkey",
+        schema=out_cols,
+        n_buckets=n_buckets,
     )
-    if "suppkey" not in parts.columns or not len(parts):
-        return pd.DataFrame(
-            {
-                "s_name": pd.Series(dtype="object"),
-                "numwait": pd.Series(dtype="int64"),
-            }
-        )
+    parts = to_frame(
+        bucket_exchange(
+            waits, fold_bucket, key="suppkey", schema=fold_cols, n_buckets=n_buckets
+        ),
+        fold_cols,
+    )
     agg = parts.groupby("suppkey", as_index=False)["numwait"].sum()
     supplier = pq.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
@@ -11480,8 +10946,6 @@ def doc_mixture_sample(sf_dir: str):
     import hashlib
     import re
 
-    from .ops.shuffle import empty_frame
-
     TARGET = 200
     W_PM = {0: 600, 1: 300, 2: 100}
     n_buckets = 64
@@ -11510,15 +10974,12 @@ def doc_mixture_sample(sf_dir: str):
         for s in srcs
     }
 
-    def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
-        bucket = hash_bucket_str(n_buckets)
-        lut = {s: bucket(s) for s in batch["source"].unique()}
+    def add_hex(batch: pd.DataFrame) -> pd.DataFrame:
         out = batch.copy()
         out["hex"] = [
             hashlib.md5(str(int(d)).encode()).hexdigest()
             for d in batch["doc_id"]
         ]
-        out["bucket"] = batch["source"].map(lut).astype("int64")
         return out
 
     out_cols = [
@@ -11528,8 +10989,6 @@ def doc_mixture_sample(sf_dir: str):
     ]
 
     def rank_quota(group: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in group.columns or not len(group):
-            return empty_frame(out_cols)
         group = group.sort_values(
             ["source", "hex", "doc_id"], kind="mergesort"
         )
@@ -11544,16 +11003,16 @@ def doc_mixture_sample(sf_dir: str):
         caps = out["source"].map(quota).fillna(0).astype("int64")
         return out[out["mix_rank"] < caps]
 
-    out = (
-        ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(rank_quota, batch_format="pandas")
-        .to_pandas()
+    out = to_frame(
+        bucket_exchange(
+            ds.map_batches(add_hex, batch_format="pandas"),
+            rank_quota,
+            key="source",
+            schema=out_cols,
+            n_buckets=n_buckets,
+        ),
+        out_cols,
     )
-    if "doc_id" not in out.columns or not len(out):
-        return pd.DataFrame(
-            {c: pd.Series(dtype=t) for c, t in out_cols}
-        )
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -11671,15 +11130,9 @@ def video_neardup_pairs(sf_dir: str):
     sigs = _read(sf_dir, "documents", columns=["doc_id"]).map_batches(
         _vfp_frame, batch_format="pandas"
     )
-    out = hamming64_pairs(sigs, max_hamming=2, sig_col="vfp").to_pandas()
-    if "doc_a" not in out.columns:
-        out = pd.DataFrame(
-            {
-                "doc_a": pd.Series(dtype="int64"),
-                "doc_b": pd.Series(dtype="int64"),
-                "hamming": pd.Series(dtype="int64"),
-            }
-        )
+    out = to_frame(
+        hamming64_pairs(sigs, max_hamming=2, sig_col="vfp"), _HAMMING_PAIR_COLS
+    )
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
@@ -11899,22 +11352,14 @@ def doc_pmi_collocations(sf_dir: str):
     bounded dimension, per the mixture-sample discipline — with Python-int
     products so the 100-TB token total cannot overflow before the floor
     division."""
-    import zlib
-
     from .ops.text import _BIGRAM_SEP
 
     # ONE tagged pass for both LM orders (corpus_token_counts +
     # corpus_bigram_counts would each re-read the corpus; the tagged
     # union rides one coarse key-hash bucket shuffle instead)
+    count_cols = [("kind", "int64"), ("key", "object"), ("n", "int64")]
+
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "kind": pd.Series(dtype="int64"),
-                "key": pd.Series(dtype="object"),
-                "n": pd.Series(dtype="int64"),
-                "bucket": pd.Series(dtype="int64"),
-            }
-        )
         toks = (
             batch["text"].fillna("").str.lower().str.findall(r"[^\t\n\f\r ]+")
         )
@@ -11937,24 +11382,10 @@ def doc_pmi_collocations(sf_dir: str):
                 )
             )
         if not frames:
-            return empty
-        out = pd.concat(frames, ignore_index=True)
-        out["bucket"] = (
-            out["key"]
-            .map(lambda t: zlib.crc32(t.encode("utf-8")) % 256)
-            .astype("int64")
-        )
-        return out
+            return empty_block(count_cols)
+        return pd.concat(frames, ignore_index=True)
 
     def merge_counts(group: pd.DataFrame) -> pd.DataFrame:
-        if "key" not in group.columns or not len(group):
-            return pd.DataFrame(
-                {
-                    "kind": pd.Series(dtype="int64"),
-                    "key": pd.Series(dtype="object"),
-                    "n": pd.Series(dtype="int64"),
-                }
-            )
         agg = group.groupby(["kind", "key"], sort=False, as_index=False)["n"].sum()
         agg["n"] = agg["n"].astype("int64")
         # push the pair min-count cut into the bucket (counts are final
@@ -11966,20 +11397,16 @@ def doc_pmi_collocations(sf_dir: str):
         return agg[(agg["kind"] == 0) | (agg["n"] >= 5)]
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    counts_all = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(merge_counts, batch_format="pandas")
-        .to_pandas()
+    counts_all = to_frame(
+        bucket_exchange(
+            ds.map_batches(partial, batch_format="pandas"),
+            merge_counts,
+            key="key",
+            schema=count_cols,
+            n_buckets=256,
+        ),
+        count_cols,
     )
-    if "key" not in counts_all.columns:
-        counts_all = pd.DataFrame(
-            {
-                "kind": pd.Series(dtype="int64"),
-                "key": pd.Series(dtype="object"),
-                "n": pd.Series(dtype="int64"),
-            }
-        )
     uni = counts_all[counts_all["kind"] == 0].rename(columns={"key": "token"})
     bi = counts_all[counts_all["kind"] == 1].rename(columns={"key": "bigram"})
 
@@ -11991,12 +11418,7 @@ def doc_pmi_collocations(sf_dir: str):
             "score": pd.Series(dtype="int64"),
         }
     )
-    if (
-        not len(uni)
-        or not len(bi)
-        or "token" not in uni.columns
-        or "bigram" not in bi.columns
-    ):
+    if not len(uni) or not len(bi):
         return empty
 
     n_total = int(uni["n"].sum())
@@ -12179,26 +11601,14 @@ def doc_snapshot_ingest(sf_dir: str):
                 "doc_id": ids.to_numpy(),
                 "content_hash": pd.Series(hashes, dtype="object"),
                 "is_new": (ids % 10 == 9).to_numpy(),
-                "bucket": pd.Series(
-                    [int(h[:2], 16) for h in hashes], dtype="int64"
-                ),
             }
         )
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "doc_id": pd.Series(dtype="int64"),
-                "content_hash": pd.Series(dtype="object"),
-                "n_copies": pd.Series(dtype="int64"),
-            }
-        )
-        if "content_hash" not in group.columns or not len(group):
-            return empty
         old = set(group.loc[~group["is_new"], "content_hash"])
         new = group[group["is_new"] & ~group["content_hash"].isin(old)]
         if not len(new):
-            return empty
+            return None
         agg = (
             new.groupby("content_hash", sort=False)
             .agg(doc_id=("doc_id", "min"), n_copies=("doc_id", "size"))
@@ -12208,23 +11618,19 @@ def doc_snapshot_ingest(sf_dir: str):
         agg["n_copies"] = agg["n_copies"].astype("int64")
         return agg[["doc_id", "content_hash", "n_copies"]]
 
-    out = (
-        _read(sf_dir, "documents", columns=["doc_id", "text"])
-        .map_batches(tag, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
+    cols = [("doc_id", "int64"), ("content_hash", "object"), ("n_copies", "int64")]
+    out = to_frame(
+        bucket_exchange(
+            _read(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
+                tag, batch_format="pandas"
+            ),
+            merge,
+            key="content_hash",
+            schema=cols,
+            n_buckets=256,
+        ),
+        cols,
     )
-    if "doc_id" not in out.columns:
-        # every hash bucket was empty -> zero-column blocks (CLAUDE.md
-        # groupby gotcha); restore the typed empty frame
-        return pd.DataFrame(
-            {
-                "doc_id": pd.Series(dtype="int64"),
-                "content_hash": pd.Series(dtype="object"),
-                "n_copies": pd.Series(dtype="int64"),
-            }
-        )
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -12350,7 +11756,7 @@ def doc_tokenize_ids(sf_dir: str):
             "token_id": pd.Series(dtype="int64"),
         }
     )
-    if not len(counts) or "token" not in counts.columns:
+    if not len(counts):
         return empty
     ranked = counts.sort_values(
         ["n", "token"], ascending=[False, True]
@@ -12591,17 +11997,10 @@ def source_trigram_diversity(sf_dir: str):
     Exchange bytes are gram-vocabulary-sized, never corpus-sized."""
     import hashlib
 
+    gram_cols = [("source", "object"), ("key", "int64"), ("cnt", "int64")]
+    part_cols = [("source", "object"), ("n", "int64"), ("d", "int64")]
+
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "source": pd.Series(dtype="object"),
-                "key": pd.Series(dtype="int64"),
-                "cnt": pd.Series(dtype="int64"),
-                "bucket": pd.Series(dtype="int64"),
-            }
-        )
-        if not len(batch):
-            return empty
         rows_s: list = []
         rows_k: list = []
         for src, text in zip(batch["source"], batch["text"]):
@@ -12615,7 +12014,7 @@ def source_trigram_diversity(sf_dir: str):
                     )
                 )
         if not rows_s:
-            return empty
+            return empty_block(gram_cols)
         df = pd.DataFrame(
             {
                 "source": pd.Series(rows_s, dtype="object"),
@@ -12628,19 +12027,9 @@ def source_trigram_diversity(sf_dir: str):
             .reset_index(name="cnt")
         )
         agg["cnt"] = agg["cnt"].astype("int64")
-        agg["bucket"] = (agg["key"] % 256).astype("int64")
         return agg
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "source": pd.Series(dtype="object"),
-                "n": pd.Series(dtype="int64"),
-                "d": pd.Series(dtype="int64"),
-            }
-        )
-        if "source" not in group.columns or not len(group):
-            return empty
         per_gram = group.groupby(["source", "key"], sort=False)["cnt"].sum()
         out = per_gram.groupby(level="source").agg(["sum", "size"])
         return pd.DataFrame(
@@ -12651,23 +12040,18 @@ def source_trigram_diversity(sf_dir: str):
             }
         )
 
-    partials = (
-        _read(sf_dir, "documents", columns=["source", "text"])
-        .map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
+    partials = to_frame(
+        bucket_exchange(
+            _read(sf_dir, "documents", columns=["source", "text"]).map_batches(
+                partial, batch_format="pandas"
+            ),
+            merge,
+            key="key",
+            schema=part_cols,
+            n_buckets=256,
+        ),
+        part_cols,
     )
-    empty = pd.DataFrame(
-        {
-            "source": pd.Series(dtype="object"),
-            "n_trigrams": pd.Series(dtype="int64"),
-            "n_distinct": pd.Series(dtype="int64"),
-            "diversity_permille": pd.Series(dtype="int64"),
-        }
-    )
-    if "source" not in partials.columns or not len(partials):
-        return empty
     agg = partials.groupby("source").agg(n=("n", "sum"), d=("d", "sum"))
     agg = agg.sort_index()
     return pd.DataFrame(
@@ -12942,16 +12326,6 @@ def embedding_knn_graph_ivf(sf_dir: str):
     cents = ivf_centroids(64)
 
     def replicate(batch: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "cell": pd.Series(dtype="int64"),
-                "vec_id": pd.Series(dtype="int64"),
-                "emb": pd.Series(dtype="object"),
-                "is_member": pd.Series(dtype="bool"),
-            }
-        )
-        if not len(batch):
-            return empty
         vecs = _normalize(
             np.asarray(
                 [np.asarray(v, dtype=np.float64) for v in batch["embedding"]]
@@ -12979,20 +12353,10 @@ def embedding_knn_graph_ivf(sf_dir: str):
             }
         )
 
-    def score_cell(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "vec_id": pd.Series(dtype="int64"),
-                "neighbor_id": pd.Series(dtype="int64"),
-                "sim": pd.Series(dtype="float64"),
-                "bucket": pd.Series(dtype="int64"),
-            }
-        )
-        if "vec_id" not in group.columns or not len(group):
-            return empty
+    def score_one_cell(group: pd.DataFrame) -> pd.DataFrame | None:
         members = group[group["is_member"]]
         if not len(members):
-            return empty
+            return None
         m_ids = members["vec_id"].to_numpy(dtype=np.int64)
         m_mat = np.frombuffer(
             b"".join(members["emb"]), dtype=np.float64
@@ -13016,26 +12380,21 @@ def embedding_knn_graph_ivf(sf_dir: str):
                 cnt += 1
                 if cnt == k:
                     break
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "vec_id": pd.Series(rows_v, dtype="int64"),
                 "neighbor_id": pd.Series(rows_n, dtype="int64"),
                 "sim": pd.Series(rows_s, dtype="float64"),
             }
         )
-        out["bucket"] = (out["vec_id"] % 64).astype("int64")
-        return out
+
+    def score_cell(group: pd.DataFrame) -> pd.DataFrame | None:
+        # a bucket holds several cells; probers meet members per cell
+        outs = [score_one_cell(g) for _, g in group.groupby("cell")]
+        outs = [o for o in outs if o is not None]
+        return pd.concat(outs, ignore_index=True) if outs else None
 
     def merge_topk(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "vec_id": pd.Series(dtype="int64"),
-                "neighbor_id": pd.Series(dtype="int64"),
-                "rank": pd.Series(dtype="int64"),
-            }
-        )
-        if "vec_id" not in group.columns or not len(group):
-            return empty
         df = group.drop_duplicates(["vec_id", "neighbor_id"])
         df = df.sort_values(
             ["vec_id", "sim", "neighbor_id"], ascending=[True, False, True]
@@ -13044,23 +12403,18 @@ def embedding_knn_graph_ivf(sf_dir: str):
         df["rank"] = df.groupby("vec_id", sort=False).cumcount() + 1
         return df[["vec_id", "neighbor_id", "rank"]].astype("int64")
 
-    out = (
-        _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-        .map_batches(replicate, batch_format="pandas")
-        .groupby("cell")
-        .map_groups(score_cell, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(merge_topk, batch_format="pandas")
-        .to_pandas()
+    scored = bucket_exchange(
+        _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]).map_batches(
+            replicate, batch_format="pandas"
+        ),
+        score_cell,
+        key="cell",
+        schema=[("vec_id", "int64"), ("neighbor_id", "int64"), ("sim", "float64")],
     )
-    if "vec_id" not in out.columns:
-        return pd.DataFrame(
-            {
-                "vec_id": pd.Series(dtype="int64"),
-                "neighbor_id": pd.Series(dtype="int64"),
-                "rank": pd.Series(dtype="int64"),
-            }
-        )
+    cols = [("vec_id", "int64"), ("neighbor_id", "int64"), ("rank", "int64")]
+    out = to_frame(
+        bucket_exchange(scored, merge_topk, key="vec_id", schema=cols), cols
+    )
     return out.sort_values(["vec_id", "rank"]).reset_index(drop=True)
 
 
@@ -13180,294 +12534,4 @@ ORACLE_SQL["lineitem_bucket_skew"] = """
     FROM grid g CROSS JOIN tot t
     LEFT JOIN sizes s ON s.bucket = g.bucket
     ORDER BY bucket
-"""
-
-
-def events_value_winsorized(sf_dir: str):
-    """Robust per-type event stats under a corpus-global winsorization
-    clip — the data-QA readout that survives fat-tailed `value` columns
-    where a plain mean is one corrupt row away from useless.
-
-    Clip bounds are the exact global p05/p95 from the two-pass
-    histogram-refine selector (``distributed_quantile_disc`` — no global
-    sort, driver sees one candidate bucket per target). With the bounds
-    broadcast, one partial pass computes per-(batch, type) counts,
-    clip-lo/clip-hi counts, and clipped micro-unit sums; only
-    type-cardinality partials reach the driver. Integer-exact: clipping
-    compares raw doubles (bit-identical on both engines), quantization
-    is round_even micro-units AFTER the clip, and the mean is a single
-    IEEE division of two exact integers — the TF-IDF bit-identity
-    argument. NULL event_type pinned to the '<null>' sentinel on both
-    sides (pandas groupby would silently drop it). Scale: two corpus
-    scans + the quantile selector's histogram passes; nothing
-    corpus-sized ever leaves the workers."""
-    from .ops.sketch import distributed_quantile_disc
-
-    qdf = distributed_quantile_disc(
-        _read(sf_dir, "events", columns=["value"]), "value", [0.05, 0.95]
-    )
-    lo = float(qdf.loc[qdf["quantile"] == 0.05, "value"].iloc[0])
-    hi = float(qdf.loc[qdf["quantile"] == 0.95, "value"].iloc[0])
-
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        if not len(batch):
-            return pd.DataFrame(
-                {
-                    "event_type": pd.Series(dtype="object"),
-                    "n": pd.Series(dtype="int64"),
-                    "n_clip_lo": pd.Series(dtype="int64"),
-                    "n_clip_hi": pd.Series(dtype="int64"),
-                    "vsum_micro": pd.Series(dtype="int64"),
-                }
-            )
-        v = batch["value"].to_numpy(dtype=np.float64)
-        clipped = np.minimum(np.maximum(v, lo), hi)
-        vm = np.rint(clipped * 1e6).astype(np.int64)
-        tmp = pd.DataFrame(
-            {
-                "event_type": batch["event_type"]
-                .fillna("<null>")
-                .astype("object")
-                .to_numpy(),
-                "n": np.int64(1),
-                "n_clip_lo": (v < lo).astype(np.int64),
-                "n_clip_hi": (v > hi).astype(np.int64),
-                "vsum_micro": vm,
-            }
-        )
-        agg = tmp.groupby("event_type", sort=False, as_index=False).sum()
-        for c in ("n", "n_clip_lo", "n_clip_hi", "vsum_micro"):
-            agg[c] = agg[c].astype("int64")
-        return agg
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    out = parts.groupby("event_type", as_index=False).sum()
-    for c in ("n", "n_clip_lo", "n_clip_hi"):
-        out[c] = out[c].astype("int64")
-    out["winsorized_mean"] = out.pop("vsum_micro").astype("float64") / (
-        out["n"] * 1000000.0
-    )
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-ORACLE_SQL["events_value_winsorized"] = """
-    WITH nn AS (SELECT count(*) AS n FROM events),
-    ranked AS (
-      SELECT value AS v, row_number() OVER (ORDER BY value) - 1 AS r
-      FROM events
-    ),
-    bounds AS (
-      SELECT
-        min(CASE WHEN r = greatest(0, CAST(ceil(0.05 * nn.n) AS BIGINT) - 1)
-                 THEN v END) AS lo,
-        min(CASE WHEN r = greatest(0, CAST(ceil(0.95 * nn.n) AS BIGINT) - 1)
-                 THEN v END) AS hi
-      FROM ranked CROSS JOIN nn
-    ),
-    clipped AS (
-      SELECT coalesce(event_type, '<null>') AS event_type,
-             CAST(round_even(least(greatest(value, b.lo), b.hi) * 1000000.0,
-                             0) AS BIGINT) AS vm,
-             CASE WHEN value < b.lo THEN 1 ELSE 0 END AS clo,
-             CASE WHEN value > b.hi THEN 1 ELSE 0 END AS chi
-      FROM events CROSS JOIN bounds b
-    )
-    SELECT event_type,
-           CAST(count(*) AS BIGINT) AS n,
-           CAST(sum(clo) AS BIGINT) AS n_clip_lo,
-           CAST(sum(chi) AS BIGINT) AS n_clip_hi,
-           CAST(sum(vm) AS DOUBLE) / (count(*) * 1000000.0)
-             AS winsorized_mean
-    FROM clipped
-    GROUP BY event_type
-    ORDER BY event_type
-"""
-
-
-def doc_source_drift_tvd(sf_dir: str):
-    """Per-source unigram-distribution drift: total-variation distance
-    between each source's token distribution and the whole corpus —
-    the mixture-health monitor that flags a crawl source whose content
-    shifted (spam influx, template change, language drift) before the
-    mixture sampler keeps trusting its historical weight.
-
-    Integer-exact permille: TVD = ½ Σ_t |c_st/N_s − c_t/N| is computed
-    as Σ_t |c_st·N − c_t·N_s| in arbitrary-precision ints (the products
-    overflow int64 at corpus scale — the events_hourly_anomaly big-int
-    fold, applied per token bucket), divided ONCE at the end:
-    tvd_permille = 1000·Σ // (2·N_s·N). Tokens a source lacks enter
-    algebraically — Σ_{t∉s} c_t·N_s = N_s·(N − Σ_{t∈s} c_t) — so the
-    engine never builds the source×vocab grid the SQL oracle can afford.
-
-    Scale: pass 1 folds per-source token totals (source-cardinality);
-    pass 2 ships vocabulary-bounded (source, token, count) partials
-    through ONE coarse crc32 token-bucket shuffle (a token lives wholly
-    in one bucket, so in-group corpus counts are exact) and emits
-    sources×buckets partial rows — big-int sums ride as decimal strings.
-    NULL sources are excluded on both sides (the pinned-NULL contract;
-    matching WHERE source IS NOT NULL in the oracle)."""
-    n_buckets = 64
-
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def totals_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        sel = batch[batch["source"].notna()]
-        if not len(sel):
-            return pd.DataFrame(
-                {
-                    "source": pd.Series(dtype="object"),
-                    "n_tok": pd.Series(dtype="int64"),
-                }
-            )
-        toks = sel["text"].fillna("").str.lower().str.findall(r"[^\t\n\f\r ]+")
-        tmp = pd.DataFrame(
-            {
-                "source": sel["source"].astype("object").to_numpy(),
-                "n_tok": toks.str.len().to_numpy(dtype=np.int64),
-            }
-        )
-        agg = tmp.groupby("source", sort=False, as_index=False)["n_tok"].sum()
-        agg["n_tok"] = agg["n_tok"].astype("int64")
-        return agg
-
-    totals = (
-        ds.map_batches(totals_partial, batch_format="pandas")
-        .to_pandas()
-        .groupby("source")["n_tok"]
-        .sum()
-    )
-    n_s = {str(s): int(v) for s, v in totals.items()}
-    n_corpus = int(sum(n_s.values()))
-
-    def count_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        import zlib
-
-        sel = batch[batch["source"].notna()]
-        cols = {
-            "bucket": pd.Series(dtype="int64"),
-            "source": pd.Series(dtype="object"),
-            "token": pd.Series(dtype="object"),
-            "c": pd.Series(dtype="int64"),
-        }
-        if not len(sel):
-            return pd.DataFrame(cols)
-        toks = (
-            sel.set_index("source")["text"]
-            .fillna("")
-            .str.lower()
-            .str.findall(r"[^\t\n\f\r ]+")
-            .explode()
-            .dropna()
-        )
-        if not len(toks):
-            return pd.DataFrame(cols)
-        counts = (
-            toks.to_frame("token")
-            .groupby(["source", "token"], sort=False)
-            .size()
-            .reset_index(name="c")
-        )
-        counts["c"] = counts["c"].astype("int64")
-        counts["bucket"] = (
-            counts["token"]
-            .map(lambda t: zlib.crc32(t.encode("utf-8")) % n_buckets)
-            .astype("int64")
-        )
-        return counts[["bucket", "source", "token", "c"]]
-
-    def drift_partial(group: pd.DataFrame) -> pd.DataFrame:
-        out_cols = {
-            "source": pd.Series(dtype="object"),
-            "a_sum": pd.Series(dtype="object"),
-            "b_sum": pd.Series(dtype="int64"),
-        }
-        if "token" not in group.columns or not len(group):
-            return pd.DataFrame(out_cols)
-        exact = (
-            group.groupby(["source", "token"], sort=False)["c"]
-            .sum()
-            .reset_index()
-        )
-        ct = exact.groupby("token", sort=False)["c"].sum()
-        a_acc: dict[str, int] = {}
-        b_acc: dict[str, int] = {}
-        ct_map = {t: int(v) for t, v in ct.items()}
-        for src, tok, c_st in zip(
-            exact["source"], exact["token"], exact["c"]
-        ):
-            c_t = ct_map[tok]
-            ns = n_s[str(src)]
-            a_acc[src] = a_acc.get(src, 0) + abs(
-                int(c_st) * n_corpus - c_t * ns
-            )
-            b_acc[src] = b_acc.get(src, 0) + c_t
-        return pd.DataFrame(
-            {
-                "source": list(a_acc.keys()),
-                "a_sum": [str(v) for v in a_acc.values()],
-                "b_sum": pd.Series(
-                    [b_acc[s] for s in a_acc.keys()], dtype="int64"
-                ),
-            }
-        )
-
-    parts = (
-        ds.map_batches(count_partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(drift_partial, batch_format="pandas")
-        .to_pandas()
-    )
-    rows = []
-    for src in sorted(n_s):
-        ns = n_s[src]
-        sel = parts[parts["source"] == src] if "source" in parts.columns else parts[:0]
-        a_tot = sum(int(v) for v in sel.get("a_sum", []))
-        b_tot = int(sel["b_sum"].sum()) if len(sel) else 0
-        total = a_tot + ns * (n_corpus - b_tot)
-        denom = 2 * ns * n_corpus
-        rows.append(
-            {
-                "source": src,
-                "n_tokens": ns,
-                "tvd_permille": (1000 * total) // denom if denom else 0,
-            }
-        )
-    out = pd.DataFrame(rows, columns=["source", "n_tokens", "tvd_permille"])
-    out["n_tokens"] = out["n_tokens"].astype("int64")
-    out["tvd_permille"] = out["tvd_permille"].astype("int64")
-    return out
-
-
-ORACLE_SQL["doc_source_drift_tvd"] = """
-    WITH toks AS (
-      SELECT source,
-             unnest(list_filter(regexp_split_to_array(lower(text), '\\s+'),
-                                t -> t <> '')) AS tok
-      FROM documents WHERE source IS NOT NULL
-    ),
-    st AS (SELECT source, tok, count(*) AS c FROM toks GROUP BY 1, 2),
-    srct AS (SELECT source, sum(c) AS ns FROM st GROUP BY 1),
-    ct AS (SELECT tok, sum(c) AS c FROM st GROUP BY 1),
-    nn AS (SELECT sum(c) AS n FROM ct),
-    grid AS (
-      SELECT s.source, s.ns, t.tok, coalesce(st.c, 0) AS cst, t.c AS ctot
-      FROM srct s CROSS JOIN ct t
-      LEFT JOIN st ON st.source = s.source AND st.tok = t.tok
-    ),
-    sums AS (
-      SELECT source,
-             sum(abs(CAST(cst AS HUGEINT) * nn.n
-                     - CAST(ctot AS HUGEINT) * CAST(ns AS HUGEINT))) AS tot
-      FROM grid CROSS JOIN nn
-      GROUP BY source
-    )
-    SELECT s.source,
-           CAST(s.ns AS BIGINT) AS n_tokens,
-           CAST(1000 * sums.tot
-                // (2 * CAST(s.ns AS HUGEINT) * nn.n) AS BIGINT)
-             AS tvd_permille
-    FROM srct s JOIN sums USING (source) CROSS JOIN nn
-    ORDER BY s.source
 """

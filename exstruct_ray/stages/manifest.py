@@ -85,7 +85,6 @@ def run_extraction_job(
     *,
     files_per_partition: int = 8,
     batch_size: int = 128,
-    concurrency=None,
     explode_threshold: int | None = None,
 ) -> dict:
     """Run (or resume) a partitioned extraction job.
@@ -135,7 +134,6 @@ def run_extraction_job(
             ds,
             options,
             batch_size=batch_size,
-            concurrency=concurrency,
             explode_threshold=explode_threshold,
         )
         # Distributed writers: every worker streams its own blocks straight

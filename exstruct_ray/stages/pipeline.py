@@ -2,14 +2,14 @@
 
 Design for 100 TB: the pipeline is a pure streaming chain —
 ``read_parquet → map_batches(ExtractActor) → write_parquet`` — with no
-materialization and only one optional shuffle (the giant-doc reassembly
-groupby, which touches exploded documents only). Partitioning key is
+materialization and no shuffle. The explode path adds one exchange (the
+giant-doc reassembly). Partitioning key is
 ``doc_id`` everywhere.
 
 Skew handling: documents whose span payload exceeds ``explode_threshold``
 bytes are split into per-sheet rows (workbook-level parts duplicated, sheet
-parts isolated), extracted sheet-wise in parallel, then reassembled with
-``groupby(doc_id).map_groups`` sorted by sheet order — restoring the exact
+parts isolated), extracted sheet-wise in parallel, then reassembled by a
+``bucket_exchange`` on doc_id, sorted by sheet order — restoring the exact
 per-document span order and dense offsets. Small documents bypass the
 shuffle entirely.
 """
@@ -63,16 +63,6 @@ def _default_concurrency() -> tuple[int, int]:
     return (1, max(1, _cluster_cpus()))
 
 
-def _single_pool_concurrency() -> int:
-    """Fixed pool for the single-stage pipeline: all CPUs minus headroom.
-
-    A fixed pool outperforms autoscaling here (no ramp-up), but must leave
-    CPUs free for the upstream read tasks or the pipeline wedges — actors
-    hold every CPU while waiting for input that can never be produced.
-    """
-    return max(1, _cluster_cpus() - 2)
-
-
 def read_documents(
     path: str | list[str],
     *,
@@ -108,23 +98,25 @@ def read_documents(
     raise ValueError(f"Unsupported corpus format: {fmt}")
 
 
+def _extractor(udf, options: ExtractOptions | None) -> ExtractActor:
+    """The per-process ``ExtractActor`` cached on a UDF function object.
+
+    The extraction UDF is pure and its setup is negligible (no model
+    loads), so the stages run as tasks: Ray Data fuses
+    ReadParquet→MapBatches into single tasks (measured ~25% faster than
+    an actor pool at 32 CPUs, since input blocks never round-trip through
+    the object store). The cache avoids re-resolving options per batch
+    within a worker process."""
+    actor = getattr(udf, "_exstruct_extractor", None)
+    if actor is None:
+        actor = ExtractActor(options)
+        udf._exstruct_extractor = actor
+    return actor
+
+
 def _make_task_udf(options: ExtractOptions | None):
-    """Per-process-cached extractor for task-based map_batches.
-
-    The extraction UDF is pure and its setup is negligible (no model loads),
-    so task mode is preferred: Ray Data fuses ReadParquet→MapBatches into
-    single tasks (measured ~25% faster than an actor pool at 32 CPUs, since
-    input blocks never round-trip through the object store). The cache
-    avoids re-resolving options per batch within a worker process.
-    """
-
     def extract_batch(batch: pa.Table) -> pa.Table:
-        cache_key = "_exstruct_extractor"
-        actor = getattr(extract_batch, cache_key, None)
-        if actor is None:
-            actor = ExtractActor(options)
-            setattr(extract_batch, cache_key, actor)
-        return actor(batch)
+        return _extractor(extract_batch, options)(batch)
 
     return extract_batch
 
@@ -133,37 +125,23 @@ def build_extraction_pipeline(
     ds: "ray.data.Dataset",
     options: ExtractOptions | None = None,
     *,
-    concurrency: int | tuple[int, int] | None = None,
     batch_size: int = 128,
     explode_threshold: int | None = None,
-    compute: str = "tasks",
 ) -> "ray.data.Dataset":
-    """Wire the extraction stage(s) onto an input document Dataset.
-
-    ``compute="tasks"`` (default): stateless map_batches, fuses with the
-    read. ``compute="actors"``: fixed actor pool — use when extraction
-    options imply real per-worker state.
-    """
+    """Wire the extraction stage(s) onto an input document Dataset:
+    stateless task-mode map_batches, fused with the read."""
     if explode_threshold is None:
-        if compute == "tasks":
-            return ds.map_batches(
-                _make_task_udf(options),
-                batch_format="pyarrow",
-                batch_size=batch_size,
-            )
         return ds.map_batches(
-            ExtractActor,
-            fn_constructor_kwargs={"options": options},
+            _make_task_udf(options),
             batch_format="pyarrow",
             batch_size=batch_size,
-            concurrency=concurrency or _single_pool_concurrency(),
-            num_cpus=1,
         )
-    # Single-pass explode pipeline: one linear chain with no materialize()
-    # and no union() — small docs are extracted inline in the splitter task
-    # (work happens exactly once; Ray fuses it with the read), giant docs
-    # emit unextracted per-sheet rows that the next stage extracts in
-    # parallel across workers, and one groupby(doc_id) reassembles.
+    # Single-pass explode pipeline: one linear chain with no union() —
+    # small docs are extracted inline in the splitter task (work happens
+    # exactly once; Ray fuses it with the read), giant docs emit
+    # unextracted per-sheet rows that the next stage extracts in parallel
+    # across workers, and one bucket exchange on doc_id reassembles (the
+    # chain up to the exchange runs when the pipeline is built).
     # Explode mode is the opt-in skew tool for corpora whose documents
     # exceed worker memory; its cost is that the output rides the
     # reassembly shuffle (small docs pass through as singleton groups).
@@ -266,12 +244,7 @@ def _make_split_extract_udf(options: ExtractOptions | None, threshold_bytes: int
     """
 
     def split_or_extract(batch: pa.Table) -> pa.Table:
-        cache_key = "_exstruct_extractor"
-        actor = getattr(split_or_extract, cache_key, None)
-        if actor is None:
-            actor = ExtractActor(options)
-            setattr(split_or_extract, cache_key, actor)
-
+        actor = _extractor(split_or_extract, options)
         doc_ids = batch.column("doc_id").to_pylist()
         spans_col = batch.column("spans").to_pylist()
         sheet_rows: list[dict] = []
@@ -316,12 +289,7 @@ def _make_sheet_extract_udf(options: ExtractOptions | None):
     def sheet_extract(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        cache_key = "_exstruct_extractor"
-        actor = getattr(sheet_extract, cache_key, None)
-        if actor is None:
-            actor = ExtractActor(options)
-            setattr(sheet_extract, cache_key, actor)
-
+        actor = _extractor(sheet_extract, options)
         mask = pc.greater_equal(batch.column("sheet_idx"), 0)
         todo = batch.filter(mask)
         done = batch.filter(pc.invert(mask))
@@ -344,29 +312,17 @@ def reassemble_mixed(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     through; a doc's sheet rows concatenate in sheet order with dense
     re-offsets.
 
-    Shuffles on a COARSE doc-hash bucket, grouping exactly inside each
-    group — a per-exact-doc_id groupby dies on micro-group overhead at
-    corpus cardinality (the engine's standard convention; see
-    minhash_dedup_pairs). The bucket tag stage touches only the tiny
-    doc_id column; the spans stay zero-copy Arrow through the tag.
+    One ``bucket_exchange`` on a COARSE doc_id hash bucket, grouping
+    exactly inside each bucket — a per-exact-doc_id groupby dies on
+    micro-group overhead at corpus cardinality. The spans stay zero-copy
+    Arrow through the exchange.
     """
-    import zlib
+    import pyarrow.compute as pc
 
-    n_buckets = 256
-
-    def tag(batch: pa.Table) -> pa.Table:
-        buckets = pa.array(
-            [
-                zlib.crc32(str(d).encode()) % n_buckets
-                for d in batch.column("doc_id").to_pylist()
-            ],
-            pa.int64(),
-        )
-        return batch.append_column("bucket", buckets)
+    from ..ops.shuffle import bucket_exchange
+    from .actor import OUTPUT_SCHEMA
 
     def _assemble_one(group: pa.Table) -> pa.Table:
-        from .actor import OUTPUT_SCHEMA
-
         if group.num_rows == 1 and group.column("sheet_idx")[0].as_py() == -1:
             return group.drop_columns(["sheet_idx"]).cast(OUTPUT_SCHEMA)
         doc_id = group.column("doc_id")[0].as_py()
@@ -394,18 +350,11 @@ def reassemble_mixed(ds: "ray.data.Dataset") -> "ray.data.Dataset":
         )
 
     def assemble_bucket(group: pa.Table) -> pa.Table:
-        from .actor import OUTPUT_SCHEMA
-
-        if group.num_rows == 0 or "doc_id" not in group.column_names:
-            # zero-column blocks from empty hash partitions
-            return OUTPUT_SCHEMA.empty_table()
-        import pyarrow.compute as pc
-
         idx = pc.sort_indices(
             group,
             sort_keys=[("doc_id", "ascending"), ("sheet_idx", "ascending")],
         )
-        g = group.take(idx).drop_columns(["bucket"])
+        g = group.take(idx)
         ids = g.column("doc_id").to_pylist()
         outs: list[pa.Table] = []
         start = 0
@@ -413,12 +362,13 @@ def reassemble_mixed(ds: "ray.data.Dataset") -> "ray.data.Dataset":
             if i == len(ids) or ids[i] != ids[start]:
                 outs.append(_assemble_one(g.slice(start, i - start)))
                 start = i
-        return (
-            pa.concat_tables(outs) if outs else OUTPUT_SCHEMA.empty_table()
-        )
+        return pa.concat_tables(outs)
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(assemble_bucket, batch_format="pyarrow")
+    return bucket_exchange(
+        ds,
+        assemble_bucket,
+        key="doc_id",
+        schema=OUTPUT_SCHEMA,
+        n_buckets=256,
+        batch_format="pyarrow",
     )

@@ -1,18 +1,24 @@
 """Local simulation of the driver's correctness gate.
 
 Runs every queries() callable at a given sf and compares row count + sorted
-values against the matching oracle_sql() DuckDB result.
+values against the matching oracle_sql() DuckDB result. Ray is sized to
+``os.cpu_count()``; each PASS/FAIL line ends with the query's wall seconds
+(the engine run through ``to_pandas()``, oracle excluded).
+
+    python scripts/check_oracles.py SF_DIR [QUERY ...]
 """
 
 from __future__ import annotations
 
+import os
 import sys
+import time
 
 import duckdb
 import numpy as np
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 TABLES = [
     "region",
@@ -111,7 +117,7 @@ def main() -> None:
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False)
+        ray.init(address="local", num_cpus=os.cpu_count(), include_dashboard=False)
 
     import __ray_entry__ as entry_mod
 
@@ -127,6 +133,7 @@ def main() -> None:
     for name, fn in queries.items():
         if only and name not in only:
             continue
+        start = time.perf_counter()
         try:
             result = fn(sf_dir)
             if not isinstance(result, pd.DataFrame):
@@ -137,6 +144,7 @@ def main() -> None:
 
                     if isinstance(result, pa.Table):
                         result = result.to_pandas()
+            wall = time.perf_counter() - start
             if name in oracles:
                 sql = oracles[name]
                 # Golden-span oracles are pinned to the driver's sf0.01;
@@ -149,11 +157,12 @@ def main() -> None:
             else:
                 verdict = f"rows-only ({len(result)} rows)"
         except Exception as exc:
+            wall = time.perf_counter() - start
             verdict = f"ERROR {exc!r}"
         status = "PASS" if verdict == "OK" or verdict.startswith("rows-only") else "FAIL"
         if status == "FAIL":
             failures += 1
-        print(f"{status:4s} {name:28s} {verdict}")
+        print(f"{status:4s} {name:28s} {verdict} [{wall:.2f}s]", flush=True)
     ray.shutdown()
     sys.exit(1 if failures else 0)
 

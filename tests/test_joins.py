@@ -18,6 +18,20 @@ def _oracle(name: str, sf_dir: str) -> pd.DataFrame:
     return con.execute(ORACLE_SQL[name]).df()
 
 
+class TestInnerJoin:
+    def test_matches_oracle(self, ray_session):
+        from exstruct_ray.queries import lineitem_join_orders
+
+        got = lineitem_join_orders(SF_DIR)
+        want = _oracle("lineitem_join_orders", SF_DIR)
+        assert len(got) > 0
+        pd.testing.assert_frame_equal(
+            got.reset_index(drop=True)[list(want.columns)],
+            want.reset_index(drop=True),
+            check_dtype=False,
+        )
+
+
 class TestSemiJoin:
     def test_matches_oracle(self, ray_session):
         from exstruct_ray.queries import order_priority_counts

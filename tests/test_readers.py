@@ -27,7 +27,7 @@ def span_ds(ray_session):
     docs = [{"doc_id": "d0", "spans": wb.build_parts()}]
     ds = ray.data.from_arrow(pa.Table.from_pylist(docs, schema=DOC_SCHEMA))
     out = build_extraction_pipeline(
-        ds, ExtractOptions(mode="verbose"), batch_size=4, concurrency=2
+        ds, ExtractOptions(mode="verbose"), batch_size=4
     )
     return out
 
