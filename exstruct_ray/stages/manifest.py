@@ -1,15 +1,26 @@
 """Resumable partitioned extraction jobs with per-partition lineage + metrics.
 
-The durable-resume layer the north rule requires: the input file list is
-split into contiguous partitions; each partition runs as an independent
-streaming sub-pipeline writing its own output directory, and commits a
-manifest entry {partition_id, input files, code/config hash, doc/span/error
-counts, wall time} only after its write finishes. A restarted job diffs the
-manifest and re-runs only missing partitions — never one giant output file,
-never re-extracting finished work.
+The durable-resume layer the north rule requires. The input file list is
+split into contiguous partitions of ``files_per_partition`` files; each
+partition owns one output directory ``partition=<pid:05d>/`` and one
+manifest line {partition_id, input files, code/config hash, doc/span/error
+counts, wall time}. A restarted job diffs the manifest and re-runs only the
+partitions with no line (or an old code/config hash), after deleting their
+leftover directories — never one giant output file, never re-extracting
+finished work.
 
-At cluster scale each partition is many blocks; partition granularity is an
-operator knob (files_per_partition) chosen so a partition ≈ minutes of work.
+Every pending partition runs in ONE streaming Ray Data execution, so the
+executor's ramp-up and tail are paid once per job rather than per
+partition. Each task reads one input file, extracts it and writes the
+rows, grouped by partition, straight to the partition directories under a
+name derived from the partition and the block's first doc_id (a retried
+task overwrites its own file). The task returns one small stats row per
+(block, partition) — docs, spans, errors — and the driver streams those
+rows: a partition commits its manifest line as soon as its streamed doc
+count equals the row count in its input parquet footers. A stream that
+ends with a partition short of that count raises without committing it
+(an over-count raises too). ``files_per_partition`` thus sets how often
+the job commits, not how the work is scheduled.
 """
 
 from __future__ import annotations
@@ -17,14 +28,32 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import time
 from dataclasses import asdict, dataclass
 
+import pyarrow as pa
+
 from ..config import ExtractOptions
+from .actor import OUTPUT_SCHEMA
+
+# One row per (written block, partition): what the driver's commit stream sees.
+STATS_SCHEMA = pa.schema(
+    [
+        ("partition", pa.int32()),
+        ("docs", pa.int64()),
+        ("spans", pa.int64()),
+        ("errors", pa.int64()),
+    ]
+)
 
 
 @dataclass
 class PartitionRecord:
+    """One manifest line. ``wall_sec`` is the seconds from the start of
+    the job's execution to this partition's commit (partitions share one
+    execution, so these overlap and do not sum to the job's wall time)."""
+
     partition_id: int
     input_files: list[str]
     code_config_hash: str
@@ -78,6 +107,107 @@ def list_input_files(input_path: str) -> list[str]:
     return [input_path]
 
 
+def partition_dir(output_dir: str, partition_id: int) -> str:
+    return os.path.join(output_dir, f"partition={partition_id:05d}")
+
+
+def write_partition_files(table: pa.Table, output_dir: str) -> pa.Table:
+    """Write one extracted block (``PARTITIONED_SCHEMA`` rows) into its
+    partition directories and return its ``STATS_SCHEMA`` rows.
+
+    Each partition's rows become one ``OUTPUT_SCHEMA`` file named after
+    the partition and its first doc_id, so writing the same block again
+    (a task retry) replaces the file instead of adding one. The file is
+    renamed into place, so a reader never sees half of it.
+    """
+    import numpy as np
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    parts = table.column("partition")
+    stats = []
+    for pid in np.unique(parts.to_numpy(zero_copy_only=False)):
+        pid = int(pid)
+        rows = table.filter(pc.equal(parts, pid)).select(OUTPUT_SCHEMA.names)
+        first = rows.column("doc_id")[0].as_py()
+        digest = hashlib.blake2b(f"{pid}\x1f{first}".encode(), digest_size=8)
+        folder = partition_dir(output_dir, pid)
+        os.makedirs(folder, exist_ok=True)
+        path = os.path.join(folder, f"part-{digest.hexdigest()}.parquet")
+        tmp = os.path.join(folder, f".{os.path.basename(path)}.{os.getpid()}.tmp")
+        pq.write_table(rows, tmp)
+        os.replace(tmp, path)
+        stats.append(
+            {
+                "partition": pid,
+                "docs": rows.num_rows,
+                "spans": pc.sum(rows.column("n_spans")).as_py() or 0,
+                "errors": pc.sum(rows.column("n_errors")).as_py() or 0,
+            }
+        )
+    return pa.Table.from_pylist(stats, schema=STATS_SCHEMA)
+
+
+def build_job_dataset(
+    pending: dict[int, list[str]],
+    output_dir: str,
+    options: ExtractOptions | None = None,
+    *,
+    batch_size: int = 128,
+    explode_threshold: int | None = None,
+) -> "ray.data.Dataset":
+    """The job's one Dataset over every file of the ``pending`` partitions
+    ({partition id: input files}): its rows are the ``STATS_SCHEMA`` rows
+    of the written blocks; consuming it extracts and writes the output.
+
+    Without explode, Read→Extract→Write is one fused task per input file
+    (``batch_size`` unset: any map ``batch_size`` blocks Ray Data's fusion
+    with the read). The explode path keeps its ``batch_size`` stages and
+    writes from the reassembly tasks, whose blocks mix partitions.
+    """
+    import ray.data
+
+    from .pipeline import _extractor, explode_sheets, partition_ids, reassemble_mixed
+
+    files = [f for part_files in pending.values() for f in part_files]
+    partition_of = {
+        os.path.normpath(f): pid
+        for pid, part_files in pending.items()
+        for f in part_files
+    }
+    ds = ray.data.read_parquet(
+        files, override_num_blocks=len(files), include_paths=True
+    )
+    if explode_threshold is None:
+
+        def extract_write(batch: pa.Table) -> pa.Table:
+            out = _extractor(extract_write, options)(batch)
+            out = out.append_column("partition", partition_ids(batch, partition_of))
+            return write_partition_files(out, output_dir)
+
+        return ds.map_batches(extract_write, batch_format="pyarrow", batch_size=None)
+
+    def write_partitions(batch: pa.Table) -> pa.Table:
+        return write_partition_files(batch, output_dir)
+
+    mixed = explode_sheets(
+        ds,
+        options,
+        explode_threshold,
+        batch_size=batch_size,
+        partition_of=partition_of,
+    )
+    return reassemble_mixed(mixed, keep_partition=True).map_batches(
+        write_partitions, batch_format="pyarrow", batch_size=None
+    )
+
+
+def _footer_rows(files: list[str]) -> int:
+    import pyarrow.parquet as pq
+
+    return sum(pq.read_metadata(f).num_rows for f in files)
+
+
 def run_extraction_job(
     input_path: str,
     output_dir: str,
@@ -89,13 +219,17 @@ def run_extraction_job(
 ) -> dict:
     """Run (or resume) a partitioned extraction job.
 
+    Every partition the manifest does not record (with the same
+    code/config hash) runs in one streaming execution and commits as soon
+    as all its rows are written; ``PartitionRecord.wall_sec`` counts from
+    the start of that execution. ``batch_size`` applies to the explode
+    path only. Raises ``RuntimeError`` (after committing the complete
+    partitions) when the written doc count of a partition differs from
+    its input row count.
+
     Returns a summary dict with totals and how many partitions were skipped
     because the manifest already recorded them (same code/config hash).
     """
-    import ray.data
-
-    from .pipeline import build_extraction_pipeline
-
     os.makedirs(output_dir, exist_ok=True)
     cfg_hash = _config_hash(options)
     manifest = load_manifest(output_dir)
@@ -108,65 +242,69 @@ def run_extraction_job(
 
     skipped = 0
     totals = {"docs": 0, "spans": 0, "errors": 0}
+    pending: dict[int, list[str]] = {}
     for pid, part_files in partitions:
         prior = manifest.get(pid)
         if prior is not None and prior.code_config_hash == cfg_hash:
             skipped += 1
-            totals["docs"] += prior.docs
-            totals["spans"] += prior.spans
-            totals["errors"] += prior.errors
+            for key in totals:
+                totals[key] += getattr(prior, key)
             continue
-        part_dir = os.path.join(output_dir, f"partition={pid:05d}")
-        start = time.perf_counter()
+        pending[pid] = part_files
         # A leftover dir from a crashed (uncommitted) earlier attempt must
         # not leak stale files into this attempt's output.
-        if os.path.exists(part_dir):
-            import shutil
+        if os.path.exists(partition_dir(output_dir, pid)):
+            shutil.rmtree(partition_dir(output_dir, pid))
 
-            shutil.rmtree(part_dir)
-        # One read block per file keeps ReadParquet→MapBatches fusion
-        # (Ray's SplitBlocks otherwise routes the input through the
-        # object store — ~10% slower, measured in bench.py).
-        ds = ray.data.read_parquet(
-            part_files, override_num_blocks=len(part_files)
+    expected = {pid: _footer_rows(part_files) for pid, part_files in pending.items()}
+    streamed = {pid: {"docs": 0, "spans": 0, "errors": 0} for pid in pending}
+    start = time.perf_counter()
+
+    def commit(pid: int) -> None:
+        counts = streamed[pid]
+        _append_manifest(
+            output_dir,
+            PartitionRecord(
+                partition_id=pid,
+                input_files=pending[pid],
+                code_config_hash=cfg_hash,
+                wall_sec=round(time.perf_counter() - start, 3),
+                completed_at=time.time(),
+                **counts,
+            ),
         )
-        out = build_extraction_pipeline(
-            ds,
+        for key in totals:
+            totals[key] += counts[key]
+
+    for pid in pending:
+        if not expected[pid]:  # nothing to write
+            commit(pid)
+    live = {pid: part_files for pid, part_files in pending.items() if expected[pid]}
+    if live:
+        ds = build_job_dataset(
+            live,
+            output_dir,
             options,
             batch_size=batch_size,
             explode_threshold=explode_threshold,
         )
-        # Distributed writers: every worker streams its own blocks straight
-        # to the partition directory — nothing funnels through the driver.
-        out.write_parquet(part_dir)
-        # Metrics via a column-pruned read-back of the two int64 metric
-        # columns (row counts come from parquet metadata) — O(docs) ints,
-        # not O(spans) payload, and still distributed.
-        docs = spans = errors = 0
-        if any(f.endswith(".parquet") for f in os.listdir(part_dir)):
-            metrics_ds = ray.data.read_parquet(
-                part_dir, columns=["n_spans", "n_errors"]
-            )
-            docs = metrics_ds.count()
-            sums = metrics_ds.sum(["n_spans", "n_errors"]) if docs else None
-            if sums:
-                spans = int(sums["sum(n_spans)"])
-                errors = int(sums["sum(n_errors)"])
-        wall = time.perf_counter() - start
-        record = PartitionRecord(
-            partition_id=pid,
-            input_files=part_files,
-            code_config_hash=cfg_hash,
-            docs=docs,
-            spans=spans,
-            errors=errors,
-            wall_sec=round(wall, 3),
-            completed_at=time.time(),
+        for batch in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+            for row in batch.to_pylist():
+                counts = streamed[row["partition"]]
+                for key in totals:
+                    counts[key] += row[key]
+                if counts["docs"] == expected[row["partition"]]:
+                    commit(row["partition"])
+    wrong = {
+        pid: (streamed[pid]["docs"], expected[pid])
+        for pid in live
+        if streamed[pid]["docs"] != expected[pid]
+    }
+    if wrong:
+        raise RuntimeError(
+            "written doc count differs from input rows; partitions not"
+            f" committed (or over-counted after commit): {wrong}"
         )
-        _append_manifest(output_dir, record)
-        totals["docs"] += docs
-        totals["spans"] += spans
-        totals["errors"] += errors
 
     return {
         "partitions": len(partitions),

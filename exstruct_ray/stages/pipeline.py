@@ -1,9 +1,9 @@
 """Dataset pipeline builders: extract, giant-doc explode/reassemble.
 
 Design for 100 TB: the pipeline is a pure streaming chain —
-``read_parquet → map_batches(ExtractActor) → write_parquet`` — with no
-materialization and no shuffle. The explode path adds one exchange (the
-giant-doc reassembly). Partitioning key is
+``read_parquet → map_batches(ExtractActor)`` — with no materialization and
+no shuffle; ``stages.manifest`` adds the partitioned write. The explode
+path adds one exchange (the giant-doc reassembly). Partitioning key is
 ``doc_id`` everywhere.
 
 Skew handling: documents whose span payload exceeds ``explode_threshold``
@@ -16,18 +16,23 @@ shuffle entirely.
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
 
 import ray.data
 
 from ..config import ExtractOptions
 from ..datagen.corpus import SPAN_TYPE
-from .actor import ExtractActor
+from .actor import OUTPUT_SCHEMA, ExtractActor
 
 # Mixed-stream schema for the single-pass explode pipeline: OUTPUT_SCHEMA
-# plus the routing column. sheet_idx == -1 marks a row whose spans are the
+# plus the routing columns. sheet_idx == -1 marks a row whose spans are the
 # already-extracted whole-document output; sheet_idx >= 0 marks an
-# unextracted per-sheet slice awaiting the sheet-extract stage.
+# unextracted per-sheet slice awaiting the sheet-extract stage. partition
+# is the job partition of the row's input file (null outside a job); it
+# rides through the reassembly exchange, whose output blocks mix
+# partitions.
 _MIXED_SCHEMA = pa.schema(
     [
         ("doc_id", pa.string()),
@@ -36,8 +41,14 @@ _MIXED_SCHEMA = pa.schema(
         ("n_errors", pa.int32()),
         ("parse_ms", pa.float32()),
         ("sheet_idx", pa.int32()),
+        ("partition", pa.int32()),
     ]
 )
+
+# A job's extracted rows before the partition writer: OUTPUT_SCHEMA plus
+# the partition the writer routes each row to (and drops).
+PARTITIONED_SCHEMA = OUTPUT_SCHEMA.append(pa.field("partition", pa.int32()))
+
 
 def _cluster_cpus() -> int:
     import ray
@@ -47,8 +58,6 @@ def _cluster_cpus() -> int:
     except Exception:
         cpus = 0
     if cpus <= 0:
-        import os
-
         cpus = os.cpu_count() or 4
     return cpus
 
@@ -102,16 +111,27 @@ def _extractor(udf, options: ExtractOptions | None) -> ExtractActor:
     """The per-process ``ExtractActor`` cached on a UDF function object.
 
     The extraction UDF is pure and its setup is negligible (no model
-    loads), so the stages run as tasks: Ray Data fuses
-    ReadParquet→MapBatches into single tasks (measured ~25% faster than
-    an actor pool at 32 CPUs, since input blocks never round-trip through
-    the object store). The cache avoids re-resolving options per batch
-    within a worker process."""
+    loads), so the stages run as tasks: with ``batch_size=None`` Ray Data
+    fuses ReadParquet→MapBatches into single tasks (measured ~25% faster
+    than an actor pool at 32 CPUs, since input blocks never round-trip
+    through the object store; any ``batch_size`` blocks that fusion). The
+    cache avoids re-resolving options per batch within a worker process."""
     actor = getattr(udf, "_exstruct_extractor", None)
     if actor is None:
         actor = ExtractActor(options)
         udf._exstruct_extractor = actor
     return actor
+
+
+def partition_ids(batch: pa.Table, partition_of: dict[str, int] | None) -> pa.Array:
+    """int32 partition of each row, looked up from the ``path`` column
+    that ``read_parquet(include_paths=True)`` adds (keys are normalized
+    input paths); all null when there is no ``partition_of`` map."""
+    if partition_of is None:
+        return pa.nulls(batch.num_rows, pa.int32())
+    paths = batch.column("path").to_pylist()
+    pid = {p: partition_of[os.path.normpath(p)] for p in set(paths)}
+    return pa.array([pid[p] for p in paths], pa.int32())
 
 
 def _make_task_udf(options: ExtractOptions | None):
@@ -129,33 +149,49 @@ def build_extraction_pipeline(
     explode_threshold: int | None = None,
 ) -> "ray.data.Dataset":
     """Wire the extraction stage(s) onto an input document Dataset:
-    stateless task-mode map_batches, fused with the read."""
+    stateless task-mode map_batches (fused with a read only when
+    ``batch_size`` is None)."""
     if explode_threshold is None:
         return ds.map_batches(
             _make_task_udf(options),
             batch_format="pyarrow",
             batch_size=batch_size,
         )
-    # Single-pass explode pipeline: one linear chain with no union() —
-    # small docs are extracted inline in the splitter task (work happens
-    # exactly once; Ray fuses it with the read), giant docs emit
-    # unextracted per-sheet rows that the next stage extracts in parallel
-    # across workers, and one bucket exchange on doc_id reassembles (the
-    # chain up to the exchange runs when the pipeline is built).
-    # Explode mode is the opt-in skew tool for corpora whose documents
-    # exceed worker memory; its cost is that the output rides the
-    # reassembly shuffle (small docs pass through as singleton groups).
+    return reassemble_mixed(
+        explode_sheets(ds, options, explode_threshold, batch_size=batch_size)
+    )
+
+
+def explode_sheets(
+    ds: "ray.data.Dataset",
+    options: ExtractOptions | None,
+    threshold_bytes: int,
+    *,
+    batch_size: int = 128,
+    partition_of: dict[str, int] | None = None,
+) -> "ray.data.Dataset":
+    """The explode path up to the reassembly: rows of ``_MIXED_SCHEMA``.
+
+    One linear chain with no union(): small docs are extracted inline in
+    the splitter task (work happens exactly once), giant docs emit
+    unextracted per-sheet rows that the next stage extracts in parallel
+    across workers; ``reassemble_mixed`` then restores one row per doc
+    (its exchange runs this chain when it is built). Explode mode is the opt-in skew tool for corpora whose documents
+    exceed worker memory; its cost is that the output rides the
+    reassembly shuffle (small docs pass through as singleton groups).
+    ``partition_of`` maps input file paths to job partitions (see
+    ``partition_ids``).
+    """
     mixed = ds.map_batches(
-        _make_split_extract_udf(options, explode_threshold),
+        _make_split_extract_udf(options, threshold_bytes, partition_of),
         batch_format="pyarrow",
         batch_size=32,
     )
-    extracted = mixed.map_batches(
+    return mixed.map_batches(
         _make_sheet_extract_udf(options),
         batch_format="pyarrow",
         batch_size=max(1, batch_size // 8),
     )
-    return reassemble_mixed(extracted)
 
 
 def _doc_payload_bytes(spans: list[dict]) -> int:
@@ -234,19 +270,26 @@ def _split_doc_by_sheet(doc_id: str, spans: list[dict]) -> list[dict]:
     ]
 
 
-def _make_split_extract_udf(options: ExtractOptions | None, threshold_bytes: int):
+def _make_split_extract_udf(
+    options: ExtractOptions | None,
+    threshold_bytes: int,
+    partition_of: dict[str, int] | None = None,
+):
     """Splitter stage UDF: extract small docs inline, split giant docs.
 
     Small documents (payload < threshold) are extracted right here — their
     rows leave this stage finished (sheet_idx=-1). Giant documents are
     split into per-sheet rows (sheet_idx>=0, metrics sentinel n_spans=-1)
-    for the distributed sheet-extract stage.
+    for the distributed sheet-extract stage. Every row carries its
+    ``partition``.
     """
 
     def split_or_extract(batch: pa.Table) -> pa.Table:
         actor = _extractor(split_or_extract, options)
+        partitions = partition_ids(batch, partition_of)
         doc_ids = batch.column("doc_id").to_pylist()
         spans_col = batch.column("spans").to_pylist()
+        pids = partitions.to_pylist()
         sheet_rows: list[dict] = []
         small_idx: list[int] = []
         for i, (doc_id, spans) in enumerate(zip(doc_ids, spans_col)):
@@ -261,6 +304,7 @@ def _make_split_extract_udf(options: ExtractOptions | None, threshold_bytes: int
                             "n_errors": 0,
                             "parse_ms": 0.0,
                             "sheet_idx": row["sheet_idx"],
+                            "partition": pids[i],
                         }
                     )
             else:
@@ -268,11 +312,11 @@ def _make_split_extract_udf(options: ExtractOptions | None, threshold_bytes: int
 
         parts: list[pa.Table] = []
         if small_idx:
-            small = batch.take(pa.array(small_idx, pa.int64()))
-            out = actor(small)
+            take = pa.array(small_idx, pa.int64())
+            out = actor(batch.take(take))
             out = out.append_column(
                 "sheet_idx", pa.array([-1] * out.num_rows, pa.int32())
-            )
+            ).append_column("partition", partitions.take(take))
             parts.append(out.cast(_MIXED_SCHEMA))
         if sheet_rows:
             parts.append(pa.Table.from_pylist(sheet_rows, schema=_MIXED_SCHEMA))
@@ -296,7 +340,9 @@ def _make_sheet_extract_udf(options: ExtractOptions | None):
         parts: list[pa.Table] = []
         if todo.num_rows:
             out = actor(todo.select(["doc_id", "spans"]))
-            out = out.append_column("sheet_idx", todo.column("sheet_idx"))
+            out = out.append_column(
+                "sheet_idx", todo.column("sheet_idx")
+            ).append_column("partition", todo.column("partition"))
             parts.append(out.cast(_MIXED_SCHEMA))
         if done.num_rows:
             parts.append(done)
@@ -307,7 +353,9 @@ def _make_sheet_extract_udf(options: ExtractOptions | None):
     return sheet_extract
 
 
-def reassemble_mixed(ds: "ray.data.Dataset") -> "ray.data.Dataset":
+def reassemble_mixed(
+    ds: "ray.data.Dataset", *, keep_partition: bool = False
+) -> "ray.data.Dataset":
     """Reassemble exploded sheet rows: singleton finished docs pass
     through; a doc's sheet rows concatenate in sheet order with dense
     re-offsets.
@@ -315,16 +363,20 @@ def reassemble_mixed(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     One ``bucket_exchange`` on a COARSE doc_id hash bucket, grouping
     exactly inside each bucket — a per-exact-doc_id groupby dies on
     micro-group overhead at corpus cardinality. The spans stay zero-copy
-    Arrow through the exchange.
+    Arrow through the exchange. Output rows are ``OUTPUT_SCHEMA``, plus
+    the ``partition`` column when ``keep_partition``
+    (``PARTITIONED_SCHEMA``).
     """
     import pyarrow.compute as pc
 
     from ..ops.shuffle import bucket_exchange
-    from .actor import OUTPUT_SCHEMA
+
+    schema = PARTITIONED_SCHEMA if keep_partition else OUTPUT_SCHEMA
+    routing = [c for c in ("sheet_idx", "partition") if c not in schema.names]
 
     def _assemble_one(group: pa.Table) -> pa.Table:
         if group.num_rows == 1 and group.column("sheet_idx")[0].as_py() == -1:
-            return group.drop_columns(["sheet_idx"]).cast(OUTPUT_SCHEMA)
+            return group.drop_columns(routing).cast(schema)
         doc_id = group.column("doc_id")[0].as_py()
         spans: list[dict] = []
         n_errors = 0
@@ -344,9 +396,10 @@ def reassemble_mixed(ds: "ray.data.Dataset") -> "ray.data.Dataset":
                     "n_spans": len(spans),
                     "n_errors": n_errors,
                     "parse_ms": parse_ms,
+                    "partition": group.column("partition")[0].as_py(),
                 }
             ],
-            schema=OUTPUT_SCHEMA,
+            schema=schema,
         )
 
     def assemble_bucket(group: pa.Table) -> pa.Table:
@@ -368,7 +421,7 @@ def reassemble_mixed(ds: "ray.data.Dataset") -> "ray.data.Dataset":
         ds,
         assemble_bucket,
         key="doc_id",
-        schema=OUTPUT_SCHEMA,
+        schema=schema,
         n_buckets=256,
         batch_format="pyarrow",
     )

@@ -28,7 +28,12 @@ def main() -> None:
     parser.add_argument("--output", required=True, help="output directory")
     parser.add_argument("--mode", default="light", choices=["light", "verbose"])
     parser.add_argument("--files-per-partition", type=int, default=8)
-    parser.add_argument("--batch-size", type=int, default=128)
+    parser.add_argument(
+        "--batch-size",
+        type=int,
+        default=128,
+        help="batch size of the explode path's stages (the plain path maps whole blocks)",
+    )
     parser.add_argument(
         "--explode-threshold",
         type=int,

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from exstruct_ray.config import ExtractOptions
 from exstruct_ray.datagen.corpus import write_corpus_parquet
 from exstruct_ray.stages.manifest import load_manifest, run_extraction_job
@@ -94,3 +96,142 @@ class TestResumableJob:
         manifest = load_manifest(str(out_dir))
         assert manifest[1].docs == 10
         assert manifest[1].errors == 0
+
+
+def _output_rows(out_dir):
+    """doc_id -> (spans, n_spans, n_errors) over every written file, plus
+    the relative file paths."""
+    import pyarrow.parquet as pq
+
+    rows, files = {}, []
+    for folder, _dirs, names in os.walk(out_dir):
+        for name in sorted(names):
+            if not name.endswith(".parquet"):
+                continue
+            path = os.path.join(folder, name)
+            files.append(os.path.relpath(path, out_dir))
+            for r in pq.read_table(path).to_pylist():
+                assert r["doc_id"] not in rows, r["doc_id"]
+                rows[r["doc_id"]] = (r["spans"], r["n_spans"], r["n_errors"])
+    return rows, sorted(files)
+
+
+class TestOneExecution:
+    def test_read_extract_write_fuse_into_one_operator(self, ray_session, tmp_path):
+        from exstruct_ray.stages.manifest import build_job_dataset, list_input_files
+
+        write_corpus_parquet(str(tmp_path / "in"), 8, seed=42, rows_per_file=2)
+        files = list_input_files(str(tmp_path / "in"))
+        assert len(files) == 4
+        ds = build_job_dataset({0: files[:2], 1: files[2:]}, str(tmp_path / "out"))
+        written = ds.materialize()
+        stats = written.stats()
+        operators = [
+            line for line in stats.splitlines() if line.startswith("Operator ")
+        ]
+        assert len(operators) == 1, stats
+        assert "ReadParquet->MapBatches(" in operators[0], stats
+        assert written.sum("docs") == 8
+
+    def test_crash_after_first_commit_resumes_the_rest(
+        self, ray_session, tmp_path, monkeypatch
+    ):
+        from exstruct_ray.stages import manifest as mod
+
+        input_dir = tmp_path / "input"
+        write_corpus_parquet(str(input_dir), 40, seed=42, rows_per_file=10)
+        clean_dir = tmp_path / "clean"
+        run_extraction_job(str(input_dir), str(clean_dir), files_per_partition=1)
+        clean_rows, clean_files = _output_rows(clean_dir)
+
+        out_dir = tmp_path / "out"
+        real_append = mod._append_manifest
+        calls = []
+
+        def crash_after_first(output_dir, record):
+            if calls:
+                raise OSError("simulated crash during commit")
+            calls.append(record.partition_id)
+            real_append(output_dir, record)
+
+        monkeypatch.setattr(mod, "_append_manifest", crash_after_first)
+        with pytest.raises(OSError, match="simulated crash"):
+            run_extraction_job(str(input_dir), str(out_dir), files_per_partition=1)
+        monkeypatch.setattr(mod, "_append_manifest", real_append)
+        assert set(load_manifest(str(out_dir))) == set(calls)
+
+        summary = run_extraction_job(
+            str(input_dir), str(out_dir), files_per_partition=1
+        )
+        assert summary["skipped"] == 1
+        assert summary["executed"] == 3
+        assert summary["docs"] == 40
+        manifest = load_manifest(str(out_dir))
+        assert set(manifest) == {0, 1, 2, 3}
+        assert all(rec.docs == 10 for rec in manifest.values())
+        rows, files = _output_rows(out_dir)
+        assert files == clean_files  # no stale or duplicate files
+        assert rows == clean_rows
+
+    def test_writing_a_block_twice_leaves_one_file(self, tmp_path):
+        """A retried task rewrites its block: same files, same stats."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from exstruct_ray.datagen.corpus import generate_corpus_table
+        from exstruct_ray.stages.actor import OUTPUT_SCHEMA, ExtractActor
+        from exstruct_ray.stages.manifest import write_partition_files
+
+        out = ExtractActor()(generate_corpus_table(6, seed=42))
+        block = out.append_column(
+            "partition", pa.array([3, 3, 7, 3, 7, 7], pa.int32())
+        )
+        first = write_partition_files(block, str(tmp_path))
+        second = write_partition_files(block, str(tmp_path))
+        assert first.equals(second)
+        assert first.column("partition").to_pylist() == [3, 7]
+        assert first.column("docs").to_pylist() == [3, 3]
+        rows, files = _output_rows(tmp_path)
+        assert [os.path.dirname(f) for f in files] == [
+            "partition=00003", "partition=00007"
+        ]
+        assert sorted(os.listdir(tmp_path / "partition=00003")) == [
+            os.path.basename(files[0])
+        ]
+        assert set(rows) == set(out.column("doc_id").to_pylist())
+        schema = pq.read_schema(tmp_path / files[0]).remove_metadata()
+        assert schema.equals(OUTPUT_SCHEMA)
+
+    def test_count_mismatch_raises_and_never_commits(
+        self, ray_session, tmp_path, monkeypatch
+    ):
+        from exstruct_ray.stages import manifest as mod
+
+        input_dir = tmp_path / "input"
+        write_corpus_parquet(str(input_dir), 20, seed=42, rows_per_file=10)
+        files = mod.list_input_files(str(input_dir))
+        real_rows = mod._footer_rows
+        monkeypatch.setattr(
+            mod,
+            "_footer_rows",
+            lambda fs: real_rows(fs) + (1 if fs == files[1:] else 0),
+        )
+        with pytest.raises(RuntimeError, match="not committed"):
+            run_extraction_job(str(input_dir), str(tmp_path / "out"), files_per_partition=1)
+        assert set(load_manifest(str(tmp_path / "out"))) == {0}
+
+    def test_job_leaves_no_threads_behind(self, ray_session, tmp_path):
+        import threading
+
+        input_dir = tmp_path / "input"
+        write_corpus_parquet(str(input_dir), 20, seed=42, rows_per_file=5)
+        # Warm-up: Ray Data starts its long-lived helper threads once.
+        run_extraction_job(str(input_dir), str(tmp_path / "warm"), files_per_partition=2)
+        before = set(threading.enumerate())
+        summary = run_extraction_job(
+            str(input_dir), str(tmp_path / "out"), files_per_partition=2
+        )
+        assert summary["docs"] == 20
+        # Threads of earlier tests may end meanwhile; none may start here.
+        assert set(threading.enumerate()) - before == set()
+        assert threading.active_count() <= len(before)

@@ -117,6 +117,46 @@ class TestWideDocuments:
         assert summary["docs"] == 12
         assert summary["errors"] == 0
 
+    def test_run_job_explode_routes_rows_to_their_partitions(
+        self, ray_session, tmp_path
+    ):
+        """Reassembly blocks mix partitions: every row must still land in
+        the directory of its own input file's partition."""
+        import os
+
+        import pyarrow.parquet as pq
+
+        from exstruct_ray.datagen.corpus import write_corpus_parquet
+        from exstruct_ray.stages.actor import OUTPUT_SCHEMA
+        from exstruct_ray.stages.manifest import (
+            list_input_files,
+            load_manifest,
+            run_extraction_job,
+        )
+
+        write_corpus_parquet(str(tmp_path / "in"), 12, rows_per_file=4)
+        files = list_input_files(str(tmp_path / "in"))
+        out = tmp_path / "out"
+        summary = run_extraction_job(
+            str(tmp_path / "in"),
+            str(out),
+            files_per_partition=1,
+            explode_threshold=0,  # every doc through the explode exchange
+        )
+        assert summary["executed"] == len(files) == 3
+        manifest = load_manifest(str(out))
+        for pid, path in enumerate(files):
+            want = pq.read_table(path, columns=["doc_id"]).column("doc_id").to_pylist()
+            folder = out / f"partition={pid:05d}"
+            got = []
+            for name in sorted(os.listdir(folder)):
+                table = pq.read_table(folder / name)
+                assert table.schema.remove_metadata().equals(OUTPUT_SCHEMA)
+                got += table.column("doc_id").to_pylist()
+            assert sorted(got) == sorted(want)
+            assert manifest[pid].docs == pq.read_metadata(path).num_rows
+            assert manifest[pid].input_files == [path]
+
     def test_part_shared_by_two_sheets_replicates(self, ray_session):
         """A chart part referenced from two sheets' drawings must appear in
         BOTH exploded rows (first-wins ownership silently dropped it)."""
