@@ -5841,6 +5841,12 @@ def doc_chunks(sf_dir: str):
     size, stride = 64, 48
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    cols = [
+        ("doc_id", "int64"),
+        ("chunk_id", "int64"),
+        ("n_words", "int64"),
+        ("chunk_text", "object"),
+    ]
 
     def chunk_batch(batch: pd.DataFrame) -> pd.DataFrame:
         toks = batch["text"].fillna("").str.findall(r"[^\t\n\f\r ]+")
@@ -5860,6 +5866,8 @@ def doc_chunks(sf_dir: str):
                 rows_text.append(" ".join(piece))
                 start += stride
                 cid += 1
+        if not rows_doc:
+            return empty_block(cols)
         return pd.DataFrame(
             {
                 "doc_id": pd.Series(rows_doc, dtype="int64"),
@@ -5869,7 +5877,7 @@ def doc_chunks(sf_dir: str):
             }
         )
 
-    out = ds.map_batches(chunk_batch, batch_format="pandas").to_pandas()
+    out = to_frame(ds.map_batches(chunk_batch, batch_format="pandas"), cols)
     return out.sort_values(["doc_id", "chunk_id"]).reset_index(drop=True)
 
 

@@ -1,8 +1,7 @@
 from .actor import ExtractActor
-from .pipeline import build_extraction_pipeline, reassemble_mixed
+from .pipeline import build_extraction_pipeline
 
 __all__ = [
     "ExtractActor",
     "build_extraction_pipeline",
-    "reassemble_mixed",
 ]

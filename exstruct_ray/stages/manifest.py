@@ -20,7 +20,8 @@ rows: a partition commits its manifest line as soon as its streamed doc
 count equals the row count in its input parquet footers. A stream that
 ends with a partition short of that count raises without committing it
 (an over-count raises too). ``files_per_partition`` thus sets how often
-the job commits, not how the work is scheduled.
+the job commits, not how the work is scheduled. The explode path keeps
+that shape: the fused task also splits and reassembles its giant docs.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ def partition_dir(output_dir: str, partition_id: int) -> str:
 
 
 def write_partition_files(table: pa.Table, output_dir: str) -> pa.Table:
-    """Write one extracted block (``PARTITIONED_SCHEMA`` rows) into its
-    partition directories and return its ``STATS_SCHEMA`` rows.
+    """Write one extracted block (``OUTPUT_SCHEMA`` rows plus an int32
+    ``partition``) into its partition directories and return its ``STATS_SCHEMA`` rows.
 
     Each partition's rows become one ``OUTPUT_SCHEMA`` file named after
     the partition and its first doc_id, so writing the same block again
@@ -153,21 +154,20 @@ def build_job_dataset(
     output_dir: str,
     options: ExtractOptions | None = None,
     *,
-    batch_size: int = 128,
     explode_threshold: int | None = None,
 ) -> "ray.data.Dataset":
     """The job's one Dataset over every file of the ``pending`` partitions
     ({partition id: input files}): its rows are the ``STATS_SCHEMA`` rows
     of the written blocks; consuming it extracts and writes the output.
 
-    Without explode, Read→Extract→Write is one fused task per input file
-    (``batch_size`` unset: any map ``batch_size`` blocks Ray Data's fusion
-    with the read). The explode path keeps its ``batch_size`` stages and
-    writes from the reassembly tasks, whose blocks mix partitions.
+    Read→Extract→Write is one fused task per input file (no map
+    ``batch_size``: any value blocks Ray Data's fusion with the read); on
+    the explode path the task is
+    ``ReadParquet->MapBatches(split_or_extract)->MapBatches(write_partitions)``.
     """
     import ray.data
 
-    from .pipeline import _extractor, explode_sheets, partition_ids, reassemble_mixed
+    from .pipeline import _extractor, explode_sheets, partition_ids
 
     files = [f for part_files in pending.values() for f in part_files]
     partition_of = {
@@ -190,16 +190,8 @@ def build_job_dataset(
     def write_partitions(batch: pa.Table) -> pa.Table:
         return write_partition_files(batch, output_dir)
 
-    mixed = explode_sheets(
-        ds,
-        options,
-        explode_threshold,
-        batch_size=batch_size,
-        partition_of=partition_of,
-    )
-    return reassemble_mixed(mixed, keep_partition=True).map_batches(
-        write_partitions, batch_format="pyarrow", batch_size=None
-    )
+    split = explode_sheets(ds, options, explode_threshold, partition_of=partition_of)
+    return split.map_batches(write_partitions, batch_format="pyarrow", batch_size=None)
 
 
 def _footer_rows(files: list[str]) -> int:
@@ -214,7 +206,6 @@ def run_extraction_job(
     options: ExtractOptions | None = None,
     *,
     files_per_partition: int = 8,
-    batch_size: int = 128,
     explode_threshold: int | None = None,
 ) -> dict:
     """Run (or resume) a partitioned extraction job.
@@ -222,10 +213,9 @@ def run_extraction_job(
     Every partition the manifest does not record (with the same
     code/config hash) runs in one streaming execution and commits as soon
     as all its rows are written; ``PartitionRecord.wall_sec`` counts from
-    the start of that execution. ``batch_size`` applies to the explode
-    path only. Raises ``RuntimeError`` (after committing the complete
-    partitions) when the written doc count of a partition differs from
-    its input row count.
+    the start of that execution. Raises ``RuntimeError`` (after
+    committing the complete partitions) when the written doc count of a
+    partition differs from its input row count.
 
     Returns a summary dict with totals and how many partitions were skipped
     because the manifest already recorded them (same code/config hash).
@@ -285,7 +275,6 @@ def run_extraction_job(
             live,
             output_dir,
             options,
-            batch_size=batch_size,
             explode_threshold=explode_threshold,
         )
         for batch in ds.iter_batches(batch_size=None, batch_format="pyarrow"):

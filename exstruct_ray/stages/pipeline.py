@@ -1,24 +1,30 @@
-"""Dataset pipeline builders: extract, giant-doc explode/reassemble.
+"""Dataset pipeline builders: extract, giant-doc split and reassembly.
 
 Design for 100 TB: the pipeline is a pure streaming chain —
 ``read_parquet → map_batches(ExtractActor)`` — with no materialization and
-no shuffle; ``stages.manifest`` adds the partitioned write. The explode
-path adds one exchange (the giant-doc reassembly). Partitioning key is
-``doc_id`` everywhere.
+no shuffle; ``stages.manifest`` adds the partitioned write. Partitioning
+key is ``doc_id`` everywhere.
 
-Skew handling: documents whose span payload exceeds ``explode_threshold``
-bytes are split into per-sheet rows (workbook-level parts duplicated, sheet
-parts isolated), extracted sheet-wise in parallel, then reassembled by a
-``bucket_exchange`` on doc_id, sorted by sheet order — restoring the exact
-per-document span order and dense offsets. Small documents bypass the
-shuffle entirely.
+Skew handling (``explode_threshold``): one map stage, ``split_or_extract``,
+which fuses with the read when its ``batch_size`` is None. A document whose
+payload — characters of part text — reaches the threshold is split into
+per-sheet rows (workbook-level parts duplicated, sheet parts isolated);
+the same task extracts those sheet rows and reassembles them into one row,
+spans concatenated in sheet order with dense re-offsets, next to the small
+documents it extracts whole. No document rides a shuffle. On a 4-CPU host
+a reassembly exchange cost ~0.4 s per job whatever it carried, and it lost
+to in-task reassembly on files of several giants, on one giant per file
+and on a 32-sheet giant next to files of ordinary documents; it won only
+for a 128-sheet giant alone in its file.
 """
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
@@ -26,28 +32,14 @@ from ..config import ExtractOptions
 from ..datagen.corpus import SPAN_TYPE
 from .actor import OUTPUT_SCHEMA, ExtractActor
 
-# Mixed-stream schema for the single-pass explode pipeline: OUTPUT_SCHEMA
-# plus the routing columns. sheet_idx == -1 marks a row whose spans are the
-# already-extracted whole-document output; sheet_idx >= 0 marks an
-# unextracted per-sheet slice awaiting the sheet-extract stage. partition
-# is the job partition of the row's input file (null outside a job); it
-# rides through the reassembly exchange, whose output blocks mix
-# partitions.
-_MIXED_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.string()),
-        ("spans", SPAN_TYPE),
-        ("n_spans", pa.int32()),
-        ("n_errors", pa.int32()),
-        ("parse_ms", pa.float32()),
-        ("sheet_idx", pa.int32()),
-        ("partition", pa.int32()),
-    ]
+# A split document's sheet row before extraction: one sheet's input parts
+# (the shared workbook-level parts included).
+_SHEET_INPUT = pa.schema(
+    [("doc_id", pa.string()), ("spans", SPAN_TYPE), ("sheet_idx", pa.int32())]
 )
 
-# A job's extracted rows before the partition writer: OUTPUT_SCHEMA plus
-# the partition the writer routes each row to (and drops).
-PARTITIONED_SCHEMA = OUTPUT_SCHEMA.append(pa.field("partition", pa.int32()))
+# The same rows extracted: the reassembly's input.
+_SHEET_SCHEMA = OUTPUT_SCHEMA.append(pa.field("sheet_idx", pa.int32()))
 
 
 def _cluster_cpus() -> int:
@@ -66,8 +58,8 @@ def _default_concurrency() -> tuple[int, int]:
     """Autoscaling actor-pool bounds sized to the cluster's CPUs.
 
     A (1, N) range rather than a fixed N: pipelines that run several actor
-    pools concurrently (e.g. the explode path's small/exploded branches)
-    would deadlock with fixed pools each demanding every CPU.
+    pools concurrently would deadlock with fixed pools each demanding
+    every CPU.
     """
     return (1, max(1, _cluster_cpus()))
 
@@ -148,54 +140,81 @@ def build_extraction_pipeline(
     batch_size: int = 128,
     explode_threshold: int | None = None,
 ) -> "ray.data.Dataset":
-    """Wire the extraction stage(s) onto an input document Dataset:
-    stateless task-mode map_batches (fused with a read only when
-    ``batch_size`` is None)."""
+    """Wire the extraction stage onto an input document Dataset: one
+    stateless task-mode map_batches (``split_or_extract`` with
+    ``explode_threshold``), fused with a read only when ``batch_size`` is
+    None."""
     if explode_threshold is None:
         return ds.map_batches(
             _make_task_udf(options),
             batch_format="pyarrow",
             batch_size=batch_size,
         )
-    return reassemble_mixed(
-        explode_sheets(ds, options, explode_threshold, batch_size=batch_size)
-    )
+    return explode_sheets(ds, options, explode_threshold, batch_size=batch_size)
 
 
 def explode_sheets(
     ds: "ray.data.Dataset",
     options: ExtractOptions | None,
-    threshold_bytes: int,
+    threshold: int,
     *,
-    batch_size: int = 128,
+    batch_size: int | None = None,
     partition_of: dict[str, int] | None = None,
 ) -> "ray.data.Dataset":
-    """The explode path up to the reassembly: rows of ``_MIXED_SCHEMA``.
+    """The explode path: one ``OUTPUT_SCHEMA`` row per input document, in
+    input order (plus the int32 ``partition`` with ``partition_of``:
+    input file path -> job partition, see ``partition_ids``).
 
-    One linear chain with no union(): small docs are extracted inline in
-    the splitter task (work happens exactly once), giant docs emit
-    unextracted per-sheet rows that the next stage extracts in parallel
-    across workers; ``reassemble_mixed`` then restores one row per doc
-    (its exchange runs this chain when it is built). Explode mode is the opt-in skew tool for corpora whose documents
-    exceed worker memory; its cost is that the output rides the
-    reassembly shuffle (small docs pass through as singleton groups).
-    ``partition_of`` maps input file paths to job partitions (see
-    ``partition_ids``).
+    Small documents (payload < threshold) are extracted whole. A giant
+    document is split by ``_split_doc_by_sheet``; the same task extracts
+    its sheet rows and reassembles them with ``assemble_sheet_rows``.
     """
-    mixed = ds.map_batches(
-        _make_split_extract_udf(options, threshold_bytes, partition_of),
-        batch_format="pyarrow",
-        batch_size=32,
-    )
-    return mixed.map_batches(
-        _make_sheet_extract_udf(options),
-        batch_format="pyarrow",
-        batch_size=max(1, batch_size // 8),
-    )
+
+    def split_or_extract(batch: pa.Table) -> pa.Table:
+        actor = _extractor(split_or_extract, options)
+        payload = doc_payload_chars(batch.column("spans"))
+        giant = np.flatnonzero(payload >= threshold)
+        if not len(giant):
+            out = actor(batch)
+        else:
+            small = np.flatnonzero(payload < threshold)
+            doc_ids = batch.column("doc_id").to_pylist()
+            sheets = [
+                row
+                for i in giant
+                for row in _split_doc_by_sheet(
+                    doc_ids[i], batch.column("spans")[int(i)].as_py() or []
+                )
+            ]
+            sheets = pa.Table.from_pylist(sheets, schema=_SHEET_INPUT)
+            joined = assemble_sheet_rows(
+                actor(sheets).append_column("sheet_idx", sheets.column("sheet_idx"))
+            )
+            # Reassembled rows come in doc_id order: put every row back at
+            # its input position.
+            positions = np.concatenate(
+                [small, sorted(giant, key=lambda i: doc_ids[i])]
+            )
+            out = pa.concat_tables([actor(batch.take(pa.array(small))), joined])
+            out = out.take(pa.array(np.argsort(positions)))
+        if partition_of is not None:
+            out = out.append_column("partition", partition_ids(batch, partition_of))
+        return out
+
+    return ds.map_batches(split_or_extract, batch_format="pyarrow", batch_size=batch_size)
 
 
-def _doc_payload_bytes(spans: list[dict]) -> int:
-    return sum(len(s.get("text") or "") for s in spans)
+def doc_payload_chars(spans: pa.ChunkedArray) -> np.ndarray:
+    """Characters of part text per document, the ``explode_threshold``
+    measure: one ``utf8_length`` over the flattened spans, summed per
+    list with ``list_parent_indices`` (which, like ``flatten``, honors a
+    slice offset)."""
+    lists = spans.combine_chunks() if spans.num_chunks else pa.array([], spans.type)
+    lens = pc.fill_null(pc.utf8_length(lists.flatten().field("text")), 0)
+    parents = pc.list_parent_indices(lists).to_numpy()
+    return np.bincount(
+        parents, weights=lens.to_numpy(), minlength=len(lists)
+    ).astype(np.int64)
 
 
 def _split_doc_by_sheet(doc_id: str, spans: list[dict]) -> list[dict]:
@@ -270,158 +289,49 @@ def _split_doc_by_sheet(doc_id: str, spans: list[dict]) -> list[dict]:
     ]
 
 
-def _make_split_extract_udf(
-    options: ExtractOptions | None,
-    threshold_bytes: int,
-    partition_of: dict[str, int] | None = None,
-):
-    """Splitter stage UDF: extract small docs inline, split giant docs.
+def assemble_sheet_rows(rows: pa.Table) -> pa.Table:
+    """Reassemble extracted sheet rows (``_SHEET_SCHEMA``; in any order,
+    sliced or chunked) into one ``OUTPUT_SCHEMA`` row per doc_id, in
+    doc_id order: the spans concatenated in sheet order with dense
+    offsets, ``n_errors`` and ``parse_ms`` summed.
 
-    Small documents (payload < threshold) are extracted right here — their
-    rows leave this stage finished (sheet_idx=-1). Giant documents are
-    split into per-sheet rows (sheet_idx>=0, metrics sentinel n_spans=-1)
-    for the distributed sheet-extract stage. Every row carries its
-    ``partition``.
-    """
+    All Arrow: the list slices concatenate through ``flatten()`` (a
+    ListArray's ``.values`` ignores a slice offset) and the offsets are
+    rebuilt with one ``arange``, as ``ExtractActor`` builds them."""
+    if not rows.num_rows:
+        return OUTPUT_SCHEMA.empty_table()
+    order = pc.sort_indices(
+        rows, sort_keys=[("doc_id", "ascending"), ("sheet_idx", "ascending")]
+    )
+    rows = rows.take(order).combine_chunks()
+    ids = rows.column("doc_id").to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    spans = rows.column("spans").combine_chunks()
+    lengths = pc.fill_null(pc.list_value_length(spans), 0).to_numpy()
+    counts = np.add.reduceat(lengths, starts).astype(np.int32)
+    list_offsets = np.zeros(len(starts) + 1, np.int32)
+    np.cumsum(counts, out=list_offsets[1:])
+    offs = np.arange(list_offsets[-1], dtype=np.int32) - np.repeat(
+        list_offsets[:-1], counts
+    )
+    values = spans.flatten()
+    span_struct = pa.StructArray.from_arrays(
+        [values.field(name) for name in ("kind", "text", "media_ref")]
+        + [pa.array(offs)],
+        names=["kind", "text", "media_ref", "offset"],
+    )
 
-    def split_or_extract(batch: pa.Table) -> pa.Table:
-        actor = _extractor(split_or_extract, options)
-        partitions = partition_ids(batch, partition_of)
-        doc_ids = batch.column("doc_id").to_pylist()
-        spans_col = batch.column("spans").to_pylist()
-        pids = partitions.to_pylist()
-        sheet_rows: list[dict] = []
-        small_idx: list[int] = []
-        for i, (doc_id, spans) in enumerate(zip(doc_ids, spans_col)):
-            spans = spans or []
-            if _doc_payload_bytes(spans) >= threshold_bytes:
-                for row in _split_doc_by_sheet(doc_id, spans):
-                    sheet_rows.append(
-                        {
-                            "doc_id": row["doc_id"],
-                            "spans": row["spans"],
-                            "n_spans": -1,
-                            "n_errors": 0,
-                            "parse_ms": 0.0,
-                            "sheet_idx": row["sheet_idx"],
-                            "partition": pids[i],
-                        }
-                    )
-            else:
-                small_idx.append(i)
+    def summed(name: str, dtype) -> np.ndarray:
+        col = rows.column(name).to_numpy().astype(np.float64)
+        return np.add.reduceat(col, starts).astype(dtype)
 
-        parts: list[pa.Table] = []
-        if small_idx:
-            take = pa.array(small_idx, pa.int64())
-            out = actor(batch.take(take))
-            out = out.append_column(
-                "sheet_idx", pa.array([-1] * out.num_rows, pa.int32())
-            ).append_column("partition", partitions.take(take))
-            parts.append(out.cast(_MIXED_SCHEMA))
-        if sheet_rows:
-            parts.append(pa.Table.from_pylist(sheet_rows, schema=_MIXED_SCHEMA))
-        if not parts:
-            return pa.Table.from_pylist([], schema=_MIXED_SCHEMA)
-        return pa.concat_tables(parts)
-
-    return split_or_extract
-
-
-def _make_sheet_extract_udf(options: ExtractOptions | None):
-    """Second stage: extract per-sheet rows, pass finished rows through."""
-
-    def sheet_extract(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        actor = _extractor(sheet_extract, options)
-        mask = pc.greater_equal(batch.column("sheet_idx"), 0)
-        todo = batch.filter(mask)
-        done = batch.filter(pc.invert(mask))
-        parts: list[pa.Table] = []
-        if todo.num_rows:
-            out = actor(todo.select(["doc_id", "spans"]))
-            out = out.append_column(
-                "sheet_idx", todo.column("sheet_idx")
-            ).append_column("partition", todo.column("partition"))
-            parts.append(out.cast(_MIXED_SCHEMA))
-        if done.num_rows:
-            parts.append(done)
-        if not parts:
-            return pa.Table.from_pylist([], schema=_MIXED_SCHEMA)
-        return pa.concat_tables(parts)
-
-    return sheet_extract
-
-
-def reassemble_mixed(
-    ds: "ray.data.Dataset", *, keep_partition: bool = False
-) -> "ray.data.Dataset":
-    """Reassemble exploded sheet rows: singleton finished docs pass
-    through; a doc's sheet rows concatenate in sheet order with dense
-    re-offsets.
-
-    One ``bucket_exchange`` on a COARSE doc_id hash bucket, grouping
-    exactly inside each bucket — a per-exact-doc_id groupby dies on
-    micro-group overhead at corpus cardinality. The spans stay zero-copy
-    Arrow through the exchange. Output rows are ``OUTPUT_SCHEMA``, plus
-    the ``partition`` column when ``keep_partition``
-    (``PARTITIONED_SCHEMA``).
-    """
-    import pyarrow.compute as pc
-
-    from ..ops.shuffle import bucket_exchange
-
-    schema = PARTITIONED_SCHEMA if keep_partition else OUTPUT_SCHEMA
-    routing = [c for c in ("sheet_idx", "partition") if c not in schema.names]
-
-    def _assemble_one(group: pa.Table) -> pa.Table:
-        if group.num_rows == 1 and group.column("sheet_idx")[0].as_py() == -1:
-            return group.drop_columns(routing).cast(schema)
-        doc_id = group.column("doc_id")[0].as_py()
-        spans: list[dict] = []
-        n_errors = 0
-        parse_ms = 0.0
-        for i in range(group.num_rows):  # pre-sorted by sheet_idx
-            for span in group.column("spans")[i].as_py() or []:
-                span = dict(span)
-                span["offset"] = len(spans)
-                spans.append(span)
-            n_errors += group.column("n_errors")[i].as_py()
-            parse_ms += group.column("parse_ms")[i].as_py()
-        return pa.Table.from_pylist(
-            [
-                {
-                    "doc_id": doc_id,
-                    "spans": spans,
-                    "n_spans": len(spans),
-                    "n_errors": n_errors,
-                    "parse_ms": parse_ms,
-                    "partition": group.column("partition")[0].as_py(),
-                }
-            ],
-            schema=schema,
-        )
-
-    def assemble_bucket(group: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            group,
-            sort_keys=[("doc_id", "ascending"), ("sheet_idx", "ascending")],
-        )
-        g = group.take(idx)
-        ids = g.column("doc_id").to_pylist()
-        outs: list[pa.Table] = []
-        start = 0
-        for i in range(1, len(ids) + 1):
-            if i == len(ids) or ids[i] != ids[start]:
-                outs.append(_assemble_one(g.slice(start, i - start)))
-                start = i
-        return pa.concat_tables(outs)
-
-    return bucket_exchange(
-        ds,
-        assemble_bucket,
-        key="doc_id",
-        schema=schema,
-        n_buckets=256,
-        batch_format="pyarrow",
+    return pa.Table.from_arrays(
+        [
+            rows.column("doc_id").take(pa.array(starts)),
+            pa.ListArray.from_arrays(pa.array(list_offsets), span_struct),
+            pa.array(counts),
+            pa.array(summed("n_errors", np.int32)),
+            pa.array(summed("parse_ms", np.float32)),
+        ],
+        schema=OUTPUT_SCHEMA,
     )

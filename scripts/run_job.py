@@ -29,16 +29,10 @@ def main() -> None:
     parser.add_argument("--mode", default="light", choices=["light", "verbose"])
     parser.add_argument("--files-per-partition", type=int, default=8)
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=128,
-        help="batch size of the explode path's stages (the plain path maps whole blocks)",
-    )
-    parser.add_argument(
         "--explode-threshold",
         type=int,
         default=None,
-        help="bytes of span payload above which a doc is exploded per sheet",
+        help="characters of part text from which a doc is split per sheet",
     )
     parser.add_argument("--alpha-col", action="store_true")
     args = parser.parse_args()
@@ -59,7 +53,6 @@ def main() -> None:
         args.output,
         options,
         files_per_partition=args.files_per_partition,
-        batch_size=args.batch_size,
         explode_threshold=args.explode_threshold,
     )
     summary["wall_sec"] = round(time.perf_counter() - start, 3)

@@ -68,3 +68,13 @@ class TestDocChunks:
             expected[sorted(expected.columns)].reset_index(drop=True),
             check_dtype=False,
         )
+
+    def test_all_blank_batch_keeps_typed_columns(self, ray_session, tmp_path):
+        """A batch with no chunks returns a typed empty block, so an
+        all-blank corpus still yields the four columns."""
+        out = _chunks(["", "   ", "\n\t"], tmp_path)
+        assert len(out) == 0
+        assert list(out.columns) == ["doc_id", "chunk_id", "n_words", "chunk_text"]
+        assert [str(out[c].dtype) for c in ("doc_id", "chunk_id", "n_words")] == [
+            "int64"
+        ] * 3

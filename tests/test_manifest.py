@@ -17,7 +17,7 @@ class TestResumableJob:
         out_dir = tmp_path / "out"
 
         summary = run_extraction_job(
-            str(input_dir), str(out_dir), files_per_partition=2, batch_size=8
+            str(input_dir), str(out_dir), files_per_partition=2
         )
         assert summary["partitions"] == 2
         assert summary["executed"] == 2
@@ -35,7 +35,7 @@ class TestResumableJob:
 
         # resume: nothing re-executed
         summary2 = run_extraction_job(
-            str(input_dir), str(out_dir), files_per_partition=2, batch_size=8
+            str(input_dir), str(out_dir), files_per_partition=2
         )
         assert summary2["skipped"] == 2
         assert summary2["executed"] == 0
@@ -235,3 +235,168 @@ class TestOneExecution:
         # Threads of earlier tests may end meanwhile; none may start here.
         assert set(threading.enumerate()) - before == set()
         assert threading.active_count() <= len(before)
+
+
+def _giant_doc(doc_id: str, sheets: int, rows: int) -> dict:
+    """A multi-sheet workbook document whose payload grows with ``rows``."""
+    from exstruct_ray.datagen.builder import WorkbookBuilder
+
+    wb = WorkbookBuilder()
+    for s in range(sheets):
+        sheet = wb.sheet(f"S{s}")
+        for r in range(rows):
+            sheet.set(r + 1, 0, f"{doc_id}-{s}-{r}").set(r + 1, 1, r)
+    return {"doc_id": doc_id, "spans": wb.build_parts()}
+
+
+def _write_docs(path, docs) -> None:
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from exstruct_ray.datagen.corpus import DOC_SCHEMA
+
+    pq.write_table(pa.Table.from_pylist(docs, schema=DOC_SCHEMA), str(path))
+
+
+def _payloads(path):
+    import pyarrow.parquet as pq
+
+    from exstruct_ray.stages.pipeline import doc_payload_chars
+
+    table = pq.read_table(str(path))
+    return table.column("doc_id").to_pylist(), doc_payload_chars(table.column("spans"))
+
+
+def operator_lines(ds) -> list[str]:
+    """The ``Operator ...`` lines of an executed Dataset's stats."""
+    return [line for line in ds.stats().splitlines() if line.startswith("Operator ")]
+
+
+class TestExplodeJob:
+    def test_giants_run_in_the_read_task(self, ray_session, tmp_path):
+        """Giant docs are split, extracted and reassembled inside the fused
+        read-and-write task: one operator, and the same partition files
+        as the explode-off job."""
+        from exstruct_ray.datagen.corpus import build_document
+        from exstruct_ray.stages.manifest import build_job_dataset, list_input_files
+
+        inp = tmp_path / "in"
+        inp.mkdir()
+        for k in range(4):
+            small = [build_document(10 * k + i, seed=42) for i in range(3)]
+            giant = [_giant_doc(f"g{k}-{j}", 3, 40 + j) for j in range(2)]
+            # Giants first: the written file is named after its first doc.
+            docs = [giant[0], small[0], giant[1], *small[1:]]
+            _write_docs(inp / f"part-{k}.parquet", docs)
+        files = list_input_files(str(inp))
+        giants = [p for f in files for d, p in zip(*_payloads(f)) if d.startswith("g")]
+        threshold = min(giants)
+        for f in files:
+            ids, payload = _payloads(f)
+            assert all((p >= threshold) == d.startswith("g") for d, p in zip(ids, payload))
+
+        ds = build_job_dataset(
+            {0: files[:2], 1: files[2:]},
+            str(tmp_path / "plan"),
+            explode_threshold=threshold,
+        )
+        written = ds.materialize()
+        assert written.sum("docs") == 20
+        operators = operator_lines(written)
+        assert len(operators) == 1, operators
+        assert "ReadParquet->MapBatches(split_or_extract)" in operators[0]
+
+        run_extraction_job(
+            str(inp), str(tmp_path / "on"), files_per_partition=2, explode_threshold=threshold
+        )
+        run_extraction_job(str(inp), str(tmp_path / "off"), files_per_partition=2)
+        assert _output_rows(tmp_path / "on") == _output_rows(tmp_path / "off")
+
+    def test_lone_giant_file_stays_in_its_partition(self, ray_session, tmp_path):
+        """A file holding one multi-sheet giant next to files of ordinary
+        docs: still one fused operator, and every row lands in its own
+        partition."""
+        import pyarrow.parquet as pq
+
+        from exstruct_ray.datagen.corpus import build_document
+        from exstruct_ray.stages.manifest import build_job_dataset, list_input_files
+
+        inp = tmp_path / "in"
+        inp.mkdir()
+        _write_docs(inp / "part-0.parquet", [_giant_doc("giant", 4, 60)])
+        for k in (1, 2):
+            docs = [build_document(10 * k + i, seed=42) for i in range(5)]
+            _write_docs(inp / f"part-{k}.parquet", docs)
+        files = list_input_files(str(inp))
+        threshold = int(_payloads(files[0])[1][0])
+        assert all((_payloads(f)[1] < threshold).all() for f in files[1:])
+
+        ds = build_job_dataset(
+            {k: [f] for k, f in enumerate(files)},
+            str(tmp_path / "plan"),
+            explode_threshold=threshold,
+        )
+        written = ds.materialize()
+        assert written.sum("docs") == 11
+        assert len(operator_lines(written)) == 1
+
+        out = tmp_path / "out"
+        summary = run_extraction_job(
+            str(inp), str(out), files_per_partition=1, explode_threshold=threshold
+        )
+        assert summary["executed"] == 3
+        manifest = load_manifest(str(out))
+        for pid, path in enumerate(files):
+            want = pq.read_table(path, columns=["doc_id"]).column("doc_id").to_pylist()
+            folder = out / f"partition={pid:05d}"
+            got = []
+            for name in sorted(os.listdir(folder)):
+                got += pq.read_table(folder / name).column("doc_id").to_pylist()
+            assert sorted(got) == sorted(want)
+            assert manifest[pid].docs == pq.read_metadata(path).num_rows
+        run_extraction_job(str(inp), str(tmp_path / "off"), files_per_partition=1)
+        assert _output_rows(out) == _output_rows(tmp_path / "off")
+
+    def test_crash_after_first_commit_resumes_the_rest(
+        self, ray_session, tmp_path, monkeypatch
+    ):
+        from exstruct_ray.stages import manifest as mod
+
+        input_dir = tmp_path / "input"
+        write_corpus_parquet(str(input_dir), 30, seed=42, rows_per_file=10)
+        _write_docs(input_dir / "part-9.parquet", [_giant_doc("giant", 3, 40)])
+        job = dict(files_per_partition=1, explode_threshold=1000)
+        run_extraction_job(str(input_dir), str(tmp_path / "clean"), **job)
+        clean = _output_rows(tmp_path / "clean")
+
+        out_dir = tmp_path / "out"
+        real_append = mod._append_manifest
+        calls = []
+
+        def crash_after_first(output_dir, record):
+            if calls:
+                raise OSError("simulated crash during commit")
+            calls.append(record.partition_id)
+            real_append(output_dir, record)
+
+        monkeypatch.setattr(mod, "_append_manifest", crash_after_first)
+        with pytest.raises(OSError, match="simulated crash"):
+            run_extraction_job(str(input_dir), str(out_dir), **job)
+        monkeypatch.setattr(mod, "_append_manifest", real_append)
+        assert set(load_manifest(str(out_dir))) == set(calls)
+
+        ran = []
+        real_build = mod.build_job_dataset
+
+        def record_build(pending, *args, **kwargs):
+            ran.extend(pending)
+            return real_build(pending, *args, **kwargs)
+
+        monkeypatch.setattr(mod, "build_job_dataset", record_build)
+        summary = run_extraction_job(str(input_dir), str(out_dir), **job)
+        assert summary["skipped"] == 1
+        assert summary["executed"] == 3
+        assert sorted(ran) == sorted({0, 1, 2, 3} - set(calls))
+        assert summary["docs"] == 31
+        assert set(load_manifest(str(out_dir))) == {0, 1, 2, 3}
+        assert _output_rows(out_dir) == clean

@@ -194,3 +194,124 @@ class TestWideDocuments:
         chart_sheets = [s[2] for s in p if s[0] == "chart"]
         assert chart_sheets == ["Alpha", "Beta"]
         assert e == p
+
+
+def _sheet_row(doc_id, sheet_idx, texts, n_errors=0, parse_ms=1.0):
+    return {
+        "doc_id": doc_id,
+        "spans": [
+            {"kind": "cell_row", "text": t, "media_ref": f"S{sheet_idx}", "offset": i}
+            for i, t in enumerate(texts)
+        ],
+        "n_spans": len(texts),
+        "n_errors": n_errors,
+        "parse_ms": parse_ms,
+        "sheet_idx": sheet_idx,
+    }
+
+
+class TestReassembly:
+    def test_sliced_multichunk_out_of_order_rows(self):
+        """The Arrow reassembly: a sliced, two-chunk table whose sheet rows
+        arrive out of order."""
+        from exstruct_ray.stages.actor import OUTPUT_SCHEMA
+        from exstruct_ray.stages.pipeline import _SHEET_SCHEMA, assemble_sheet_rows
+
+        rows = [
+            _sheet_row("junk", 0, ["x", "y"]),  # sliced away below
+            _sheet_row("b", 2, ["b2"], n_errors=1),
+            _sheet_row("a", 1, ["a1a", "a1b"], n_errors=2, parse_ms=2.0),
+            _sheet_row("b", 0, ["b0a", "b0b", "b0c"]),
+            _sheet_row("a", 0, ["a0"], n_errors=3),
+            _sheet_row("b", 1, []),
+        ]
+        first = pa.Table.from_pylist(rows[:3], schema=_SHEET_SCHEMA)
+        second = pa.Table.from_pylist(rows[3:], schema=_SHEET_SCHEMA)
+        table = pa.concat_tables([first, second]).slice(1)
+        assert table.column("spans").num_chunks == 2
+        assert table.column("spans").chunk(0).offset == 1
+
+        out = assemble_sheet_rows(table)
+        assert out.schema.equals(OUTPUT_SCHEMA)
+        got = out.to_pylist()
+        assert [r["doc_id"] for r in got] == ["a", "b"]
+        a, b = got
+        assert [s["text"] for s in a["spans"]] == ["a0", "a1a", "a1b"]
+        assert [s["text"] for s in b["spans"]] == ["b0a", "b0b", "b0c", "b2"]
+        assert [s["media_ref"] for s in b["spans"]] == ["S0", "S0", "S0", "S2"]
+        assert [s["offset"] for s in a["spans"]] == [0, 1, 2]
+        assert [s["offset"] for s in b["spans"]] == [0, 1, 2, 3]
+        assert (a["n_spans"], a["n_errors"], a["parse_ms"]) == (3, 5, 3.0)
+        assert (b["n_spans"], b["n_errors"], b["parse_ms"]) == (4, 1, 3.0)
+
+    def test_no_rows(self):
+        from exstruct_ray.stages.actor import OUTPUT_SCHEMA
+        from exstruct_ray.stages.pipeline import _SHEET_SCHEMA, assemble_sheet_rows
+
+        out = assemble_sheet_rows(_SHEET_SCHEMA.empty_table())
+        assert out.num_rows == 0 and out.schema.equals(OUTPUT_SCHEMA)
+
+    def test_payload_counts_characters_of_sliced_lists(self):
+        from exstruct_ray.stages.pipeline import doc_payload_chars
+
+        spans = pa.chunked_array(
+            [
+                pa.array(
+                    [
+                        [{"kind": "x", "text": "zzzz", "media_ref": "", "offset": 0}],
+                        [{"kind": "x", "text": "äö", "media_ref": "", "offset": 0},
+                         {"kind": "x", "text": None, "media_ref": "", "offset": 1}],
+                        [],
+                    ],
+                    pa.list_(pa.struct([("kind", pa.string()), ("text", pa.string()),
+                                        ("media_ref", pa.string()), ("offset", pa.int32())])),
+                ).slice(1)
+            ]
+        )
+        assert doc_payload_chars(spans).tolist() == [2, 0]
+
+
+class TestWideDocumentInTask:
+    def _wide(self, doc_id):
+        from exstruct_ray.datagen.builder import WorkbookBuilder
+
+        wb = WorkbookBuilder()
+        for s in range(200):
+            wb.sheet(f"W{s}").set(1, 0, s).set(2, 0, f"v{s}")
+        return {"doc_id": doc_id, "spans": wb.build_parts()}
+
+    def _run(self, docs, **kwargs):
+        import ray.data
+
+        from exstruct_ray.datagen.corpus import DOC_SCHEMA
+
+        table = pa.Table.from_pylist(docs, schema=DOC_SCHEMA)
+        out = build_extraction_pipeline(ray.data.from_arrow(table), batch_size=None, **kwargs)
+        return out.materialize()
+
+    @staticmethod
+    def _rows(ds):
+        import ray
+
+        table = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+        return table.column("doc_id").to_pylist(), table.column("spans").combine_chunks()
+
+    def test_explode_gives_the_plain_bytes(self, ray_session):
+        """The 200-sheet doc split and reassembled in its task, alone among
+        small docs and next to a twin: doc order and spans byte-identical
+        to the explode-off path, and one map operator."""
+        from tests.test_manifest import operator_lines
+
+        docs = [build_document(i, seed=42) for i in range(4)]
+        for batch in (
+            [self._wide("wide-b"), self._wide("wide-a")],
+            [docs[0], self._wide("wide"), *docs[1:]],
+        ):
+            plain = self._rows(self._run(batch))
+            exploded = self._run(batch, explode_threshold=0)
+            ids, spans = self._rows(exploded)
+            assert ids == plain[0] == [d["doc_id"] for d in batch]
+            assert spans.equals(plain[1])
+            assert [op for op in operator_lines(exploded) if "MapBatches" in op] == [
+                op for op in operator_lines(exploded) if "split_or_extract" in op
+            ]
