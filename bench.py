@@ -12,7 +12,7 @@ Prints ONE JSON line:
 
 The headline pipeline is the extraction engine itself: a deterministic
 synthetic interleaved-document corpus (seed=42) streamed through
-read → map_batches(ExtractActor) → consume. The scaling run (--scaling)
+read → map_batches(extraction task UDF) → consume. The scaling run (--scaling)
 executes the identical job at two parallelism levels in fresh ray.init
 sessions and reports both throughputs plus efficiency (BASELINE.md
 protocol: N vs 4N CPUs stands in for N vs 4N nodes).

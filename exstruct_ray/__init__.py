@@ -11,7 +11,7 @@ Layout:
     ooxml/      byte-level OOXML part parsers (sheets, styles, drawings, charts)
     tables/     table-region detection heuristics (border clusters + scoring)
     extract/    per-document extraction pipeline and span assembly
-    stages/     Ray Data stages (actor-pool map_batches, explode/reassemble,
+    stages/     Ray Data stages (task map_batches, explode/reassemble,
                 resumable partitioned output, metrics)
     datagen/    deterministic synthetic workbook-corpus generator (seeded)
     ops/        corpus-scale training-data operators (dedup, ANN, text stats)

@@ -30,7 +30,7 @@ def extract(
     """Extract one workbook from .xlsx bytes / path / span dicts.
 
     The single-document equivalent of the distributed pipeline — same code
-    path the Ray actors run per row.
+    path the Ray extraction tasks run per row.
     """
     opts = (options or ExtractOptions()).resolved()
 

@@ -2,9 +2,9 @@
 
 The reference keeps table-detection tunables in a mutable module global
 (`core/cells.py:38` in /root/reference) and scopes it with save/restore.
-Here the config is an immutable dataclass passed to every stage (and to
-map_batches actors via ``fn_constructor_kwargs``), which is both safer and
-required for deterministic distributed retries.
+Here the config is an immutable dataclass passed to every stage (and
+captured in the closures of the map_batches task UDFs), which is both safer
+and required for deterministic distributed retries.
 """
 
 from __future__ import annotations

@@ -168,7 +168,7 @@ def _write_with_conflict_policy(path: str, data: bytes, policy: str) -> str:
     return path
 
 
-def patch_corpus(ds, ops: list[dict], *, batch_size: int = 64, concurrency=None):
+def patch_corpus(ds, ops: list[dict], *, batch_size: int = 64):
     """Apply one patch-op list to EVERY document of a (doc_id, spans)
     Dataset — the corpus-scale edit stage.
 
@@ -179,61 +179,43 @@ def patch_corpus(ds, ops: list[dict], *, batch_size: int = 64, concurrency=None)
     """
     import pandas as pd
 
-    plain_ops = [
-        op if isinstance(op, dict) else op.__dict__ for op in ops
+    # Parsed once, when the stage is built: a malformed op raises at call time.
+    patch_ops = [
+        PatchOp.from_dict(dict(op if isinstance(op, dict) else op.__dict__))
+        for op in ops
     ]
 
-    class PatchActor:
-        def __init__(self):
-            self._ops = [PatchOp.from_dict(dict(op)) for op in plain_ops]
+    def patch(batch: pd.DataFrame) -> pd.DataFrame:
+        out = {
+            "doc_id": [],
+            "spans": [],
+            "n_applied": [],
+            "n_skipped": [],
+            "patch_error": [],
+        }
+        for doc_id, spans in zip(batch["doc_id"], batch["spans"]):
+            spans = list(spans) if spans is not None else []
+            try:
+                result = apply_patch([dict(s) for s in spans], patch_ops)
+                if result.error is not None:
+                    raise ValueError(result.error.message)
+                new_spans = parts_to_spans(result.parts)
+                applied = sum(1 for d in result.patch_diff if d.status == "applied")
+                skipped = sum(1 for d in result.patch_diff if d.status == "skipped")
+                out["doc_id"].append(doc_id)
+                out["spans"].append(new_spans)
+                out["n_applied"].append(applied)
+                out["n_skipped"].append(skipped)
+                out["patch_error"].append("")
+            except Exception as exc:
+                out["doc_id"].append(doc_id)
+                out["spans"].append(spans)
+                out["n_applied"].append(0)
+                out["n_skipped"].append(0)
+                out["patch_error"].append(str(exc))
+        frame = pd.DataFrame(out)
+        frame["n_applied"] = frame["n_applied"].astype("int32")
+        frame["n_skipped"] = frame["n_skipped"].astype("int32")
+        return frame
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            out = {
-                "doc_id": [],
-                "spans": [],
-                "n_applied": [],
-                "n_skipped": [],
-                "patch_error": [],
-            }
-            for doc_id, spans in zip(batch["doc_id"], batch["spans"]):
-                spans = list(spans) if spans is not None else []
-                try:
-                    result = apply_patch(
-                        [dict(s) for s in spans], self._ops
-                    )
-                    if result.error is not None:
-                        raise ValueError(result.error.message)
-                    new_spans = parts_to_spans(result.parts)
-                    applied = sum(
-                        1 for d in result.patch_diff if d.status == "applied"
-                    )
-                    skipped = sum(
-                        1 for d in result.patch_diff if d.status == "skipped"
-                    )
-                    out["doc_id"].append(doc_id)
-                    out["spans"].append(new_spans)
-                    out["n_applied"].append(applied)
-                    out["n_skipped"].append(skipped)
-                    out["patch_error"].append("")
-                except Exception as exc:
-                    out["doc_id"].append(doc_id)
-                    out["spans"].append(spans)
-                    out["n_applied"].append(0)
-                    out["n_skipped"].append(0)
-                    out["patch_error"].append(str(exc))
-            frame = pd.DataFrame(out)
-            frame["n_applied"] = frame["n_applied"].astype("int32")
-            frame["n_skipped"] = frame["n_skipped"].astype("int32")
-            return frame
-
-    if concurrency is None:
-        from ..stages.pipeline import _default_concurrency
-
-        concurrency = _default_concurrency()
-    return ds.map_batches(
-        PatchActor,
-        batch_format="pandas",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    return ds.map_batches(patch, batch_format="pandas", batch_size=batch_size)

@@ -2,7 +2,7 @@
 
 This is the whole reference pipeline (light mode) as the body of one pure
 function over a document's parts — the unit of distribution is the document
-row, so this function is what the Ray actor pool maps over batches.
+row, so this function is what the Ray extraction tasks map over batches.
 
 Pipeline-step parity (/root/reference/src/exstruct/core/pipeline.py:303-432,
 1196-1268): cells → print areas → formulas map → colors map → merged cells →
@@ -86,7 +86,7 @@ def extract_document_spans_columnar(
     columnar buffers and return (n_spans, n_errors).
 
     The per-document offsets are implicit (0..n_spans-1 in append order) so
-    the Ray actor reconstructs them vectorized; no per-span Span objects or
+    ``ExtractActor`` reconstructs them vectorized; no per-span Span objects or
     per-document intermediate lists are allocated in the batch loop.
     """
     opts = _resolve(options)

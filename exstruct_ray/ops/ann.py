@@ -1,9 +1,10 @@
 """Approximate-nearest-neighbor search over an embedding column.
 
 Baseline: brute-force cosine top-k — per-batch numpy matmul against a
-query matrix broadcast once via ``ray.put`` (read per task, never re-shipped
-per batch), per-batch partial top-k, final merge on the driver over
-(num_batches × k × num_queries) rows only.
+query matrix broadcast once via ``ray.put`` (each batch reads it from the
+local object store; it is never re-shipped), per-batch partial top-k,
+final merge in the calling process over (num_batches × k × num_queries)
+rows only.
 
 Scale path: an LSH-bucketed variant (random hyperplane signs) that prunes
 each batch to candidates sharing a bucket with the query before the matmul.
@@ -25,58 +26,45 @@ def _normalize(matrix: np.ndarray) -> np.ndarray:
     return matrix / norms
 
 
-class _TopKScorer:
-    """Actor: holds the normalized query matrix from the object store."""
+def brute_force_topk(ds, query_ids, query_matrix, k: int = 10):
+    """Top-k cosine neighbors for each query vector.
 
-    def __init__(self, queries_ref, k: int):
-        import ray
+    Returns a pandas DataFrame (query_id, vec_id, cosine, rank) — the final
+    merge is tiny (partial top-k per batch), so reducing in the calling
+    process is the right call even at scale.
+    """
+    import ray
 
-        queries = ray.get(queries_ref)
-        self._query_ids = queries["ids"]
-        self._matrix = _normalize(np.asarray(queries["matrix"], dtype=np.float64))
-        self._k = k
+    queries_ref = ray.put(
+        {
+            "ids": list(query_ids),
+            "matrix": _normalize(np.asarray(query_matrix, dtype=np.float64)),
+        }
+    )
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+    def score(batch: pd.DataFrame, _ref=queries_ref) -> pd.DataFrame:
+        queries = ray.get(_ref)
         vecs = np.asarray(
             [np.asarray(v, dtype=np.float64) for v in batch["embedding"]],
         )
         vec_ids = np.asarray(batch["vec_id"])
-        sims = _normalize(vecs) @ self._matrix.T  # (batch, queries)
-        k = min(self._k, len(vec_ids))
+        sims = _normalize(vecs) @ queries["matrix"].T  # (batch, queries)
+        kk = min(k, len(vec_ids))
         rows = {"query_id": [], "vec_id": [], "cosine": []}
-        for qi, query_id in enumerate(self._query_ids):
+        for qi, query_id in enumerate(queries["ids"]):
             col = sims[:, qi]
-            idx = np.argpartition(-col, k - 1)[:k] if k < len(col) else np.arange(len(col))
+            idx = (
+                np.argpartition(-col, kk - 1)[:kk]
+                if kk < len(col)
+                else np.arange(len(col))
+            )
             for i in idx:
                 rows["query_id"].append(query_id)
                 rows["vec_id"].append(vec_ids[i])
                 rows["cosine"].append(float(col[i]))
         return pd.DataFrame(rows)
 
-
-def brute_force_topk(ds, query_ids, query_matrix, k: int = 10, concurrency=None):
-    """Top-k cosine neighbors for each query vector.
-
-    Returns a pandas DataFrame (query_id, vec_id, cosine, rank) — the final
-    merge is tiny (partial top-k per batch), so a driver-side reduce is the
-    right call even at scale.
-    """
-    import ray
-
-    if concurrency is None:
-        from ..stages.pipeline import _default_concurrency
-
-        concurrency = _default_concurrency()
-    queries_ref = ray.put(
-        {"ids": list(query_ids), "matrix": np.asarray(query_matrix, dtype=np.float64)}
-    )
-    partial = ds.map_batches(
-        _TopKScorer,
-        fn_constructor_kwargs={"queries_ref": queries_ref, "k": k},
-        batch_format="pandas",
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    partial = ds.map_batches(score, batch_format="pandas")
     # Tie-break on smaller vec_id for full determinism.
     return merge_partial_topk(partial, k)
 
@@ -93,13 +81,13 @@ def lsh_plane_matrix(
 ) -> np.ndarray:
     """Deterministic random-hyperplane matrix (dim × n_planes).
 
-    Seeded RandomState so every actor — and the DuckDB oracle, which embeds
+    Seeded RandomState so every task — and the DuckDB oracle, which embeds
     these exact values as literals — sees the identical planes.
     """
     return np.random.RandomState(seed).standard_normal((dim, n_planes))
 
 
-def lsh_neardup_pairs(ds, dim: int, threshold: float = 0.38, concurrency=None):
+def lsh_neardup_pairs(ds, dim: int, threshold: float = 0.38):
     """Banded-LSH near-duplicate pairs: the sublinear scale path.
 
     Candidate generation: 4 bands × 8 hyperplane sign bits; vectors sharing
@@ -118,47 +106,35 @@ def lsh_neardup_pairs(ds, dim: int, threshold: float = 0.38, concurrency=None):
     """
     import pandas as _pd
 
-    if concurrency is None:
-        from ..stages.pipeline import _default_concurrency
+    planes = lsh_plane_matrix(dim)
 
-        concurrency = _default_concurrency()
-
-    class BandKeys:
-        def __init__(self):
-            self._planes = lsh_plane_matrix(dim)
-
-        def __call__(self, batch: _pd.DataFrame) -> _pd.DataFrame:
-            vecs = np.asarray(
-                [np.asarray(v, dtype=np.float64) for v in batch["embedding"]]
-            )
-            signs = (vecs @ self._planes) > 0
-            vec_ids = np.asarray(batch["vec_id"], dtype=np.int64)
-            rows = {
-                "band_idx": [],
-                "band_key": [],
-                "vec_id": [],
-            }
-            for band in range(LSH_BANDS):
-                key = np.zeros(len(vecs), dtype=np.int64)
-                for bit in range(LSH_PLANES_PER_BAND):
-                    col = band * LSH_PLANES_PER_BAND + bit
-                    key |= signs[:, col].astype(np.int64) << bit
-                rows["band_idx"].extend([band] * len(vecs))
-                rows["band_key"].extend(key.tolist())
-                rows["vec_id"].extend(vec_ids.tolist())
-            return _pd.DataFrame(rows)
+    def band_keys(batch: _pd.DataFrame) -> _pd.DataFrame:
+        vecs = np.asarray(
+            [np.asarray(v, dtype=np.float64) for v in batch["embedding"]]
+        )
+        signs = (vecs @ planes) > 0
+        vec_ids = np.asarray(batch["vec_id"], dtype=np.int64)
+        rows = {
+            "band_idx": [],
+            "band_key": [],
+            "vec_id": [],
+        }
+        for band in range(LSH_BANDS):
+            key = np.zeros(len(vecs), dtype=np.int64)
+            for bit in range(LSH_PLANES_PER_BAND):
+                col = band * LSH_PLANES_PER_BAND + bit
+                key |= signs[:, col].astype(np.int64) << bit
+            rows["band_idx"].extend([band] * len(vecs))
+            rows["band_key"].extend(key.tolist())
+            rows["vec_id"].extend(vec_ids.tolist())
+        return _pd.DataFrame(rows)
 
     # The embedding table is consumed three times (banding + both merges);
     # materialize the compact (id, vector) form once so lineage doesn't
     # recompute the upstream read per consumer.
     vecs_ds = ds.materialize()
 
-    banded = vecs_ds.map_batches(
-        BandKeys,
-        batch_format="pandas",
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    banded = vecs_ds.map_batches(band_keys, batch_format="pandas")
 
     def candidate_pairs(group: _pd.DataFrame) -> _pd.DataFrame:
         pairs_a: list[int] = []
@@ -289,57 +265,6 @@ def merge_partial_topk(partial_ds, k: int) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-class _IvfScorer:
-    """Actor: scores only vectors whose coarse cluster is probed by a query.
-
-    Pruning factor ≈ n_probe / n_clusters of the matmul work vs brute
-    force; candidate membership is exact given the codebook, so output is
-    deterministic (and SQL-checkable), unlike trained-quantizer recall.
-    """
-
-    def __init__(self, queries_ref, k: int, dim: int, n_clusters: int, n_probe: int):
-        import ray
-
-        data = ray.get(queries_ref)
-        self._query_ids = data["ids"]
-        self._matrix = _normalize(np.asarray(data["matrix"], dtype=np.float64))
-        self._k = k
-        # trained codebook (e.g. ops.kmeans centroids) rides the same
-        # broadcast when provided; the seeded random codebook otherwise
-        if data.get("centroids") is not None:
-            self._cents = _normalize(np.asarray(data["centroids"], dtype=np.float64))
-        else:
-            self._cents = ivf_centroids(dim, n_clusters)
-        # n_probe nearest centroids per query (cosine, ties by index asc).
-        sims = self._matrix @ self._cents.T
-        order = np.argsort(-sims, axis=1, kind="stable")
-        self._probed = [set(order[i, :n_probe].tolist()) for i in range(len(order))]
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        vecs = _normalize(
-            np.asarray([np.asarray(v, dtype=np.float64) for v in batch["embedding"]])
-        )
-        vec_ids = np.asarray(batch["vec_id"])
-        clusters = np.argmax(vecs @ self._cents.T, axis=1)
-        sims = vecs @ self._matrix.T  # (batch, queries)
-        rows = {"query_id": [], "vec_id": [], "cosine": []}
-        for qi, query_id in enumerate(self._query_ids):
-            mask = np.isin(clusters, list(self._probed[qi]))
-            if not mask.any():
-                continue
-            col = sims[mask, qi]
-            ids = vec_ids[mask]
-            k = min(self._k, len(ids))
-            idx = (
-                np.argpartition(-col, k - 1)[:k] if k < len(col) else np.arange(len(col))
-            )
-            for i in idx:
-                rows["query_id"].append(query_id)
-                rows["vec_id"].append(ids[i])
-                rows["cosine"].append(float(col[i]))
-        return pd.DataFrame(rows)
-
-
 def ivf_topk(
     ds,
     query_ids,
@@ -348,58 +273,77 @@ def ivf_topk(
     dim: int = 64,
     n_clusters: int = IVF_CLUSTERS,
     n_probe: int = IVF_PROBE,
-    concurrency=None,
     centroids=None,
 ):
     """IVF-pruned top-k cosine search — the sublinear ANN scale path.
 
-    Same output schema as brute_force_topk restricted to probed clusters;
-    returns (query_id, vec_id, cosine, rank). ``centroids`` accepts a
-    TRAINED codebook (e.g. ops.kmeans.kmeans_fit output / 1e6) in place of
-    the seeded random one — same interface, better cluster balance, at the
-    cost of SQL checkability (the oracle embeds the random codebook).
+    Scores only vectors whose coarse cluster is probed by a query: the
+    pruning factor is ≈ n_probe / n_clusters of the matmul work vs brute
+    force, and candidate membership is exact given the codebook, so the
+    output is deterministic (and SQL-checkable), unlike trained-quantizer
+    recall. Same output schema as brute_force_topk restricted to probed
+    clusters; returns (query_id, vec_id, cosine, rank). ``centroids``
+    accepts a TRAINED codebook (e.g. ops.kmeans.kmeans_fit output / 1e6) in
+    place of the seeded random one — same interface, better cluster
+    balance, at the cost of SQL checkability (the oracle embeds the random
+    codebook).
     """
     import ray
 
-    if concurrency is None:
-        from ..stages.pipeline import _default_concurrency
-
-        concurrency = _default_concurrency()
-    queries_ref = ray.put(
+    matrix = _normalize(np.asarray(query_matrix, dtype=np.float64))
+    if centroids is not None:
+        cents = _normalize(np.asarray(centroids, dtype=np.float64))
+    else:
+        cents = ivf_centroids(dim, n_clusters)
+    # n_probe nearest centroids per query (cosine, ties by index asc).
+    order = np.argsort(-(matrix @ cents.T), axis=1, kind="stable")
+    ref = ray.put(
         {
             "ids": list(query_ids),
-            "matrix": np.asarray(query_matrix, dtype=np.float64),
-            "centroids": None
-            if centroids is None
-            else np.asarray(centroids, dtype=np.float64),
+            "matrix": matrix,
+            "centroids": cents,
+            "probed": order[:, :n_probe],
         }
     )
-    partial = ds.map_batches(
-        _IvfScorer,
-        fn_constructor_kwargs={
-            "queries_ref": queries_ref,
-            "k": k,
-            "dim": dim,
-            "n_clusters": n_clusters,
-            "n_probe": n_probe,
-        },
-        batch_format="pandas",
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+
+    def score(batch: pd.DataFrame, _ref=ref) -> pd.DataFrame:
+        queries = ray.get(_ref)
+        vecs = _normalize(
+            np.asarray([np.asarray(v, dtype=np.float64) for v in batch["embedding"]])
+        )
+        vec_ids = np.asarray(batch["vec_id"])
+        clusters = np.argmax(vecs @ queries["centroids"].T, axis=1)
+        sims = vecs @ queries["matrix"].T  # (batch, queries)
+        rows = {"query_id": [], "vec_id": [], "cosine": []}
+        for qi, query_id in enumerate(queries["ids"]):
+            mask = np.isin(clusters, queries["probed"][qi])
+            if not mask.any():
+                continue
+            col = sims[mask, qi]
+            ids = vec_ids[mask]
+            kk = min(k, len(ids))
+            idx = (
+                np.argpartition(-col, kk - 1)[:kk]
+                if kk < len(col)
+                else np.arange(len(col))
+            )
+            for i in idx:
+                rows["query_id"].append(query_id)
+                rows["vec_id"].append(ids[i])
+                rows["cosine"].append(float(col[i]))
+        return pd.DataFrame(rows)
+
+    partial = ds.map_batches(score, batch_format="pandas")
     return merge_partial_topk(partial, k)
 
 
-class _LshBucketer:
-    """Random-hyperplane LSH signatures (single-signature bucketer)."""
+def lsh_buckets(ds, dim: int, num_planes: int = 16):
+    """(vec_id, bucket): one random-hyperplane LSH signature per vector."""
+    planes = np.random.RandomState(7).standard_normal((dim, num_planes))
 
-    def __init__(self, dim: int, num_planes: int = 16, seed: int = 7):
-        rng = np.random.RandomState(seed)
-        self._planes = rng.standard_normal((dim, num_planes))
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+    def bucket(batch: pd.DataFrame) -> pd.DataFrame:
         vecs = np.asarray([np.asarray(v, dtype=np.float64) for v in batch["embedding"]])
-        signs = (vecs @ self._planes) > 0
+        signs = (vecs @ planes) > 0
         keys = np.zeros(len(vecs), dtype=np.int64)
         for bit in range(signs.shape[1]):
             keys |= signs[:, bit].astype(np.int64) << bit
@@ -407,19 +351,7 @@ class _LshBucketer:
         out["bucket"] = keys
         return out
 
-
-def lsh_buckets(ds, dim: int, num_planes: int = 16, concurrency=None):
-    if concurrency is None:
-        from ..stages.pipeline import _default_concurrency
-
-        concurrency = _default_concurrency()
-    return ds.map_batches(
-        _LshBucketer,
-        fn_constructor_kwargs={"dim": dim, "num_planes": num_planes},
-        batch_format="pandas",
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    return ds.map_batches(bucket, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------

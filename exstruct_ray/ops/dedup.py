@@ -17,7 +17,7 @@ Scale notes (100 TB design):
     all-pairs.
   - SimHash: 64-bit signatures, banded into 4×16-bit keys for bucketing.
   - Embedding near-dup: per-batch matmul against a ray.put-broadcast matrix
-    (read once per task, never re-shipped per batch).
+    (read per batch from the local object store, never re-shipped).
 """
 
 from __future__ import annotations
@@ -87,52 +87,30 @@ def minhash_signature(
     return (vals & _MAX_HASH).min(axis=0).astype(np.uint32)
 
 
-class MinHashActor:
-    """Stateful stage: permutation params generated once per actor.
+def minhash_signatures(ds, num_perm: int = 64, shingle_k: int = 5):
+    """Dataset of (doc_id, sig) with sig = num_perm uint32s as raw bytes.
 
     Arrow in/out: the signature rides as a fixed ``num_perm × 4``-byte
     binary column — compact through the object store and the downstream
     shuffles (a Python list-of-ints column costs ~10× the bytes and a
-    pickle round-trip per block).
+    pickle round-trip per block). The permutation params are drawn once,
+    when the stage is built, and ride in the task closure.
     """
+    import pyarrow as pa
 
-    def __init__(self, num_perm: int = 64, shingle_k: int = 5, seed: int = 1):
-        self._a, self._b = _hash_params(num_perm, seed)
-        self._k = shingle_k
-        self._num_perm = num_perm
+    a, b = _hash_params(num_perm)
 
-    def __call__(self, batch):
-        import pyarrow as pa
-
+    def signatures(batch):
         texts = batch.column("text").to_pylist()
-        sig_buf = np.empty((len(texts), self._num_perm), dtype=np.uint32)
+        sig_buf = np.empty((len(texts), num_perm), dtype=np.uint32)
         for i, t in enumerate(texts):
-            sig_buf[i] = minhash_signature(
-                char_shingles(t or "", self._k), self._a, self._b
-            )
-        flat = sig_buf.tobytes()
-        width = self._num_perm * 4
+            sig_buf[i] = minhash_signature(char_shingles(t or "", shingle_k), a, b)
         sig_arr = pa.FixedSizeBinaryArray.from_buffers(
-            pa.binary(width), len(texts), [None, pa.py_buffer(flat)]
+            pa.binary(num_perm * 4), len(texts), [None, pa.py_buffer(sig_buf.tobytes())]
         )
-        return pa.table(
-            {"doc_id": batch.column("doc_id"), "sig": sig_arr}
-        )
+        return pa.table({"doc_id": batch.column("doc_id"), "sig": sig_arr})
 
-
-def minhash_signatures(ds, num_perm: int = 64, shingle_k: int = 5, concurrency=None):
-    """Dataset of (doc_id, sig) with sig = num_perm uint32s as raw bytes."""
-    if concurrency is None:
-        from ..stages.pipeline import _default_concurrency
-
-        concurrency = _default_concurrency()
-    return ds.map_batches(
-        MinHashActor,
-        fn_constructor_kwargs={"num_perm": num_perm, "shingle_k": shingle_k},
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    return ds.map_batches(signatures, batch_format="pyarrow")
 
 
 def _sig_matrix(sig_col, num_perm: int) -> np.ndarray:
@@ -179,7 +157,6 @@ def minhash_dedup_pairs(
     bands: int = 16,
     shingle_k: int = 5,
     jaccard_threshold: float = 0.8,
-    concurrency=None,
     strategy: str = "auto",
 ):
     """Near-duplicate pairs via MinHash banding + in-bucket verification.
@@ -215,11 +192,9 @@ def minhash_dedup_pairs(
             bands=bands,
             shingle_k=shingle_k,
             jaccard_threshold=jaccard_threshold,
-            concurrency=concurrency,
         )
     rows_per_band = num_perm // bands
-    sigs = minhash_signatures(ds, num_perm=num_perm, shingle_k=shingle_k,
-                              concurrency=concurrency)
+    sigs = minhash_signatures(ds, num_perm=num_perm, shingle_k=shingle_k)
     # The signature table is consumed three times (banding + both merge
     # rounds); materialize it ONCE or lineage recomputes the shingling 3×
     # (measured 3.9 s/pass at sf0.1). This pins only the compact sketch
@@ -334,7 +309,6 @@ def minhash_dedup_pairs_sigcarry(
     bands: int = 16,
     shingle_k: int = 5,
     jaccard_threshold: float = 0.8,
-    concurrency=None,
 ):
     """Sig-carrying MinHash pairs — the single-node arm of
     minhash_dedup_pairs(strategy="auto").
@@ -354,9 +328,7 @@ def minhash_dedup_pairs_sigcarry(
     # NO materialize here: unlike the ids-only path (3 consumers), the sig
     # table streams into exactly one downstream stage — materializing
     # would force a full extra object-store pass for no lineage reuse.
-    sigs = minhash_signatures(
-        ds, num_perm=num_perm, shingle_k=shingle_k, concurrency=concurrency
-    )
+    sigs = minhash_signatures(ds, num_perm=num_perm, shingle_k=shingle_k)
     def band_rows(batch):
         sig_mat = _sig_matrix(batch.column("sig"), num_perm)
         keys = _band_keys(sig_mat, bands, rows_per_band)

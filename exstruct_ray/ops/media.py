@@ -14,9 +14,9 @@ with PIL used instead when importable (it is not baked into this
 container), and a clearly-marked deterministic stub ONLY for byte strings
 in no recognized format. Resize is a real nearest-neighbor kernel.
 
-Scale contract: payloads are large, so these run as actor-pool
-``map_batches`` stages with small batches — batch × concurrency must fit
-the worker heap.
+Scale contract: payloads are large, so these run as task ``map_batches``
+stages with small batches — batch × tasks per node must fit the worker
+heap.
 """
 
 from __future__ import annotations
@@ -245,33 +245,6 @@ def decode_image(payload: bytes, target_w: int, target_h: int) -> tuple[np.ndarr
     return _decode_image_stub(payload, target_w, target_h), "stub"
 
 
-class MediaFeatureActor:
-    """Actor-pool stage: decode + resize + feature-extract per media row.
-
-    Small batches by design — large binary payloads mean batch_size must be
-    sized so batch × concurrency fits the worker heap.
-    """
-
-    def __init__(self, target_w: int = 32, target_h: int = 32):
-        self._w = target_w
-        self._h = target_h
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        features = []
-        decoders = []
-        for payload in batch["payload"]:
-            data = bytes(payload) if payload is not None else b""
-            pixels, decoder = decode_image(data, self._w, self._h)
-            # Feature = per-channel mean — stand-in for a real embedding.
-            features.append(pixels.reshape(-1, 3).mean(axis=0).astype(np.float32))
-            decoders.append(decoder)
-        out = batch[["media_id"]].copy()
-        out["feature"] = [f.tolist() for f in features]
-        out["feat_dim"] = 3
-        out["decoder"] = decoders
-        return out
-
-
 MULTIPNG_MAGIC = b"MPNG"
 
 
@@ -303,41 +276,39 @@ def decode_multipng(data: bytes) -> list[np.ndarray]:
     return frames
 
 
-class VideoFrameSampleActor:
-    """Actor-pool stage: frame-sample a video payload + per-frame features.
+def _video_frames(data: bytes) -> list[np.ndarray]:
+    """Decode the MULTIPNG test container (and, when PIL with multi-frame
+    support is importable, GIF); real ffmpeg-backed containers raise
+    NotImplementedError here — the sandbox has no codec libraries."""
+    if data[:4] == MULTIPNG_MAGIC:
+        return decode_multipng(data)
+    if _PILImage is not None:  # pragma: no cover - PIL absent here
+        import io
 
-    Real decode for the MULTIPNG test container (and, when PIL with
-    multi-frame support is importable, for GIF); real ffmpeg-backed
-    containers raise NotImplementedError here — the sandbox has no codec
-    libraries — while the Ray-side plumbing (sampling stride, feature
-    layout, small-batch actor sizing) is the production shape.
-    """
+        try:
+            frames = []
+            with _PILImage.open(io.BytesIO(data)) as img:
+                for i in range(getattr(img, "n_frames", 1)):
+                    img.seek(i)
+                    frames.append(np.asarray(img.convert("RGB")))
+            return frames
+        except Exception:
+            pass
+    raise NotImplementedError(
+        "real video containers need codec libraries not present here"
+    )
 
-    def __init__(self, every_nth: int = 2, target_w: int = 16, target_h: int = 16):
-        self._nth = max(1, every_nth)
-        self._w = target_w
-        self._h = target_h
 
-    def _frames(self, data: bytes) -> list[np.ndarray]:
-        if data[:4] == MULTIPNG_MAGIC:
-            return decode_multipng(data)
-        if _PILImage is not None:  # pragma: no cover - PIL absent here
-            import io
+def sample_video_frames(
+    ds, every_nth: int = 2, target_w: int = 16, target_h: int = 16,
+    batch_size: int = 8,
+):
+    """Video frame-sample pipeline: frame-sample each video payload and
+    emit per-frame features. Very small batches — frames multiply the
+    payload in memory."""
+    nth = max(1, every_nth)
 
-            try:
-                frames = []
-                with _PILImage.open(io.BytesIO(data)) as img:
-                    for i in range(getattr(img, "n_frames", 1)):
-                        img.seek(i)
-                        frames.append(np.asarray(img.convert("RGB")))
-                return frames
-            except Exception:
-                pass
-        raise NotImplementedError(
-            "real video containers need codec libraries not present here"
-        )
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+    def sample(batch: pd.DataFrame) -> pd.DataFrame:
         rows = {
             "media_id": [],
             "frame_idx": [],
@@ -347,14 +318,14 @@ class VideoFrameSampleActor:
         for media_id, payload in zip(batch["media_id"], batch["payload"]):
             data = bytes(payload) if payload is not None else b""
             try:
-                frames = self._frames(data)
+                frames = _video_frames(data)
             except (NotImplementedError, *_DECODE_ERRORS):
                 # unrecognized container OR corrupt recognized container
                 # (truncated MULTIPNG length prefix → struct/IndexError,
                 # bad inner PNG → zlib.error): skip the row, keep the task.
                 continue
-            for idx in range(0, len(frames), self._nth):
-                pixels = resize_nearest(frames[idx], self._w, self._h)
+            for idx in range(0, len(frames), nth):
+                pixels = resize_nearest(frames[idx], target_w, target_h)
                 rows["media_id"].append(media_id)
                 rows["frame_idx"].append(idx)
                 rows["n_frames_total"].append(len(frames))
@@ -367,82 +338,56 @@ class VideoFrameSampleActor:
             out["n_frames_total"] = out["n_frames_total"].astype("int32")
         return out
 
-
-def sample_video_frames(
-    ds, every_nth: int = 2, target_w: int = 16, target_h: int = 16,
-    batch_size: int = 8, concurrency=None,
-):
-    """Video frame-sample pipeline: actor pool, very small batches (frames
-    multiply the payload in memory)."""
-    if concurrency is None:
-        from ..stages.pipeline import _default_concurrency
-
-        concurrency = _default_concurrency()
-    return ds.map_batches(
-        VideoFrameSampleActor,
-        fn_constructor_kwargs={
-            "every_nth": every_nth,
-            "target_w": target_w,
-            "target_h": target_h,
-        },
-        batch_format="pandas",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
-
-
-class AudioFeatureActor:
-    """Actor-pool stage: WAV decode + summary features per audio row."""
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        rows = {"media_id": [], "duration_sec": [], "rms": [], "zero_cross_rate": []}
-        for media_id, payload in zip(batch["media_id"], batch["payload"]):
-            data = bytes(payload) if payload is not None else b""
-            try:
-                samples, rate = decode_wav(data)
-            except Exception:
-                continue
-            rows["media_id"].append(media_id)
-            rows["duration_sec"].append(len(samples) / rate if rate else 0.0)
-            rows["rms"].append(float(np.sqrt(np.mean(samples**2))) if len(samples) else 0.0)
-            rows["zero_cross_rate"].append(
-                float(np.mean(np.abs(np.diff(np.sign(samples))) > 0))
-                if len(samples) > 1
-                else 0.0
-            )
-        return pd.DataFrame(rows)
+    return ds.map_batches(sample, batch_format="pandas", batch_size=batch_size)
 
 
 def extract_media_features(ds, target_w: int = 32, target_h: int = 32,
-                           batch_size: int = 16, concurrency=None):
-    """Media decode/feature pipeline: actor pool, small batches."""
-    if concurrency is None:
-        from ..stages.pipeline import _default_concurrency
+                           batch_size: int = 16):
+    """Media decode/feature pipeline: decode + resize + feature-extract
+    per media row, in small batches (large binary payloads)."""
 
-        concurrency = _default_concurrency()
+    def features(batch: pd.DataFrame) -> pd.DataFrame:
+        feats = []
+        decoders = []
+        for payload in batch["payload"]:
+            data = bytes(payload) if payload is not None else b""
+            pixels, decoder = decode_image(data, target_w, target_h)
+            # Feature = per-channel mean — stand-in for a real embedding.
+            feats.append(pixels.reshape(-1, 3).mean(axis=0).astype(np.float32))
+            decoders.append(decoder)
+        out = batch[["media_id"]].copy()
+        out["feature"] = [f.tolist() for f in feats]
+        out["feat_dim"] = 3
+        out["decoder"] = decoders
+        return out
+
+    return ds.map_batches(features, batch_format="pandas", batch_size=batch_size)
+
+
+def _audio_features(batch: pd.DataFrame) -> pd.DataFrame:
+    rows = {"media_id": [], "duration_sec": [], "rms": [], "zero_cross_rate": []}
+    for media_id, payload in zip(batch["media_id"], batch["payload"]):
+        data = bytes(payload) if payload is not None else b""
+        try:
+            samples, rate = decode_wav(data)
+        except Exception:
+            continue
+        rows["media_id"].append(media_id)
+        rows["duration_sec"].append(len(samples) / rate if rate else 0.0)
+        rows["rms"].append(float(np.sqrt(np.mean(samples**2))) if len(samples) else 0.0)
+        rows["zero_cross_rate"].append(
+            float(np.mean(np.abs(np.diff(np.sign(samples))) > 0))
+            if len(samples) > 1
+            else 0.0
+        )
+    return pd.DataFrame(rows)
+
+
+def extract_audio_features(ds, batch_size: int = 16):
+    """Audio decode/feature pipeline: WAV decode + summary features per
+    audio row, in small batches."""
     return ds.map_batches(
-        MediaFeatureActor,
-        fn_constructor_kwargs={"target_w": target_w, "target_h": target_h},
-        batch_format="pandas",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
-
-
-def extract_audio_features(ds, batch_size: int = 16, concurrency=None):
-    """Audio decode/feature pipeline: actor pool, small batches."""
-    if concurrency is None:
-        from ..stages.pipeline import _default_concurrency
-
-        concurrency = _default_concurrency()
-    return ds.map_batches(
-        AudioFeatureActor,
-        batch_format="pandas",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
+        _audio_features, batch_format="pandas", batch_size=batch_size
     )
 
 

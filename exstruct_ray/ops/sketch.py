@@ -545,45 +545,30 @@ def bloom_decontaminate(ds, bloom_ref, n: int = 3):
     Deliberately a SUPERSET of exact decontamination (false positives at
     the documented k/M rate, never false negatives) — the right trade when
     the eval suite's gram set no longer fits in every worker's heap: the
-    bitset is M/8 bytes flat, `ray.put` once, read per task from local
-    plasma. Same single shuffle-free corpus pass as `text.decontaminate`.
+    bitset is M/8 bytes flat, `ray.put` once, read by each batch from
+    local plasma. Same single shuffle-free corpus pass as `text.decontaminate`.
     """
+    import ray
 
-    class BloomDecontaminator:
-        def __init__(self, ref, ngram_n: int):
-            import ray
-
-            self._bits: np.ndarray = ray.get(ref)
-            self._n = ngram_n
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            rows_id: list[int] = []
-            rows_n: list[int] = []
-            for doc_id, text in zip(batch["doc_id"], batch["text"]):
-                maybe = sum(
-                    1
-                    for gram in _doc_ngrams(text, self._n)
-                    if _bloom_contains(self._bits, gram)
-                )
-                if maybe:
-                    rows_id.append(int(doc_id))
-                    rows_n.append(maybe)
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(rows_id, dtype="int64"),
-                    "n_maybe": pd.Series(rows_n, dtype="int64"),
-                }
+    def flag(batch: pd.DataFrame, _ref=bloom_ref) -> pd.DataFrame:
+        bits: np.ndarray = ray.get(_ref)
+        rows_id: list[int] = []
+        rows_n: list[int] = []
+        for doc_id, text in zip(batch["doc_id"], batch["text"]):
+            maybe = sum(
+                1 for gram in _doc_ngrams(text, n) if _bloom_contains(bits, gram)
             )
+            if maybe:
+                rows_id.append(int(doc_id))
+                rows_n.append(maybe)
+        return pd.DataFrame(
+            {
+                "doc_id": pd.Series(rows_id, dtype="int64"),
+                "n_maybe": pd.Series(rows_n, dtype="int64"),
+            }
+        )
 
-    from ..stages.pipeline import _default_concurrency
-
-    return ds.map_batches(
-        BloomDecontaminator,
-        fn_constructor_kwargs={"ref": bloom_ref, "ngram_n": n},
-        batch_format="pandas",
-        concurrency=_default_concurrency(),
-        num_cpus=1,
-    )
+    return ds.map_batches(flag, batch_format="pandas")
 
 
 def hll_group_distinct(ds, group_col: str, value_col: str) -> pd.DataFrame:

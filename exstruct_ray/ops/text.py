@@ -195,15 +195,16 @@ def word_ngram_set(text: str, n: int) -> set[str]:
     return {" ".join(words[i : i + n]) for i in range(len(words) - n + 1)}
 
 
-def gram_rows_batch(
-    batch: pd.DataFrame, n: int = 3, text_col: str = "text"
-) -> pd.DataFrame:
+def gram_rows_batch(batch: pd.DataFrame, n: int = 3, text_col: str = "text"):
     """Per-batch DISTINCT word n-grams as rows — the distributed half of
-    collect_gram_set. Emits gram strings only, never document text."""
+    collect_gram_set. Emits gram strings only, never document text, as
+    an Arrow block (typed when the batch has no gram)."""
+    import pyarrow as pa
+
     grams: set[str] = set()
     for t in batch.get(text_col, ()):
         grams |= word_ngram_set(t, n)
-    return pd.DataFrame({"gram": pd.Series(list(grams), dtype="object")})
+    return pa.table({"gram": pa.array(list(grams), pa.string())})
 
 
 def collect_gram_set(ds, n: int = 3, text_col: str = "text") -> set[str]:
@@ -216,11 +217,10 @@ def collect_gram_set(ds, n: int = 3, text_col: str = "text") -> set[str]:
     so only it may cross the driver). For corpora-sized eval sides use
     ops.sketch.bloom_decontaminate (8 KiB bitset) instead.
     """
-    rows = ds.map_batches(
-        lambda b: gram_rows_batch(b, n, text_col), batch_format="pandas"
-    ).to_pandas()
-    if "gram" not in rows.columns or not len(rows):
-        return set()
+    rows = to_frame(
+        ds.map_batches(lambda b: gram_rows_batch(b, n, text_col), batch_format="pandas"),
+        [("gram", "object")],
+    )
     return set(rows["gram"])
 
 
@@ -230,42 +230,29 @@ def decontaminate(ds, benchmark_grams_ref, n: int = 3):
 
     The benchmark gram set is SMALL by definition (eval suites are
     thousands of docs, not billions) — broadcast once via ray.put and read
-    per task, never re-shipped per batch; the corpus streams through one
-    map_batches with no shuffle. Emits (doc_id, n_overlap) for
-    contaminated docs only.
+    by each batch from the local object store, never re-shipped; the
+    corpus streams through one map_batches with no shuffle. Emits
+    (doc_id, n_overlap) for contaminated docs only.
     """
+    import ray
 
-    class Decontaminator:
-        def __init__(self, grams_ref, ngram_n: int):
-            import ray
+    def flag(batch: pd.DataFrame, _ref=benchmark_grams_ref) -> pd.DataFrame:
+        grams: set[str] = ray.get(_ref)
+        rows_id: list[int] = []
+        rows_n: list[int] = []
+        for doc_id, text in zip(batch["doc_id"], batch["text"]):
+            overlap = len(word_ngram_set(text, n) & grams)
+            if overlap:
+                rows_id.append(int(doc_id))
+                rows_n.append(overlap)
+        return pd.DataFrame(
+            {
+                "doc_id": pd.Series(rows_id, dtype="int64"),
+                "n_overlap": pd.Series(rows_n, dtype="int64"),
+            }
+        )
 
-            self._grams: set[str] = ray.get(grams_ref)
-            self._n = ngram_n
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            rows_id: list[int] = []
-            rows_n: list[int] = []
-            for doc_id, text in zip(batch["doc_id"], batch["text"]):
-                overlap = len(word_ngram_set(text, self._n) & self._grams)
-                if overlap:
-                    rows_id.append(int(doc_id))
-                    rows_n.append(overlap)
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(rows_id, dtype="int64"),
-                    "n_overlap": pd.Series(rows_n, dtype="int64"),
-                }
-            )
-
-    from ..stages.pipeline import _default_concurrency
-
-    return ds.map_batches(
-        Decontaminator,
-        fn_constructor_kwargs={"grams_ref": benchmark_grams_ref, "ngram_n": n},
-        batch_format="pandas",
-        concurrency=_default_concurrency(),
-        num_cpus=1,
-    )
+    return ds.map_batches(flag, batch_format="pandas")
 
 
 def _fingerprint_batch(batch: pd.DataFrame) -> pd.DataFrame:

@@ -28,14 +28,20 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
 _HAMMING_PAIR_COLS = [("doc_a", "int64"), ("doc_b", "int64"), ("hamming", "int64")]
 
 
+def _in_bench_slice(batch) -> np.ndarray:
+    """Row mask of the held-out benchmark slice, ``doc_id % 97 == 0``
+    (a pandas or Arrow batch)."""
+    return batch["doc_id"].to_numpy() % 97 == 0
+
+
 def _bench_slice(ds, bench: bool = True):
-    """Rows of the held-out benchmark slice (``doc_id % 97 == 0``), or the
+    """Rows of the held-out benchmark slice (``_in_bench_slice``), or the
     rest with ``bench=False``. An Arrow mask, so a batch with no kept row
     stays a typed empty block."""
     import pyarrow as pa
 
     def keep(b):
-        hit = b["doc_id"].to_numpy() % 97 == 0
+        hit = _in_bench_slice(b)
         return b.filter(pa.array(hit if bench else ~hit))
 
     return ds.map_batches(keep, batch_format="pyarrow")
@@ -1327,31 +1333,19 @@ def supplier_balance_by_region(sf_dir: str):
     region_names = dict(zip(region["r_regionkey"], region["r_name"]))
     ref = ray.put((nation_to_region, region_names))
 
-    class RegionAgg:
-        """Broadcast dicts fetched once per actor, not per batch."""
-
-        def __init__(self, lookup_ref):
-            self._n2r, self._rnames = ray.get(lookup_ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            r_name = batch["s_nationkey"].map(self._n2r).map(self._rnames)
-            tmp = pd.DataFrame(
-                {
-                    "r_name": r_name,
-                    "bal100": np.rint(batch["s_acctbal"] * 100).astype("int64"),
-                    "n_suppliers": 1,
-                }
-            )
-            return tmp.groupby("r_name", as_index=False).sum()
-
-    from .stages.pipeline import _default_concurrency
+    def region_partials(batch: pd.DataFrame, _ref=ref) -> pd.DataFrame:
+        n2r, rnames = ray.get(_ref)
+        tmp = pd.DataFrame(
+            {
+                "r_name": batch["s_nationkey"].map(n2r).map(rnames),
+                "bal100": np.rint(batch["s_acctbal"] * 100).astype("int64"),
+                "n_suppliers": 1,
+            }
+        )
+        return tmp.groupby("r_name", as_index=False).sum()
 
     partials = _read(sf_dir, "supplier", columns=["s_nationkey", "s_acctbal"]).map_batches(
-        RegionAgg,
-        fn_constructor_kwargs={"lookup_ref": ref},
-        batch_format="pandas",
-        concurrency=_default_concurrency(),
-        num_cpus=1,
+        region_partials, batch_format="pandas"
     )
     out = bucket_exchange(
         partials,
@@ -1601,43 +1595,31 @@ def embedding_neardup_pairs(sf_dir: str):
     normalized = matrix / norms
     ref = ray.put({"ids": all_ids, "matrix": normalized})
 
-    class PairFinder:
-        def __init__(self, broadcast_ref):
-            data = ray.get(broadcast_ref)
-            self._ids = data["ids"]
-            self._matrix = data["matrix"]
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            vecs = np.asarray(
-                [np.asarray(v, dtype=np.float64) for v in batch["embedding"]]
-            )
-            n = np.linalg.norm(vecs, axis=1, keepdims=True)
-            n[n == 0] = 1.0
-            sims = (vecs / n) @ self._matrix.T
-            rows_a, rows_b = [], []
-            batch_ids = np.asarray(batch["vec_id"])
-            for i, vid in enumerate(batch_ids):
-                hits = self._ids[(sims[i] >= 0.38) & (self._ids > vid)]
-                rows_a.extend([vid] * len(hits))
-                rows_b.extend(hits.tolist())
-            return pd.DataFrame(
-                {
-                    "vec_a": pd.Series(rows_a, dtype="int64"),
-                    "vec_b": pd.Series(rows_b, dtype="int64"),
-                }
-            )
-
-    from .stages.pipeline import _default_concurrency
+    def pairs(batch: pd.DataFrame, _ref=ref) -> pd.DataFrame:
+        data = ray.get(_ref)
+        ids = data["ids"]
+        vecs = np.asarray(
+            [np.asarray(v, dtype=np.float64) for v in batch["embedding"]]
+        )
+        n = np.linalg.norm(vecs, axis=1, keepdims=True)
+        n[n == 0] = 1.0
+        sims = (vecs / n) @ data["matrix"].T
+        rows_a, rows_b = [], []
+        batch_ids = np.asarray(batch["vec_id"])
+        for i, vid in enumerate(batch_ids):
+            hits = ids[(sims[i] >= 0.38) & (ids > vid)]
+            rows_a.extend([vid] * len(hits))
+            rows_b.extend(hits.tolist())
+        return pd.DataFrame(
+            {
+                "vec_a": pd.Series(rows_a, dtype="int64"),
+                "vec_b": pd.Series(rows_b, dtype="int64"),
+            }
+        )
 
     out = (
         _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-        .map_batches(
-            PairFinder,
-            fn_constructor_kwargs={"broadcast_ref": ref},
-            batch_format="pandas",
-            concurrency=_default_concurrency(),
-            num_cpus=1,
-        )
+        .map_batches(pairs, batch_format="pandas")
         .to_pandas()
     )
     return out.sort_values(["vec_a", "vec_b"]).reset_index(drop=True)
@@ -1708,20 +1690,12 @@ def doc_decontaminate(sf_dir: str, eval_ds=None):
     decontamination raises n (8-13) with the same plumbing. For
     corpus-sized eval sides, ops.sketch.bloom_decontaminate is the
     constant-size-broadcast variant."""
-    import ray
+    from .ops.text import decontaminate
 
-    from .ops.text import collect_gram_set, decontaminate
-
-    if eval_ds is None:
-        # Fixture mode: the benchmark slice lives inside the corpus.
-        docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-        eval_side = _bench_slice(docs)
-        corpus = _bench_slice(docs, bench=False)
-    else:
-        eval_side = eval_ds
-        corpus = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    grams_ref = ray.put(collect_gram_set(eval_side, n=3))
-    out = decontaminate(corpus, grams_ref, n=3).to_pandas()
+    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    # Fixture mode: the benchmark slice lives inside the corpus.
+    corpus = _bench_slice(docs, bench=False) if eval_ds is None else docs
+    out = decontaminate(corpus, _bench_grams_ref(docs, eval_ds), n=3).to_pandas()
     if "doc_id" not in out.columns:
         out = pd.DataFrame(
             {
@@ -4272,12 +4246,7 @@ def _bpe_fit(sf_dir: str, n_merges: int = 8):
                 k = a + "|" + b
                 acc[k] = acc.get(k, 0) + c
         if not acc:
-            return pd.DataFrame(
-                {
-                    "pr": pd.Series(dtype="object"),
-                    "c": pd.Series(dtype="int64"),
-                }
-            )
+            return empty_block(pair_cols)
         return pd.DataFrame(
             {
                 "pr": pd.Series(list(acc), dtype="object"),
@@ -4285,12 +4254,13 @@ def _bpe_fit(sf_dir: str, n_merges: int = 8):
             }
         )
 
+    pair_cols = [("pr", "object"), ("c", "int64")]
     merges: list[dict] = []
     for r in range(1, n_merges + 1):
-        partials = vds.map_batches(
-            pair_partial, batch_format="pandas"
-        ).to_pandas()
-        if "pr" not in partials.columns or not len(partials):
+        partials = to_frame(
+            vds.map_batches(pair_partial, batch_format="pandas"), pair_cols
+        )
+        if not len(partials):
             break
         agg = partials.groupby("pr")["c"].sum()
         best_c = int(agg.max())
@@ -5383,10 +5353,19 @@ def _bench_grams_ref(docs, eval_ds=None, n: int = 3):
     production shape where the eval suite is its own table."""
     import ray
 
-    from .ops.text import collect_gram_set
+    from .ops.text import collect_gram_set, gram_rows_batch
 
-    side = _bench_slice(docs) if eval_ds is None else eval_ds
-    return ray.put(collect_gram_set(side, n=n))
+    if eval_ds is not None:
+        return ray.put(collect_gram_set(eval_ds, n=n))
+    # Filter and gram in one map: a map after _bench_slice would get its
+    # empty blocks, which Ray passes on unmapped as zero-column blocks.
+    rows = to_frame(
+        docs.map_batches(
+            lambda b: gram_rows_batch(b[_in_bench_slice(b)], n), batch_format="pandas"
+        ),
+        [("gram", "object")],
+    )
+    return ray.put(set(rows["gram"]))
 
 
 def doc_clean_corpus(sf_dir: str, eval_ds=None):
@@ -6919,11 +6898,9 @@ def doc_budget_select(sf_dir: str):
     n_rb = 64
 
     def tag_boundary(batch: pd.DataFrame) -> pd.DataFrame:
-        cols = [("doc_id", "int64"), ("mean_rarity", "int64"),
-                ("n_tokens", "int64"), ("rb", "int64")]
+        # int64 columns only, so a batch with no tie is a typed zero-row
+        # frame (no object column for Ray's block sizing to trip on).
         sel = batch[batch["mean_rarity"].to_numpy(dtype=np.int64) == t]
-        if not len(sel):
-            return empty_block(cols)
         did = sel["doc_id"].astype("int64").to_numpy()
         return pd.DataFrame(
             {
@@ -6934,17 +6911,16 @@ def doc_budget_select(sf_dir: str):
             }
         )
 
-    boundary = scored.map_batches(
-        tag_boundary, batch_format="pandas"
-    ).materialize()
+    def tie_totals(batch: pd.DataFrame) -> pd.DataFrame:
+        # Over ``scored``, not the tie set: a map over the tie set would
+        # pass its empty blocks on unmapped, as zero-column blocks.
+        return tag_boundary(batch).groupby("rb", as_index=False)["n_tokens"].sum()
+
     totals = (
-        boundary.map_batches(
-            lambda b: b.groupby("rb", as_index=False)["n_tokens"].sum()
-            if len(b)
-            else b[["rb", "n_tokens"]],
-            batch_format="pandas",
+        to_frame(
+            scored.map_batches(tie_totals, batch_format="pandas"),
+            [("rb", "int64"), ("n_tokens", "int64")],
         )
-        .to_pandas()
         .groupby("rb")["n_tokens"]
         .sum()
         .sort_index()
@@ -6964,7 +6940,7 @@ def doc_budget_select(sf_dir: str):
         return g.loc[cum <= remaining, out_cols]
 
     kept_t = bucket_exchange(
-        boundary,
+        scored.map_batches(tag_boundary, batch_format="pandas"),
         select_in_bucket,
         key="rb",
         schema=[(c, "int64") for c in out_cols],
@@ -7747,8 +7723,8 @@ def _ahash_frame(batch: pd.DataFrame) -> pd.DataFrame:
 def image_ahash(sf_dir: str):
     """Perceptual hash per image: decode + integer-exact average hash,
     emitted as the 16-hex-char signature. Stateless per-row decode →
-    task-based map_batches (the actor-pool feature path lives in
-    ops/media.MediaFeatureActor)."""
+    task-based map_batches (the feature path lives in
+    ops/media.extract_media_features)."""
 
     def run(batch: pd.DataFrame) -> pd.DataFrame:
         out = _ahash_frame(batch)
@@ -11514,54 +11490,32 @@ def embedding_knn_graph(sf_dir: str):
     norms[norms == 0] = 1.0
     ref = ray.put({"ids": all_ids, "matrix": matrix / norms})
 
-    class KnnGraph:
-        def __init__(self, broadcast_ref):
-            data = ray.get(broadcast_ref)
-            self._ids = data["ids"]
-            self._matrix = data["matrix"]
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            vecs = np.asarray(
-                [np.asarray(v, dtype=np.float64) for v in batch["embedding"]]
-            )
-            if not len(batch):
-                return pd.DataFrame(
-                    {
-                        "vec_id": pd.Series(dtype="int64"),
-                        "neighbor_id": pd.Series(dtype="int64"),
-                        "rank": pd.Series(dtype="int64"),
-                    }
-                )
-            n = np.linalg.norm(vecs, axis=1, keepdims=True)
-            n[n == 0] = 1.0
-            sims = (vecs / n) @ self._matrix.T
-            batch_ids = np.asarray(batch["vec_id"], dtype=np.int64)
-            # mask self-similarity, then stable argsort of -sims: ties
-            # fall back to matrix position = ascending neighbor id
-            self_mask = self._ids[None, :] == batch_ids[:, None]
-            sims[self_mask] = -np.inf
-            order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-            return pd.DataFrame(
-                {
-                    "vec_id": np.repeat(batch_ids, k),
-                    "neighbor_id": self._ids[order].reshape(-1),
-                    "rank": np.tile(
-                        np.arange(1, k + 1, dtype=np.int64), len(batch_ids)
-                    ),
-                }
-            )
-
-    from .stages.pipeline import _default_concurrency
+    def neighbors(batch: pd.DataFrame, _ref=ref) -> pd.DataFrame:
+        data = ray.get(_ref)
+        ids = data["ids"]
+        vecs = np.asarray(
+            [np.asarray(v, dtype=np.float64) for v in batch["embedding"]]
+        )
+        n = np.linalg.norm(vecs, axis=1, keepdims=True)
+        n[n == 0] = 1.0
+        sims = (vecs / n) @ data["matrix"].T
+        batch_ids = np.asarray(batch["vec_id"], dtype=np.int64)
+        # mask self-similarity, then stable argsort of -sims: ties
+        # fall back to matrix position = ascending neighbor id
+        self_mask = ids[None, :] == batch_ids[:, None]
+        sims[self_mask] = -np.inf
+        order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        return pd.DataFrame(
+            {
+                "vec_id": np.repeat(batch_ids, k),
+                "neighbor_id": ids[order].reshape(-1),
+                "rank": np.tile(np.arange(1, k + 1, dtype=np.int64), len(batch_ids)),
+            }
+        )
 
     out = (
         _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-        .map_batches(
-            KnnGraph,
-            fn_constructor_kwargs={"broadcast_ref": ref},
-            batch_format="pandas",
-            concurrency=_default_concurrency(),
-            num_cpus=1,
-        )
+        .map_batches(neighbors, batch_format="pandas")
         .to_pandas()
     )
     return out.sort_values(["vec_id", "rank"]).reset_index(drop=True)
@@ -12328,7 +12282,6 @@ def embedding_knn_graph_ivf(sf_dir: str):
     recall vs the exact graph is the probe-coverage tradeoff, explicit
     in the band parameters."""
     from .ops.ann import IVF_CLUSTERS, IVF_PROBE, _normalize, ivf_centroids
-    from .stages.pipeline import _default_concurrency
 
     k = 5
     cents = ivf_centroids(64)

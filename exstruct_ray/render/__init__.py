@@ -12,7 +12,7 @@ PNG (this repo's own encoder + a public-domain 5×7 bitmap font). It is a
 layout sketch for visual/LLM consumption, NOT print-fidelity Excel
 rendering; the fidelity delta vs COM is documented, not hidden.
 
-Scale shape: rendering is per-document work → an actor-pool map_batches
+Scale shape: rendering is per-document work → a task map_batches
 stage (`render_corpus`) emitting one (doc_id, sheet_name, payload) row
 per page, with small batches (binary outputs multiply memory).
 """
@@ -365,41 +365,37 @@ def export_sheet_images(
 # ---------------------------------------------------------------------------
 
 
-class RenderActor:
-    """Actor-pool stage: (doc_id, spans) → one row per rendered page.
+def render_corpus(ds, fmt: str = "png", batch_size: int = 8):
+    """Corpus-scale render stage: (doc_id, spans) → one row per rendered
+    page, in small batches (binary outputs).
 
     fmt="png": (doc_id, sheet_name, payload) one row per sheet.
     fmt="pdf": (doc_id, sheet_name="*", payload) one whole-document PDF.
     Degrade-in-place: a document that fails to render emits zero rows
     rather than failing the task.
     """
+    import pyarrow as pa
 
-    def __init__(self, fmt: str = "png", options: ExtractOptions | None = None):
-        if fmt not in ("png", "pdf"):
-            raise ValueError(f"Unsupported render fmt: {fmt}")
-        self._fmt = fmt
-        self._opts = (
-            options or ExtractOptions(include_merged_cells=True)
-        ).resolved()
+    if fmt not in ("png", "pdf"):
+        raise ValueError(f"Unsupported render fmt: {fmt}")
+    opts = ExtractOptions(include_merged_cells=True).resolved()
 
-    def __call__(self, batch):
-        import pandas as pd
-
+    def render(batch: pa.Table) -> pa.Table:
         rows_id: list = []
         rows_sheet: list[str] = []
         rows_payload: list[bytes] = []
-        for doc_id, spans in zip(batch["doc_id"], batch["spans"]):
-            # pandas delivers the list<struct> column as a numpy array of
-            # dicts; truthiness on it is ambiguous
-            spans = list(spans) if spans is not None else []
+        for doc_id, spans in zip(
+            batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()
+        ):
+            spans = spans or []
             try:
                 package = VirtualPackage.from_spans(
                     [s.get("kind") or "" for s in spans],
                     [s.get("text") or "" for s in spans],
                     [s.get("media_ref") or "" for s in spans],
                 )
-                workbook = extract_workbook(package, self._opts)
-                if self._fmt == "pdf":
+                workbook = extract_workbook(package, opts)
+                if fmt == "pdf":
                     pdf, _ = workbook_to_pdf_bytes(workbook)
                     rows_id.append(doc_id)
                     rows_sheet.append("*")
@@ -411,27 +407,15 @@ class RenderActor:
                         rows_payload.append(png)
             except Exception:
                 continue
-        return pd.DataFrame(
-            {
-                "doc_id": rows_id,
-                "sheet_name": pd.Series(rows_sheet, dtype="object"),
-                "payload": pd.Series(rows_payload, dtype="object"),
-            }
+        # Arrow out, typed even when every document failed: zero rows of
+        # the three columns, never a zero-row pandas block.
+        return pa.table(
+            [
+                pa.array(rows_id, batch.schema.field("doc_id").type),
+                pa.array(rows_sheet, pa.string()),
+                pa.array(rows_payload, pa.binary()),
+            ],
+            names=["doc_id", "sheet_name", "payload"],
         )
 
-
-def render_corpus(ds, fmt: str = "png", batch_size: int = 8, concurrency=None):
-    """Corpus-scale render stage: small batches (binary outputs), actor
-    pool, one output row per page."""
-    if concurrency is None:
-        from ..stages.pipeline import _default_concurrency
-
-        concurrency = _default_concurrency()
-    return ds.map_batches(
-        RenderActor,
-        fn_constructor_kwargs={"fmt": fmt},
-        batch_format="pandas",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    return ds.map_batches(render, batch_format="pyarrow", batch_size=batch_size)

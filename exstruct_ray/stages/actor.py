@@ -1,7 +1,9 @@
-"""The extraction actor: one stateful map_batches stage over Arrow batches.
+"""The extraction callable: the body of the extraction map_batches stage.
 
-Setup (option resolution, parser tables) happens once per actor in
-``__init__``; each ``__call__`` processes one Arrow batch of documents.
+``stages.pipeline`` runs it inside stateless task UDFs, one instance per
+worker process (cached on the UDF function object). Setup (option
+resolution, GC tuning) happens once in ``__init__``; each ``__call__``
+processes one Arrow batch of documents.
 Per-document failures become error spans, never task failures — one poison
 document cannot fail a block (the distributed analogue of the reference's
 FallbackReason degrade-in-place policy, ADR-0002).
@@ -51,7 +53,9 @@ def _tune_gc_for_parse() -> None:
 
 
 class ExtractActor:
-    """Callable class for ``ds.map_batches(ExtractActor, concurrency=...)``."""
+    """Arrow batch of (doc_id, spans) in, ``OUTPUT_SCHEMA`` batch out; the
+    extraction task UDFs call one per-process instance
+    (``stages.pipeline._extractor``)."""
 
     def __init__(self, options: ExtractOptions | None = None) -> None:
         _tune_gc_for_parse()
@@ -65,7 +69,7 @@ class ExtractActor:
         n_docs = batch.num_rows
 
         # Decode the list<struct> column via flat child arrays + offsets —
-        # no per-span Python dicts on either side of the actor. Offsets
+        # no per-span Python dicts on either side of the stage. Offsets
         # stay a zero-copy numpy view; only the string children convert
         # (one bulk C pass each — the XML parser needs Python str).
         spans_col = batch.column("spans")

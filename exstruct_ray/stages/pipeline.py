@@ -1,7 +1,7 @@
 """Dataset pipeline builders: extract, giant-doc split and reassembly.
 
 Design for 100 TB: the pipeline is a pure streaming chain —
-``read_parquet → map_batches(ExtractActor)`` — with no materialization and
+``read_parquet → map_batches(extract_batch)`` — with no materialization and
 no shuffle; ``stages.manifest`` adds the partitioned write. Partitioning
 key is ``doc_id`` everywhere.
 
@@ -40,28 +40,6 @@ _SHEET_INPUT = pa.schema(
 
 # The same rows extracted: the reassembly's input.
 _SHEET_SCHEMA = OUTPUT_SCHEMA.append(pa.field("sheet_idx", pa.int32()))
-
-
-def _cluster_cpus() -> int:
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
-    except Exception:
-        cpus = 0
-    if cpus <= 0:
-        cpus = os.cpu_count() or 4
-    return cpus
-
-
-def _default_concurrency() -> tuple[int, int]:
-    """Autoscaling actor-pool bounds sized to the cluster's CPUs.
-
-    A (1, N) range rather than a fixed N: pipelines that run several actor
-    pools concurrently would deadlock with fixed pools each demanding
-    every CPU.
-    """
-    return (1, max(1, _cluster_cpus()))
 
 
 def read_documents(

@@ -390,7 +390,6 @@ class TestPatchCorpus:
                  "expected": "nope", "value": "x"},
             ],
             batch_size=4,
-            concurrency=2,
         ).to_pandas()
         good = out[out["doc_id"] != "poison"]
         assert (good["n_applied"] == 1).all()

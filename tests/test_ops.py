@@ -113,9 +113,7 @@ class TestRayOps:
     def test_minhash_pairs(self, docs_ds):
         from exstruct_ray.ops.dedup import minhash_dedup_pairs
 
-        pairs = minhash_dedup_pairs(
-            docs_ds, jaccard_threshold=0.5, concurrency=2
-        ).to_pandas()
+        pairs = minhash_dedup_pairs(docs_ds, jaccard_threshold=0.5).to_pandas()
         pair_set = {tuple(sorted((a, b))) for a, b in zip(pairs["doc_a"], pairs["doc_b"])}
         assert (0, 1) in pair_set  # exact dup must be found
         assert all((3 not in p) for p in pair_set)  # unrelated doc never pairs
@@ -141,7 +139,7 @@ class TestRayOps:
             [{"vec_id": i, "embedding": v.tolist()} for i, v in enumerate(vecs)]
         )
         queries = vecs[:3].astype(np.float64)
-        out = brute_force_topk(ds, [0, 1, 2], queries, k=5, concurrency=2)
+        out = brute_force_topk(ds, [0, 1, 2], queries, k=5)
         # Exact reference: full cosine matrix
         norm = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
         qnorm = queries / np.linalg.norm(queries, axis=1, keepdims=True)
@@ -168,7 +166,7 @@ class TestRayOps:
                 {"vec_id": 2, "embedding": far.tolist()},
             ]
         )
-        out = lsh_buckets(ds, dim=32, num_planes=8, concurrency=1).to_pandas()
+        out = lsh_buckets(ds, dim=32, num_planes=8).to_pandas()
         buckets = out.set_index("vec_id")["bucket"].to_dict()
         assert buckets[0] == buckets[1]
         assert buckets[0] != buckets[2]
@@ -184,11 +182,11 @@ class TestRayOps:
                 for i in range(8)
             ]
         )
-        out = extract_media_features(ds, batch_size=4, concurrency=2).to_pandas()
+        out = extract_media_features(ds, batch_size=4).to_pandas()
         assert len(out) == 8
         assert all(len(f) == 3 for f in out["feature"])
         # deterministic stub: same payload -> same feature
-        out2 = extract_media_features(ds, batch_size=4, concurrency=2).to_pandas()
+        out2 = extract_media_features(ds, batch_size=4).to_pandas()
         merged = out.merge(out2, on="media_id")
         assert all(
             list(a) == list(b) for a, b in zip(merged["feature_x"], merged["feature_y"])

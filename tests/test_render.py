@@ -147,3 +147,28 @@ class TestRenderCorpus:
         )
         out = render_corpus(ds, fmt="png").to_pandas()
         assert len(out) == 0
+
+    def test_all_failed_batch_is_typed_empty_block(self, ray_session):
+        import pyarrow as pa
+        import ray.data
+
+        from exstruct_ray.render import render_corpus
+
+        ds = ray.data.from_items(
+            [{"doc_id": "bad", "spans": [
+                {"kind": "part", "text": "<not-xml", "media_ref": "xl/workbook.xml",
+                 "offset": 0},
+            ]}]
+        )
+        schema = render_corpus(ds, fmt="pdf").materialize().schema()
+        assert schema.names == ["doc_id", "sheet_name", "payload"]
+        assert schema.types == [pa.string(), pa.string(), pa.binary()]
+
+    def test_unknown_fmt_raises_at_call_time(self, ray_session):
+        import ray.data
+
+        from exstruct_ray.render import render_corpus
+
+        ds = ray.data.from_items([{"doc_id": "a", "spans": []}])
+        with pytest.raises(ValueError, match="Unsupported render fmt"):
+            render_corpus(ds, fmt="gif")
