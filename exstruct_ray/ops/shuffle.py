@@ -244,6 +244,16 @@ def empty_block(cols) -> pa.Table:
     return _arrow_schema(cols).empty_table()
 
 
+def arrow_block(frame: pd.DataFrame, cols) -> pa.Table:
+    """``frame``'s ``cols`` as an Arrow block of that schema: what a pandas
+    map UDF with an object column returns, so an empty batch and a full
+    one give the same block type (mixed pandas and Arrow blocks make Ray
+    warn of a schema change) and no zero-row pandas block is sized."""
+    schema = _arrow_schema(cols)
+    table = pa.Table.from_pandas(frame[schema.names], schema=schema, preserve_index=False)
+    return table.replace_schema_metadata()
+
+
 def attach_payload(
     pairs_ds,
     payload_ds,

@@ -207,7 +207,7 @@ def gram_rows_batch(batch: pd.DataFrame, n: int = 3, text_col: str = "text"):
     return pa.table({"gram": pa.array(list(grams), pa.string())})
 
 
-def collect_gram_set(ds, n: int = 3, text_col: str = "text") -> set[str]:
+def collect_gram_set(ds, n: int = 3, text_col: str = "text", where=None) -> set[str]:
     """Distributed n-gram set build over a (small) eval/benchmark table.
 
     Each batch emits its DISTINCT gram strings as rows; the driver unions
@@ -216,11 +216,17 @@ def collect_gram_set(ds, n: int = 3, text_col: str = "text") -> set[str]:
     driver and building the set there (the gram set is what broadcasts,
     so only it may cross the driver). For corpora-sized eval sides use
     ops.sketch.bloom_decontaminate (8 KiB bitset) instead.
+
+    ``where`` (pandas batch → row mask) keeps only the masked rows. It
+    filters in the gram map itself: a map after a filtering map gets the
+    filter's empty blocks, which Ray passes on unmapped as zero-column
+    blocks.
     """
-    rows = to_frame(
-        ds.map_batches(lambda b: gram_rows_batch(b, n, text_col), batch_format="pandas"),
-        [("gram", "object")],
-    )
+
+    def grams(b: pd.DataFrame):
+        return gram_rows_batch(b if where is None else b[where(b)], n, text_col)
+
+    rows = to_frame(ds.map_batches(grams, batch_format="pandas"), [("gram", "object")])
     return set(rows["gram"])
 
 

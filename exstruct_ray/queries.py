@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .ops.shuffle import bucket_exchange, empty_block, to_frame
+from .ops.shuffle import arrow_block, bucket_exchange, empty_block, to_frame
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
@@ -862,14 +863,16 @@ def doc_lang_mismatch_by_source(sf_dir: str):
         sf_dir, "documents", columns=["doc_id", "text", "lang", "source"]
     )
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+    part_cols = [("source", "object"), ("n_docs", "int64"), ("n_mismatch", "int64")]
+
+    def partial(batch: pd.DataFrame) -> pa.Table:
         lb = _lang_batch(batch)
         # NULL lang is never a mismatch; NULL source rows drop (groupby
         # dropna) — both matching the oracle's CASE / WHERE semantics
         mismatch = (
             (lb["detected_lang"] != lb["lang"]) & lb["lang"].notna()
         ).astype("int64")
-        return (
+        return arrow_block(
             pd.DataFrame(
                 {
                     "source": lb["source"],
@@ -878,20 +881,11 @@ def doc_lang_mismatch_by_source(sf_dir: str):
                 }
             )
             .groupby("source", as_index=False)
-            .sum()
-            .astype({"n_docs": "int64", "n_mismatch": "int64"})
+            .sum(),
+            part_cols,
         )
 
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    if "source" not in parts.columns or not len(parts):
-        return pd.DataFrame(
-            {
-                "source": pd.Series(dtype="object"),
-                "n_docs": pd.Series(dtype="int64"),
-                "n_mismatch": pd.Series(dtype="int64"),
-                "mismatch_permille": pd.Series(dtype="int64"),
-            }
-        )
+    parts = to_frame(ds.map_batches(partial, batch_format="pandas"), part_cols)
     out = parts.groupby("source", as_index=False)[
         ["n_docs", "n_mismatch"]
     ].sum()
@@ -4709,7 +4703,15 @@ def doc_boilerplate_by_source(
     members = set(int(d) for d in dup_per_doc.index)
     ref = ray.put(members)
 
-    def partials(batch: pd.DataFrame, _ref=ref) -> pd.DataFrame:
+    row_cols = [
+        ("source", "object"),
+        ("n_docs", "int64"),
+        ("n_tokens", "int64"),
+        ("tag", "int64"),
+        ("doc_id", "int64"),
+    ]
+
+    def partials(batch: pd.DataFrame, _ref=ref) -> pa.Table:
         m = ray.get(_ref)
         n_tokens = (
             batch["text"].fillna("").str.findall(r"[^\t\n\f\r ]+").str.len()
@@ -4735,9 +4737,9 @@ def doc_boilerplate_by_source(
                 ),
             }
         )
-        return pd.concat([agg, mem], ignore_index=True)
+        return arrow_block(pd.concat([agg, mem], ignore_index=True), row_cols)
 
-    rows = docs.map_batches(partials, batch_format="pandas").to_pandas()
+    rows = to_frame(docs.map_batches(partials, batch_format="pandas"), row_cols)
     totals = (
         rows.loc[rows["tag"] == 0]
         .groupby("source", as_index=False)[["n_docs", "n_tokens"]]
@@ -5353,19 +5355,11 @@ def _bench_grams_ref(docs, eval_ds=None, n: int = 3):
     production shape where the eval suite is its own table."""
     import ray
 
-    from .ops.text import collect_gram_set, gram_rows_batch
+    from .ops.text import collect_gram_set
 
     if eval_ds is not None:
         return ray.put(collect_gram_set(eval_ds, n=n))
-    # Filter and gram in one map: a map after _bench_slice would get its
-    # empty blocks, which Ray passes on unmapped as zero-column blocks.
-    rows = to_frame(
-        docs.map_batches(
-            lambda b: gram_rows_batch(b[_in_bench_slice(b)], n), batch_format="pandas"
-        ),
-        [("gram", "object")],
-    )
-    return ray.put(set(rows["gram"]))
+    return ray.put(collect_gram_set(docs, n=n, where=_in_bench_slice))
 
 
 def doc_clean_corpus(sf_dir: str, eval_ds=None):
@@ -11962,7 +11956,7 @@ def source_trigram_diversity(sf_dir: str):
     gram_cols = [("source", "object"), ("key", "int64"), ("cnt", "int64")]
     part_cols = [("source", "object"), ("n", "int64"), ("d", "int64")]
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def partial(batch: pd.DataFrame) -> pa.Table:
         rows_s: list = []
         rows_k: list = []
         for src, text in zip(batch["source"], batch["text"]):
@@ -11989,7 +11983,7 @@ def source_trigram_diversity(sf_dir: str):
             .reset_index(name="cnt")
         )
         agg["cnt"] = agg["cnt"].astype("int64")
-        return agg
+        return arrow_block(agg, gram_cols)
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         per_gram = group.groupby(["source", "key"], sort=False)["cnt"].sum()

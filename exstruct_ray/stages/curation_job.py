@@ -208,22 +208,23 @@ def run_curation_job(
             return
         # Benchmark gram set: distributed build (collect_gram_set — each
         # batch emits DISTINCT gram strings, so only eval-suite-sized gram
-        # rows reach the driver, never corpus text), broadcast once.
-        def bench_filter(b: pa.Table) -> pa.Table:
-            # pyarrow ships no modulo kernel; the id column is a cheap
-            # numpy hop, the filter itself stays Arrow.
-            ids = b.column("doc_id").to_numpy(zero_copy_only=False)
-            return b.filter(
-                pa.array(ids.astype(np.int64) % bench_mod == 0)
-            )
-
+        # rows reach the driver, never corpus text), broadcast once. The
+        # corpus side is read one block per file: Ray splits small files to
+        # reach its default read parallelism, a split can be empty, and a
+        # map passes an empty block on unmapped as a zero-column one.
         if eval_set is not None:
-            bench = ray.data.read_parquet(eval_set, columns=["text"])
+            grams = collect_gram_set(
+                ray.data.read_parquet(eval_set, columns=["text"]), n=3
+            )
         else:
-            bench = ray.data.read_parquet(
-                files, columns=["doc_id", "text"]
-            ).map_batches(bench_filter, batch_format="pyarrow")
-        grams_ref = ray.put(collect_gram_set(bench, n=3))
+            grams = collect_gram_set(
+                ray.data.read_parquet(
+                    files, columns=["doc_id", "text"], override_num_blocks=len(files)
+                ),
+                n=3,
+                where=lambda b: b["doc_id"].to_numpy(dtype=np.int64) % bench_mod == 0,
+            )
+        grams_ref = ray.put(grams)
 
         def curate(batch: pa.Table, _ref=grams_ref) -> pa.Table:
             # Arrow-native hot stage: the only pandas materialization is

@@ -10,18 +10,20 @@ leftover directories — never one giant output file, never re-extracting
 finished work.
 
 Every pending partition runs in ONE streaming Ray Data execution, so the
-executor's ramp-up and tail are paid once per job rather than per
-partition. Each task reads one input file, extracts it and writes the
-rows, grouped by partition, straight to the partition directories under a
-name derived from the partition and the block's first doc_id (a retried
-task overwrites its own file). The task returns one small stats row per
-(block, partition) — docs, spans, errors — and the driver streams those
-rows: a partition commits its manifest line as soon as its streamed doc
-count equals the row count in its input parquet footers. A stream that
-ends with a partition short of that count raises without committing it
-(an over-count raises too). ``files_per_partition`` thus sets how often
-the job commits, not how the work is scheduled. The explode path keeps
-that shape: the fused task also splits and reassembles its giant docs.
+executor's tail is paid once per job rather than per partition, and its
+first wave starts one task per CPU (the plan's block size is capped from
+the input footers; see ``build_job_dataset``). Each task reads one input
+file, extracts it and writes the rows, grouped by partition, straight to
+the partition directories under a name derived from the partition and the
+block's first doc_id (a retried task overwrites its own file). The task
+returns one small stats row per (block, partition) — docs, spans, errors —
+and the driver streams those rows: a partition commits its manifest line
+as soon as its streamed doc count equals the row count in its input
+parquet footers. A stream that ends with a partition short of that count
+raises without committing it (an over-count raises too).
+``files_per_partition`` thus sets how often the job commits, not how the
+work is scheduled. The explode path keeps that shape: the fused task also
+splits and reassembles its giant docs.
 """
 
 from __future__ import annotations
@@ -164,6 +166,15 @@ def build_job_dataset(
     ``batch_size``: any value blocks Ray Data's fusion with the read); on
     the explode path the task is
     ``ReadParquet->MapBatches(split_or_extract)->MapBatches(write_partitions)``.
+
+    The largest input file's uncompressed bytes (from its footer) cap the
+    plan's ``target_max_block_size``. Until an operator has emitted
+    output, Ray Data charges each of its running tasks that size times
+    its streaming buffer (2 × 128 MiB by default) of object store, and
+    the fused task emits its one small stats block only at its end: with
+    the default, a 512 MiB store starts one task and leaves the other
+    CPUs idle until the first file is done. The cap goes on the plan's
+    own context copy (``ds.context``), never on the global one.
     """
     import ray.data
 
@@ -178,6 +189,9 @@ def build_job_dataset(
     ds = ray.data.read_parquet(
         files, override_num_blocks=len(files), include_paths=True
     )
+    largest = max(_footer_bytes(f) for f in files)
+    if largest and ds.context.target_max_block_size:
+        ds.context.target_max_block_size = min(ds.context.target_max_block_size, largest)
     if explode_threshold is None:
 
         def extract_write(batch: pa.Table) -> pa.Table:
@@ -198,6 +212,14 @@ def _footer_rows(files: list[str]) -> int:
     import pyarrow.parquet as pq
 
     return sum(pq.read_metadata(f).num_rows for f in files)
+
+
+def _footer_bytes(path: str) -> int:
+    """The uncompressed bytes of ``path``'s row groups, from its footer."""
+    import pyarrow.parquet as pq
+
+    meta = pq.read_metadata(path)
+    return sum(meta.row_group(i).total_byte_size for i in range(meta.num_row_groups))
 
 
 def run_extraction_job(

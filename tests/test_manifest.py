@@ -133,6 +133,49 @@ class TestOneExecution:
         assert "ReadParquet->MapBatches(" in operators[0], stats
         assert written.sum("docs") == 8
 
+    def test_first_wave_starts_at_full_width(self, ray_session, tmp_path):
+        """With an object store budget that fits one task at Ray Data's
+        pre-output estimate (2 × 128 MiB), the first four tasks of a job
+        still run side by side: the job caps its plan's block size at its
+        largest input file. The global DataContext keeps its default."""
+        import time
+
+        import ray
+        from ray.data import DataContext, ExecutionResources
+        from ray.data.context import DEFAULT_TARGET_MAX_BLOCK_SIZE
+
+        inp = str(tmp_path / "in")
+        write_corpus_parquet(inp, 1200, seed=42, rows_per_file=300)
+        ctx = DataContext.get_current()
+        limits = ctx.execution_options.resource_limits
+        ctx.execution_options.resource_limits = ExecutionResources(
+            object_store_memory=256 * 1024 * 1024
+        )
+        try:
+            run_extraction_job(inp, str(tmp_path / "warm"), files_per_partition=2)
+            since = time.time() * 1e6
+            summary = run_extraction_job(inp, str(tmp_path / "out"), files_per_partition=2)
+        finally:
+            ctx.execution_options.resource_limits = limits
+        assert summary["docs"] == 1200
+        assert DataContext.get_current().target_max_block_size == DEFAULT_TARGET_MAX_BLOCK_SIZE
+
+        deadline = time.monotonic() + 30
+        while True:  # workers report task events about once a second
+            tasks = sorted(
+                (e["ts"], e["ts"] + e["dur"])
+                for e in ray.timeline()
+                if e.get("ph") == "X"
+                and e.get("cat", "").startswith("task::ReadParquet->MapBatches(")
+                and e["ts"] >= since
+            )
+            if len(tasks) >= 4 or time.monotonic() > deadline:
+                break
+            time.sleep(0.5)
+        assert len(tasks) == 4, tasks
+        first_end = min(end for _, end in tasks)
+        assert all(start < first_end for start, _ in tasks), tasks
+
     def test_crash_after_first_commit_resumes_the_rest(
         self, ray_session, tmp_path, monkeypatch
     ):
