@@ -1,8 +1,9 @@
 """The extraction callable: the body of the extraction map_batches stage.
 
-``stages.pipeline`` runs it inside stateless task UDFs, one instance per
-worker process (cached on the UDF function object). Setup (option
-resolution, GC tuning) happens once in ``__init__``; each ``__call__``
+``stages.pipeline.build_extraction_pipeline`` maps one stateless task UDF,
+``split_or_extract``, which builds an ``ExtractActor`` per batch (setup is
+option resolution and a once-per-process GC tuning, ~10 µs) and calls it
+on the batch, or on a giant document's sheet rows. Each ``__call__``
 processes one Arrow batch of documents.
 Per-document failures become error spans, never task failures — one poison
 document cannot fail a block (the distributed analogue of the reference's
@@ -10,15 +11,18 @@ FallbackReason degrade-in-place policy, ADR-0002).
 
 Emits per-row metrics columns (n_spans, n_errors, parse_ms) so per-partition
 lineage/throughput can be aggregated downstream without a second pass.
+``encode_spans`` builds the ``spans`` column for every producer of
+``OUTPUT_SCHEMA`` rows.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
 import pyarrow as pa
 
-from ..config import ExtractOptions
+from ..config import ExtractOptions, ResolvedOptions
 from ..datagen.corpus import SPAN_TYPE
 
 OUTPUT_SCHEMA = pa.schema(
@@ -52,18 +56,35 @@ def _tune_gc_for_parse() -> None:
         _GC_TUNED = True
 
 
-class ExtractActor:
-    """Arrow batch of (doc_id, spans) in, ``OUTPUT_SCHEMA`` batch out; the
-    extraction task UDFs call one per-process instance
-    (``stages.pipeline._extractor``)."""
+def encode_spans(
+    kinds: pa.Array, texts: pa.Array, refs: pa.Array, list_offsets: np.ndarray
+) -> pa.ListArray:
+    """The ``spans`` column over flat span children: document ``i`` holds
+    spans ``list_offsets[i]:list_offsets[i + 1]`` (int32), and each span's
+    ``offset`` is its position in its document (one vectorized arange)."""
+    counts = np.diff(list_offsets)
+    offs = np.arange(list_offsets[-1], dtype=np.int32) - np.repeat(
+        list_offsets[:-1], counts
+    )
+    span_struct = pa.StructArray.from_arrays(
+        [kinds, texts, refs, pa.array(offs, pa.int32())],
+        names=["kind", "text", "media_ref", "offset"],
+    )
+    return pa.ListArray.from_arrays(pa.array(list_offsets, pa.int32()), span_struct)
 
-    def __init__(self, options: ExtractOptions | None = None) -> None:
+
+class ExtractActor:
+    """Arrow batch of (doc_id, spans) in, ``OUTPUT_SCHEMA`` batch out.
+    ``options`` may come resolved (the pipeline resolves them once, on
+    the driver)."""
+
+    def __init__(self, options: ExtractOptions | ResolvedOptions | None = None) -> None:
+        from ..extract.document import _resolve
+
         _tune_gc_for_parse()
-        self._opts = (options or ExtractOptions()).resolved()
+        self._opts = _resolve(options)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-
         from ..extract.document import extract_document_spans_columnar
 
         n_docs = batch.num_rows
@@ -111,22 +132,11 @@ class ExtractActor:
             out_n_errors[i] = n_err
             out_ms[i] = (time.perf_counter() - start) * 1000.0
 
-        # Per-document span offsets restart at 0: one vectorized arange.
-        total = int(out_list_offsets[-1])
-        doc_starts = np.repeat(out_list_offsets[:-1], out_n_spans)
-        out_offs = np.arange(total, dtype=np.int32) - doc_starts
-
-        span_struct = pa.StructArray.from_arrays(
-            [
-                pa.array(out_kinds, pa.string()),
-                pa.array(out_texts, pa.string()),
-                pa.array(out_refs, pa.string()),
-                pa.array(out_offs, pa.int32()),
-            ],
-            names=["kind", "text", "media_ref", "offset"],
-        )
-        spans_out = pa.ListArray.from_arrays(
-            pa.array(out_list_offsets, pa.int32()), span_struct
+        spans_out = encode_spans(
+            pa.array(out_kinds, pa.string()),
+            pa.array(out_texts, pa.string()),
+            pa.array(out_refs, pa.string()),
+            out_list_offsets,
         )
         # doc_id passes through zero-copy from the input block.
         doc_id_col = batch.column("doc_id").combine_chunks()

@@ -22,8 +22,10 @@ as soon as its streamed doc count equals the row count in its input
 parquet footers. A stream that ends with a partition short of that count
 raises without committing it (an over-count raises too).
 ``files_per_partition`` thus sets how often the job commits, not how the
-work is scheduled. The explode path keeps that shape: the fused task also
-splits and reassembles its giant docs.
+work is scheduled. The task's extraction is
+``stages.pipeline.build_extraction_pipeline``'s one UDF, so the plan has
+the same shape with or without ``explode_threshold``; with it, the task
+also splits and reassembles its giant docs.
 """
 
 from __future__ import annotations
@@ -163,9 +165,9 @@ def build_job_dataset(
     of the written blocks; consuming it extracts and writes the output.
 
     Read→Extract→Write is one fused task per input file (no map
-    ``batch_size``: any value blocks Ray Data's fusion with the read); on
-    the explode path the task is
-    ``ReadParquet->MapBatches(split_or_extract)->MapBatches(write_partitions)``.
+    ``batch_size``: any value blocks Ray Data's fusion with the read),
+    ``ReadParquet->MapBatches(split_or_extract)->MapBatches(write_partitions)``
+    with or without ``explode_threshold``.
 
     The largest input file's uncompressed bytes (from its footer) cap the
     plan's ``target_max_block_size``. Until an operator has emitted
@@ -178,7 +180,7 @@ def build_job_dataset(
     """
     import ray.data
 
-    from .pipeline import _extractor, explode_sheets, partition_ids
+    from .pipeline import build_extraction_pipeline
 
     files = [f for part_files in pending.values() for f in part_files]
     partition_of = {
@@ -192,20 +194,18 @@ def build_job_dataset(
     largest = max(_footer_bytes(f) for f in files)
     if largest and ds.context.target_max_block_size:
         ds.context.target_max_block_size = min(ds.context.target_max_block_size, largest)
-    if explode_threshold is None:
-
-        def extract_write(batch: pa.Table) -> pa.Table:
-            out = _extractor(extract_write, options)(batch)
-            out = out.append_column("partition", partition_ids(batch, partition_of))
-            return write_partition_files(out, output_dir)
-
-        return ds.map_batches(extract_write, batch_format="pyarrow", batch_size=None)
 
     def write_partitions(batch: pa.Table) -> pa.Table:
         return write_partition_files(batch, output_dir)
 
-    split = explode_sheets(ds, options, explode_threshold, partition_of=partition_of)
-    return split.map_batches(write_partitions, batch_format="pyarrow", batch_size=None)
+    extracted = build_extraction_pipeline(
+        ds,
+        options,
+        batch_size=None,
+        explode_threshold=explode_threshold,
+        partition_of=partition_of,
+    )
+    return extracted.map_batches(write_partitions, batch_format="pyarrow", batch_size=None)
 
 
 def _footer_rows(files: list[str]) -> int:
@@ -235,13 +235,16 @@ def run_extraction_job(
     Every partition the manifest does not record (with the same
     code/config hash) runs in one streaming execution and commits as soon
     as all its rows are written; ``PartitionRecord.wall_sec`` counts from
-    the start of that execution. Raises ``RuntimeError`` (after
+    the start of that execution. Raises ``ValueError`` for bad options
+    before touching ``output_dir``, and ``RuntimeError`` (after
     committing the complete partitions) when the written doc count of a
     partition differs from its input row count.
 
     Returns a summary dict with totals and how many partitions were skipped
     because the manifest already recorded them (same code/config hash).
     """
+    # A bad option raises here, before any leftover directory is removed.
+    (options or ExtractOptions()).resolved()
     os.makedirs(output_dir, exist_ok=True)
     cfg_hash = _config_hash(options)
     manifest = load_manifest(output_dir)

@@ -1,21 +1,24 @@
-"""Dataset pipeline builders: extract, giant-doc split and reassembly.
+"""Dataset pipeline builder: extract, giant-doc split and reassembly.
 
 Design for 100 TB: the pipeline is a pure streaming chain —
-``read_parquet → map_batches(extract_batch)`` — with no materialization and
-no shuffle; ``stages.manifest`` adds the partitioned write. Partitioning
-key is ``doc_id`` everywhere.
+``read_parquet → map_batches(split_or_extract)`` — with no materialization
+and no shuffle; ``stages.manifest`` adds the partitioned write after the
+same map. Partitioning key is ``doc_id`` everywhere.
 
-Skew handling (``explode_threshold``): one map stage, ``split_or_extract``,
-which fuses with the read when its ``batch_size`` is None. A document whose
-payload — characters of part text — reaches the threshold is split into
-per-sheet rows (workbook-level parts duplicated, sheet parts isolated);
-the same task extracts those sheet rows and reassembles them into one row,
-spans concatenated in sheet order with dense re-offsets, next to the small
-documents it extracts whole. No document rides a shuffle. On a 4-CPU host
-a reassembly exchange cost ~0.4 s per job whatever it carried, and it lost
-to in-task reassembly on files of several giants, on one giant per file
-and on a 32-sheet giant next to files of ordinary documents; it won only
-for a 128-sheet giant alone in its file.
+``build_extraction_pipeline`` is the one place the extraction UDF,
+``split_or_extract``, is mapped; it fuses with the read when its
+``batch_size`` is None. Skew is decided per batch inside that UDF, never
+by forking the plan. Without ``explode_threshold`` it extracts the whole
+batch in one call. With it, a document whose payload — characters of part
+text — reaches the threshold is split into per-sheet rows (workbook-level
+parts duplicated, sheet parts isolated); the same task extracts those
+sheet rows and reassembles them into one row, spans concatenated in sheet
+order with dense re-offsets, next to the small documents it extracts
+whole. No document rides a shuffle. On a 4-CPU host a reassembly exchange
+cost ~0.4 s per job whatever it carried, and it lost to in-task
+reassembly on files of several giants, on one giant per file and on a
+32-sheet giant next to files of ordinary documents; it won only for a
+128-sheet giant alone in its file.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import ray.data
 
 from ..config import ExtractOptions
 from ..datagen.corpus import SPAN_TYPE
-from .actor import OUTPUT_SCHEMA, ExtractActor
+from .actor import OUTPUT_SCHEMA, ExtractActor, encode_spans
 
 # A split document's sheet row before extraction: one sheet's input parts
 # (the shared workbook-level parts included).
@@ -77,89 +80,48 @@ def read_documents(
     raise ValueError(f"Unsupported corpus format: {fmt}")
 
 
-def _extractor(udf, options: ExtractOptions | None) -> ExtractActor:
-    """The per-process ``ExtractActor`` cached on a UDF function object.
-
-    The extraction UDF is pure and its setup is negligible (no model
-    loads), so the stages run as tasks: with ``batch_size=None`` Ray Data
-    fuses ReadParquet→MapBatches into single tasks (measured ~25% faster
-    than an actor pool at 32 CPUs, since input blocks never round-trip
-    through the object store; any ``batch_size`` blocks that fusion). The
-    cache avoids re-resolving options per batch within a worker process."""
-    actor = getattr(udf, "_exstruct_extractor", None)
-    if actor is None:
-        actor = ExtractActor(options)
-        udf._exstruct_extractor = actor
-    return actor
-
-
-def partition_ids(batch: pa.Table, partition_of: dict[str, int] | None) -> pa.Array:
-    """int32 partition of each row, looked up from the ``path`` column
-    that ``read_parquet(include_paths=True)`` adds (keys are normalized
-    input paths); all null when there is no ``partition_of`` map."""
-    if partition_of is None:
-        return pa.nulls(batch.num_rows, pa.int32())
-    paths = batch.column("path").to_pylist()
-    pid = {p: partition_of[os.path.normpath(p)] for p in set(paths)}
-    return pa.array([pid[p] for p in paths], pa.int32())
-
-
-def _make_task_udf(options: ExtractOptions | None):
-    def extract_batch(batch: pa.Table) -> pa.Table:
-        return _extractor(extract_batch, options)(batch)
-
-    return extract_batch
-
-
 def build_extraction_pipeline(
     ds: "ray.data.Dataset",
     options: ExtractOptions | None = None,
     *,
-    batch_size: int = 128,
+    batch_size: int | None = 128,
     explode_threshold: int | None = None,
-) -> "ray.data.Dataset":
-    """Wire the extraction stage onto an input document Dataset: one
-    stateless task-mode map_batches (``split_or_extract`` with
-    ``explode_threshold``), fused with a read only when ``batch_size`` is
-    None."""
-    if explode_threshold is None:
-        return ds.map_batches(
-            _make_task_udf(options),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-    return explode_sheets(ds, options, explode_threshold, batch_size=batch_size)
-
-
-def explode_sheets(
-    ds: "ray.data.Dataset",
-    options: ExtractOptions | None,
-    threshold: int,
-    *,
-    batch_size: int | None = None,
     partition_of: dict[str, int] | None = None,
 ) -> "ray.data.Dataset":
-    """The explode path: one ``OUTPUT_SCHEMA`` row per input document, in
-    input order (plus the int32 ``partition`` with ``partition_of``:
-    input file path -> job partition, see ``partition_ids``).
+    """Map the extraction UDF, ``split_or_extract``, over a document
+    Dataset: one ``OUTPUT_SCHEMA`` row per input document, in input order.
 
-    Small documents (payload < threshold) are extracted whole. A giant
-    document is split by ``_split_doc_by_sheet``; the same task extracts
-    its sheet rows and reassembles them with ``assemble_sheet_rows``.
+    The UDF is pure and its setup negligible (no model loads), so it runs
+    as a task, and each batch builds its own ``ExtractActor`` (~10 µs,
+    against ~0.7 ms per document). With ``batch_size=None`` it fuses with
+    a read (measured ~25% faster than an actor pool at 32 CPUs: input
+    blocks never round-trip through the object store; any ``batch_size``
+    blocks that fusion). Options are resolved here, so a bad option raises
+    ``ValueError`` when the plan is built.
+
+    Without ``explode_threshold`` the UDF extracts the whole batch in one
+    call. With it, a document whose payload (``doc_payload_chars``)
+    reaches the threshold is split by ``_split_doc_by_sheet``; the same
+    task extracts its sheet rows and reassembles them with
+    ``assemble_sheet_rows``. ``partition_of`` (normalized input file path
+    -> job partition) adds the int32 ``partition`` of each row, looked up
+    from the ``path`` column of ``read_parquet(include_paths=True)``.
     """
+    opts = (options or ExtractOptions()).resolved()
 
     def split_or_extract(batch: pa.Table) -> pa.Table:
-        actor = _extractor(split_or_extract, options)
-        payload = doc_payload_chars(batch.column("spans"))
-        giant = np.flatnonzero(payload >= threshold)
-        if not len(giant):
+        actor = ExtractActor(opts)
+        giant = np.zeros(batch.num_rows, bool)
+        if explode_threshold is not None:
+            giant = doc_payload_chars(batch.column("spans")) >= explode_threshold
+        if not giant.any():
             out = actor(batch)
         else:
-            small = np.flatnonzero(payload < threshold)
+            small, big = np.flatnonzero(~giant), np.flatnonzero(giant)
             doc_ids = batch.column("doc_id").to_pylist()
             sheets = [
                 row
-                for i in giant
+                for i in big
                 for row in _split_doc_by_sheet(
                     doc_ids[i], batch.column("spans")[int(i)].as_py() or []
                 )
@@ -170,13 +132,13 @@ def explode_sheets(
             )
             # Reassembled rows come in doc_id order: put every row back at
             # its input position.
-            positions = np.concatenate(
-                [small, sorted(giant, key=lambda i: doc_ids[i])]
-            )
+            positions = np.concatenate([small, sorted(big, key=lambda i: doc_ids[i])])
             out = pa.concat_tables([actor(batch.take(pa.array(small))), joined])
             out = out.take(pa.array(np.argsort(positions)))
         if partition_of is not None:
-            out = out.append_column("partition", partition_ids(batch, partition_of))
+            paths = batch.column("path").to_pylist()
+            pid = {p: partition_of[os.path.normpath(p)] for p in set(paths)}
+            out = out.append_column("partition", pa.array([pid[p] for p in paths], pa.int32()))
         return out
 
     return ds.map_batches(split_or_extract, batch_format="pyarrow", batch_size=batch_size)
@@ -274,8 +236,8 @@ def assemble_sheet_rows(rows: pa.Table) -> pa.Table:
     offsets, ``n_errors`` and ``parse_ms`` summed.
 
     All Arrow: the list slices concatenate through ``flatten()`` (a
-    ListArray's ``.values`` ignores a slice offset) and the offsets are
-    rebuilt with one ``arange``, as ``ExtractActor`` builds them."""
+    ListArray's ``.values`` ignores a slice offset) and ``encode_spans``
+    rebuilds the offsets, as ``ExtractActor`` builds them."""
     if not rows.num_rows:
         return OUTPUT_SCHEMA.empty_table()
     order = pc.sort_indices(
@@ -289,14 +251,9 @@ def assemble_sheet_rows(rows: pa.Table) -> pa.Table:
     counts = np.add.reduceat(lengths, starts).astype(np.int32)
     list_offsets = np.zeros(len(starts) + 1, np.int32)
     np.cumsum(counts, out=list_offsets[1:])
-    offs = np.arange(list_offsets[-1], dtype=np.int32) - np.repeat(
-        list_offsets[:-1], counts
-    )
     values = spans.flatten()
-    span_struct = pa.StructArray.from_arrays(
-        [values.field(name) for name in ("kind", "text", "media_ref")]
-        + [pa.array(offs)],
-        names=["kind", "text", "media_ref", "offset"],
+    spans_out = encode_spans(
+        *[values.field(name) for name in ("kind", "text", "media_ref")], list_offsets
     )
 
     def summed(name: str, dtype) -> np.ndarray:
@@ -306,7 +263,7 @@ def assemble_sheet_rows(rows: pa.Table) -> pa.Table:
     return pa.Table.from_arrays(
         [
             rows.column("doc_id").take(pa.array(starts)),
-            pa.ListArray.from_arrays(pa.array(list_offsets), span_struct),
+            spans_out,
             pa.array(counts),
             pa.array(summed("n_errors", np.int32)),
             pa.array(summed("parse_ms", np.float32)),

@@ -117,13 +117,21 @@ def _output_rows(out_dir):
 
 
 class TestOneExecution:
-    def test_read_extract_write_fuse_into_one_operator(self, ray_session, tmp_path):
+    @pytest.mark.parametrize("explode_threshold", [None, 0])
+    def test_read_extract_write_fuse_into_one_operator(
+        self, ray_session, tmp_path, explode_threshold
+    ):
+        """The job plan has one shape whether or not a threshold is set."""
         from exstruct_ray.stages.manifest import build_job_dataset, list_input_files
 
         write_corpus_parquet(str(tmp_path / "in"), 8, seed=42, rows_per_file=2)
         files = list_input_files(str(tmp_path / "in"))
         assert len(files) == 4
-        ds = build_job_dataset({0: files[:2], 1: files[2:]}, str(tmp_path / "out"))
+        ds = build_job_dataset(
+            {0: files[:2], 1: files[2:]},
+            str(tmp_path / "out"),
+            explode_threshold=explode_threshold,
+        )
         written = ds.materialize()
         stats = written.stats()
         operators = [
@@ -132,6 +140,31 @@ class TestOneExecution:
         assert len(operators) == 1, stats
         assert "ReadParquet->MapBatches(" in operators[0], stats
         assert written.sum("docs") == 8
+        name = operators[0].split()[2].rstrip(":")
+        assert name == (
+            "ReadParquet->MapBatches(split_or_extract)->MapBatches(write_partitions)"
+        ), stats
+
+    def test_bad_options_raise_before_leftovers_are_removed(self, ray_session, tmp_path):
+        """An unsupported mode is a ``ValueError`` when the job or the plan
+        is built, not a task failure after the job has started; the job
+        has not yet removed a crashed attempt's partition directory."""
+        import ray.data
+
+        from exstruct_ray.stages.pipeline import build_extraction_pipeline
+
+        input_dir = tmp_path / "input"
+        write_corpus_parquet(str(input_dir), 10, seed=42, rows_per_file=10)
+        leftover = tmp_path / "out" / "partition=00000"
+        leftover.mkdir(parents=True)
+        (leftover / "stale.parquet").write_bytes(b"stale")
+        bad = ExtractOptions(mode="com")
+        with pytest.raises(ValueError, match="Unsupported mode"):
+            run_extraction_job(str(input_dir), str(tmp_path / "out"), bad)
+        assert (leftover / "stale.parquet").read_bytes() == b"stale"
+        ds = ray.data.from_items([{"doc_id": "d", "spans": []}])
+        with pytest.raises(ValueError, match="Unsupported mode"):
+            build_extraction_pipeline(ds, bad)
 
     def test_first_wave_starts_at_full_width(self, ray_session, tmp_path):
         """With an object store budget that fits one task at Ray Data's

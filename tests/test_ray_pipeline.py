@@ -1,5 +1,5 @@
-"""Ray Data pipeline tests: actor-pool extraction, explode/reassemble, parity
-across parallelism levels."""
+"""Ray Data pipeline tests: the one extraction UDF (task mode), in-task
+explode/reassemble, parity across parallelism levels."""
 
 import pyarrow as pa
 import pytest
@@ -99,7 +99,7 @@ class TestWideDocuments:
         assert [
             (s["kind"], s["text"], s["media_ref"], s["offset"]) for s in p["spans"]
         ] == [(s["kind"], s["text"], s["media_ref"], s["offset"]) for s in e["spans"]]
-        # sheet order preserved across the shuffle
+        # sheet order preserved through the split and reassembly
         refs = [s["media_ref"] for s in e["spans"]]
         assert refs == [f"W{i}" for i in range(200) for _ in (0, 1)]
 
@@ -120,8 +120,8 @@ class TestWideDocuments:
     def test_run_job_explode_routes_rows_to_their_partitions(
         self, ray_session, tmp_path
     ):
-        """Reassembly blocks mix partitions: every row must still land in
-        the directory of its own input file's partition."""
+        """Every doc exploded: every row must still land in the directory
+        of its own input file's partition."""
         import os
 
         import pyarrow.parquet as pq
@@ -141,7 +141,7 @@ class TestWideDocuments:
             str(tmp_path / "in"),
             str(out),
             files_per_partition=1,
-            explode_threshold=0,  # every doc through the explode exchange
+            explode_threshold=0,  # every doc split and reassembled in its task
         )
         assert summary["executed"] == len(files) == 3
         manifest = load_manifest(str(out))
@@ -315,3 +315,32 @@ class TestWideDocumentInTask:
             assert [op for op in operator_lines(exploded) if "MapBatches" in op] == [
                 op for op in operator_lines(exploded) if "split_or_extract" in op
             ]
+
+    def test_no_threshold_measures_and_splits_nothing(self, monkeypatch):
+        """Without ``explode_threshold`` the UDF is one ``ExtractActor``
+        call on the whole batch, even with a 200-sheet doc in it: run
+        in-process with the payload measure and the splitter made to
+        raise."""
+        from exstruct_ray.datagen.corpus import DOC_SCHEMA
+        from exstruct_ray.stages import pipeline
+        from exstruct_ray.stages.actor import ExtractActor
+
+        class Plan:  # stands in for a Dataset: hands back the mapped UDF
+            def map_batches(self, fn, **_kwargs):
+                return fn
+
+        def forbidden(*_args):
+            raise AssertionError("must not run without explode_threshold")
+
+        docs = [build_document(0, seed=42), self._wide("wide"), build_document(1, seed=42)]
+        batch = pa.Table.from_pylist(docs, schema=DOC_SCHEMA)
+        udf = build_extraction_pipeline(Plan(), batch_size=None)
+        monkeypatch.setattr(pipeline, "doc_payload_chars", forbidden)
+        monkeypatch.setattr(pipeline, "_split_doc_by_sheet", forbidden)
+        out = udf(batch)
+        want = ExtractActor()(batch)
+        assert out.schema.equals(want.schema)
+        # parse_ms is a timing; every other column is byte-identical.
+        for name in ("doc_id", "spans", "n_spans", "n_errors"):
+            assert out.column(name).equals(want.column(name)), name
+        assert out.column("n_spans").to_pylist()[1] == 400
