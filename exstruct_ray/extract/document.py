@@ -18,7 +18,10 @@ with `media_ref` = owning sheet name and a document-dense ascending `offset`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+import json
+from json.encoder import c_make_encoder, encode_basestring
 
 from ..config import ExtractOptions, ResolvedOptions
 from ..functions.a1 import parse_range_zero_based
@@ -144,6 +147,7 @@ def extract_workbook(
     info = parse_workbook(package)
     styles = _parse_styles_safe(package)
     shared = parse_shared_strings(package)
+    memo = _RowMemo()
 
     sheets: dict[str, SheetData] = {}
     for sheet_ref in info.sheets:
@@ -166,7 +170,7 @@ def extract_workbook(
             continue
         sheets[sheet_ref.name] = _extract_sheet(
             package, sheet_ref.path, grid, styles, opts,
-            info.print_areas.get(sheet_ref.name, []),
+            info.print_areas.get(sheet_ref.name, []), memo,
         )
     return WorkbookData(book_name=book_name, sheets=sheets)
 
@@ -187,8 +191,9 @@ def _extract_sheet(
     styles: Stylesheet,
     opts: ResolvedOptions,
     print_areas: list[PrintArea],
+    memo: _RowMemo,
 ) -> SheetData:
-    rows = _cells_to_rows(grid, include_links=opts.include_cell_links)
+    rows = _cells_to_rows(grid, opts.include_cell_links, memo)
     merged = _merged_ranges(grid) if opts.include_merged_cells else []
     if not opts.include_merged_values_in_rows and merged:
         rows = _filter_rows_excluding_merged_values(rows, merged)
@@ -265,26 +270,56 @@ def _extract_sheet(
     return sheet
 
 
-def _cells_to_rows(grid: SheetGrid, include_links: bool) -> list[CellRow]:
+class _RowMemo(dict):
+    """Per-document memo for building cell rows: a rendered cell string maps
+    to its cell_row value (None when blank), a 0-based column index to its
+    key ("0", "1", …). A workbook repeats a few distinct strings many times.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: str | int) -> int | float | str | None:
+        if type(key) is int:
+            value = self[key] = str(key)
+        else:
+            value = self[key] = (
+                coerce_numeric_preserve_format(key) if key.strip() else None
+            )
+        return value
+
+
+def _cells_to_rows(
+    grid: SheetGrid, include_links: bool, memo: _RowMemo
+) -> list[CellRow]:
     """Sparse rows: skip blank-stripped cells, coerce numerics.
 
+    One walk over the row-major cell table, a row at a time.
     Parity: core/cells.py:701-760 (extract_sheet_cells[_with_links]).
     """
-    by_row: dict[int, dict[str, int | float | str]] = {}
-    for (r, c0), cell in sorted(grid.cells.items()):
-        s = cell.value
-        if s.strip() == "":
-            continue
-        by_row.setdefault(r, {})[str(c0)] = coerce_numeric_preserve_format(s)
+    table = grid.table
+    rows = table.rows
     links_by_row: dict[int, dict[str, str]] = {}
     if include_links:
         for (lr, c0), target in sorted(grid.hyperlinks.items()):
             links_by_row.setdefault(lr, {})[str(c0)] = target
-    rows: list[CellRow] = []
-    for r in sorted(by_row):
-        links = links_by_row.get(r) if include_links else None
-        rows.append(CellRow(r=r, c=by_row[r], links=links or None))
-    return rows
+    keys = list(map(memo.__getitem__, table.cols))
+    cell_values = list(map(memo.__getitem__, table.values))
+    has_blanks = None in cell_values
+    out: list[CellRow] = []
+    start = 0
+    for r in dict.fromkeys(rows):
+        end = bisect_right(rows, r, start)
+        row_values = cell_values[start:end]
+        if has_blanks and None in row_values:
+            cells = {
+                k: v for k, v in zip(keys[start:end], row_values) if v is not None
+            }
+        else:
+            cells = dict(zip(keys[start:end], row_values))
+        start = end
+        if cells:
+            out.append(CellRow(r=r, c=cells, links=links_by_row.get(r) or None))
+    return out
 
 
 def _merged_ranges(grid: SheetGrid) -> list[MergedCellRange]:
@@ -313,15 +348,13 @@ def _formulas_map(grid: SheetGrid) -> dict[str, list[tuple[int, int]]]:
 
     Parity: core/cells.py:313-361 (_extract_sheet_formulas).
     """
+    table = grid.table
     formulas: dict[str, list[tuple[int, int]]] = {}
-    for (r, c0), cell in sorted(grid.cells.items()):
-        if cell.formula is None:
-            continue
-        text = cell.formula
+    for i, text in table.formulas.items():
         if text == "":
             continue
         normalized = text if text.startswith("=") else f"={text}"
-        formulas.setdefault(normalized, []).append((r, c0))
+        formulas.setdefault(normalized, []).append((table.rows[i], table.cols[i]))
     return formulas
 
 
@@ -339,26 +372,37 @@ def _colors_map(
     if grid.max_row < grid.min_row or grid.max_col < grid.min_col:
         return colors
     ignore = normalize_ignore_colors(opts.ignore_colors)
+    key_of: dict[int | None, str | None] = {}
 
-    def visit(r: int, c0: int, style_idx: int | None) -> None:
+    def color(style_idx: int | None) -> str | None:
+        if style_idx in key_of:
+            return key_of[style_idx]
         key = styles.resolve_background(style_idx, opts.include_default_background)
-        if key is None:
-            return
-        normalized = normalize_color_key(key)
-        if normalized in ignore:
-            return
-        colors.setdefault(normalized, []).append((r, c0))
+        if key is not None:
+            key = normalize_color_key(key)
+            if key in ignore:
+                key = None
+        key_of[style_idx] = key
+        return key
 
+    table = grid.table
+    rows, cols, cell_styles = table.rows, table.cols, table.styles
     if opts.include_default_background:
+        end = 0
         for r in range(grid.min_row, grid.max_row + 1):
-            for c1 in range(grid.min_col, grid.max_col + 1):
-                cell = grid.cells.get((r, c1 - 1))
-                visit(r, c1 - 1, cell.style if cell is not None else None)
+            start, end = table.row_span(r, end)
+            style_at = dict(zip(cols[start:end], cell_styles[start:end]))
+            for c0 in range(grid.min_col - 1, grid.max_col):
+                key = color(style_at.get(c0))
+                if key is not None:
+                    colors.setdefault(key, []).append((r, c0))
     else:
-        for (r, c0), cell in sorted(grid.cells.items()):
-            if cell.style is None:
+        for r, c0, style_idx in zip(rows, cols, cell_styles):
+            if style_idx is None:
                 continue
-            visit(r, c0, cell.style)
+            key = color(style_idx)
+            if key is not None:
+                colors.setdefault(key, []).append((r, c0))
     return colors
 
 
@@ -482,6 +526,23 @@ def workbook_to_spans(workbook: WorkbookData, opts: ResolvedOptions) -> list[Spa
     ]
 
 
+# json.dumps(..., ensure_ascii=False, separators=(",", ":")) builds a new
+# JSONEncoder and C encoder per call; build that same C encoder once.
+if c_make_encoder is not None:
+    _encode_payload = c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring, None, ":", ",",
+        False, False, True,
+    )
+else:  # no C accelerator: json.dumps is the encoder
+    def _encode_payload(payload: dict, _level: int) -> list[str]:
+        return [json.dumps(payload, ensure_ascii=False, separators=(",", ":"))]
+
+
+def cell_row_json(row: CellRow) -> str:
+    """``json.dumps(row.to_payload(), ensure_ascii=False, separators=(",", ":"))``."""
+    return "".join(_encode_payload(row.to_payload(), 0))
+
+
 def _workbook_spans_into(
     workbook: WorkbookData,
     opts: ResolvedOptions,
@@ -498,20 +559,14 @@ def _workbook_spans_into(
         out_texts.append(text)
         out_refs.append(media_ref)
 
-    import json as _json
-
     for sheet_name, sheet in workbook.sheets.items():
-        for row in sheet.rows:
-            # Fast path: cell rows contain no empty values by construction
-            # (blank cells are stripped at parse), so the canonical
-            # empty-stripping pass is an identity — plain compact dumps.
-            emit(
-                "cell_row",
-                _json.dumps(
-                    row.to_payload(), ensure_ascii=False, separators=(",", ":")
-                ),
-                sheet_name,
-            )
+        # Cell rows contain no empty values by construction (blank cells
+        # are stripped at parse), so the canonical empty-stripping pass is
+        # an identity: the compact dump of the payload.
+        n = len(sheet.rows)
+        out_kinds.extend(["cell_row"] * n)
+        out_texts.extend([cell_row_json(row) for row in sheet.rows])
+        out_refs.extend([sheet_name] * n)
         for shape in sheet.shapes:
             emit(
                 shape.kind,

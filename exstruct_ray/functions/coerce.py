@@ -14,6 +14,8 @@ import re
 
 INT_RE = re.compile(r"^[+-]?\d+$")
 FLOAT_RE = re.compile(r"^[+-]?\d*\.\d+$")
+# Digits the default decimal context quantizes without InvalidOperation.
+_EXACT_DIGITS = 28
 
 
 def coerce_numeric_preserve_format(val: str) -> int | float | str:
@@ -23,6 +25,11 @@ def coerce_numeric_preserve_format(val: str) -> int | float | str:
         except Exception:
             return val
     if FLOAT_RE.match(val):
+        if len(val) <= _EXACT_DIGITS:
+            # Quantizing to the string's own scale keeps its exact value, so
+            # float() gives the same double; only a longer digit string can
+            # overflow the decimal context and stay a string.
+            return float(val)
         try:
             dec = Decimal(val)
             exponent = int(dec.as_tuple().exponent)

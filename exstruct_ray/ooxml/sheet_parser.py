@@ -14,8 +14,12 @@ Sheet sizing metrics parity: core/ooxml_drawing.py:746-860
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 import datetime as _dt
+from itertools import islice, repeat
+from operator import add, getitem, lt, mul
 import re
 import xml.etree.ElementTree as ET
 
@@ -47,6 +51,100 @@ class Cell:
     value: str  # rendered string value ("" when empty)
     style: int | None = None
     formula: str | None = None  # raw formula text without leading "="
+
+
+@dataclass
+class CellTable:
+    """One sheet's cells as parallel columns in row-major order.
+
+    ``rows`` (1-based) and ``cols`` (0-based) are sorted by (row, col) and
+    hold no position twice; ``values`` are the rendered strings, ``styles``
+    the cellXf indices (None when unstyled), and ``formulas`` maps a cell's
+    index to its formula text, in index order, for the cells that have one.
+    """
+
+    rows: list[int] = field(default_factory=list)
+    cols: list[int] = field(default_factory=list)
+    values: list[str] = field(default_factory=list)
+    styles: list[int | None] = field(default_factory=list)
+    formulas: dict[int, str] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def row_span(self, row: int, lo: int = 0) -> tuple[int, int]:
+        """Index range [start, end) of ``row``'s cells, searching from ``lo``."""
+        rows = self.rows
+        start = bisect_left(rows, row, lo)
+        return start, bisect_right(rows, row, start)
+
+    def index(self, row: int, col0: int) -> int | None:
+        start, end = self.row_span(row)
+        i = bisect_left(self.cols, col0, start, end)
+        return i if i < end and self.cols[i] == col0 else None
+
+    def canonicalize(self) -> None:
+        """Sort into row-major order in place, keeping the last cell at each
+        position (document order), as a dict keyed by position would.
+
+        Parts nearly always list cells in order: that is one O(n) check.
+        """
+        rows, cols = self.rows, self.cols
+        n = len(rows)
+        if n < 2:
+            return
+        width = max(cols) + 1
+        keys = list(map(add, map(mul, rows, repeat(width)), cols))
+        if all(map(lt, keys, islice(keys, 1, None))):
+            return
+        last = dict(zip(keys, range(n)))
+        self.take([last[k] for k in sorted(last)])
+
+    def take(self, order: list[int]) -> None:
+        """Keep the cells at ``order``'s indices, in that order."""
+        rows, cols, values, styles = self.rows, self.cols, self.values, self.styles
+        self.rows = [rows[i] for i in order]
+        self.cols = [cols[i] for i in order]
+        self.values = [values[i] for i in order]
+        self.styles = [styles[i] for i in order]
+        formulas = self.formulas
+        if formulas:
+            self.formulas = {
+                new: formulas[old] for new, old in enumerate(order) if old in formulas
+            }
+
+
+class CellMap(Mapping):
+    """Read-only ``{(row, col0): Cell}`` view of a cell table.
+
+    The dict is built on first lookup; ``len()`` reads the table.
+    """
+
+    __slots__ = ("_table", "_cells")
+
+    def __init__(self, table: CellTable) -> None:
+        self._table = table
+        self._cells: dict[tuple[int, int], Cell] | None = None
+
+    def _built(self) -> dict[tuple[int, int], Cell]:
+        cells = self._cells
+        if cells is None:
+            t = self._table
+            formula = t.formulas.get
+            cells = self._cells = {
+                (r, c): Cell(value=v, style=s, formula=formula(i))
+                for i, (r, c, v, s) in enumerate(zip(t.rows, t.cols, t.values, t.styles))
+            }
+        return cells
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, key: tuple[int, int]) -> Cell:
+        return self._built()[key]
+
+    def __iter__(self):
+        return iter(self._built())
 
 
 @dataclass
@@ -95,10 +193,10 @@ class SheetMetrics:
 
 @dataclass
 class SheetGrid:
-    """Parsed worksheet: sparse cell map keyed by (row 1-based, col 0-based)."""
+    """Parsed worksheet: its cell table plus sheet metadata."""
 
     name: str
-    cells: dict[tuple[int, int], Cell] = field(default_factory=dict)
+    table: CellTable = field(default_factory=CellTable)
     merged_refs: list[str] = field(default_factory=list)
     hyperlinks: dict[tuple[int, int], str] = field(default_factory=dict)
     table_part_rids: list[str] = field(default_factory=list)
@@ -109,9 +207,25 @@ class SheetGrid:
     max_row: int = 0
     max_col: int = 0
 
+    @property
+    def cells(self) -> CellMap:
+        """The cells keyed by (row 1-based, col 0-based), read-only."""
+        view = self.__dict__.get("_cell_map")
+        if view is None or view._table is not self.table:
+            view = self.__dict__["_cell_map"] = CellMap(self.table)
+        return view
+
     def value_at(self, row: int, col0: int) -> str:
-        cell = self.cells.get((row, col0))
-        return cell.value if cell is not None else ""
+        i = self.table.index(row, col0)
+        return self.table.values[i] if i is not None else ""
+
+    def set_cells(self, table: CellTable) -> None:
+        """Install a parsed table: canonical order, then used-range bounds."""
+        table.canonicalize()
+        self.table = table
+        if table.rows:
+            self.min_row, self.max_row = table.rows[0], table.rows[-1]
+            self.min_col, self.max_col = min(table.cols) + 1, max(table.cols) + 1
 
 
 def _render_number(text: str) -> str:
@@ -145,27 +259,76 @@ def _render_date(serial: float, date1904: bool = False) -> str:
     return dt.strftime("%Y-%m-%d %H:%M:%S")
 
 
+# Canonical cell shape. The usual `<c …><v>text</v></c>` hands its text to
+# group 4; anything else inside the cell (<f>, <is>, attributes on <v>) lands
+# in group 5 and takes the per-cell branch.
 _FAST_CELL_RE = re.compile(
-    r'<c r="([A-Z]+)(\d+)"((?:\s+[a-zA-Z]+="[^"]*")*)\s*(?:/>|>(.*?)</c>)', re.S
+    r'<c r="([A-Z]+)(\d+)"((?:\s+[a-zA-Z]+="[^"]*")*)\s*'
+    r"(?:/>|>(?:<v>([^<]*)</v>|(.*?))</c>)",
+    re.S,
 )
 _FAST_ATTR_RE = re.compile(r'([a-zA-Z]+)="([^"]*)"')
 _FAST_ROW_OPEN_RE = re.compile(r"<row\b([^>]*?)/?>")
 _FAST_ROW_R_RE = re.compile(r'<row[^>]*\br="')
 _FAST_F_RE = re.compile(r"<f(\s[^>]*)?(?:/>|>(.*?)</f>)", re.S)
 _FAST_V_RE = re.compile(r"<v(?:\s[^>]*)?>(.*?)</v>", re.S)
+# <f> attributes in either quote style (t='shared' si='0' is legal XML).
+_FAST_F_ATTR_RE = re.compile(r"""([\w:.-]+)\s*=\s*(?:"([^"]*)"|'([^']*)')""")
 
 # Counts every cell opening regardless of attribute spacing — the guard
 # comparing this against the canonical-form matches must never share the
 # match regex's blind spots, or divergent inputs skip the ET fallback.
 _FAST_CELL_OPEN_RE = re.compile(r"<c[\s/>]")
 
+_CELL_TYPES = frozenset({"n", "s", "str", "b", "e", "inlineStr"})
 
-def _unescape(text: str) -> str:
+_XML_REF_RE = re.compile(r"&(?:#([0-9]+)|#x([0-9a-fA-F]+)|(amp|lt|gt|quot|apos));")
+_XML_NAMED = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+
+
+def _xml_char(match: re.Match) -> str:
+    dec, hexa, name = match.groups()
+    if name:
+        return _XML_NAMED[name]
+    code = int(dec) if dec else int(hexa, 16)
+    if not (
+        code in (0x9, 0xA, 0xD)
+        or 0x20 <= code <= 0xD7FF
+        or 0xE000 <= code <= 0xFFFD
+        or 0x10000 <= code <= 0x10FFFF
+    ):
+        raise ValueError(f"character {code} is not allowed in XML")
+    return chr(code)
+
+
+def _unescape(text: str) -> str | None:
+    """Decode XML's five named entities and its character references.
+
+    None when a "&" starts anything else (an HTML-only name such as
+    ``&nbsp;``, a bare "&", a character number XML forbids): ElementTree
+    treats those differently, so the caller falls back to it.
+    """
     if "&" not in text:
         return text
-    import html
+    try:
+        out, n = _XML_REF_RE.subn(_xml_char, text)
+    except ValueError:
+        return None
+    return out if n == text.count("&") else None
 
-    return html.unescape(text)
+
+class _Rendered(dict):
+    """<v> text → rendered value for one cell kind, memoized per sheet."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render) -> None:
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, text: str) -> str:
+        value = self[text] = self.render(text)
+        return value
 
 
 def parse_sheet(
@@ -181,10 +344,10 @@ def parse_sheet(
     """Parse one worksheet part into a SheetGrid.
 
     Uses a regex fast scanner for the dominant sheetData shapes when the
-    part is default-namespaced and every cell matches the canonical form
-    (measured ~4.5× faster than ElementTree on dense sheets); anything
-    unusual — namespace prefixes, unmatched cells, inline rich strings —
-    falls back to the full ElementTree path, cell-wise or wholesale.
+    part is default-namespaced and every cell matches the canonical form;
+    anything unusual — namespace prefixes, unmatched cells, entities XML
+    does not define — falls back to the full ElementTree path, cell-wise
+    or wholesale. Both paths build the same cell table.
     """
     if allow_fast_path:
         raw = package.read_text(sheet_path)
@@ -236,12 +399,20 @@ def _parse_sheet_fast(
     # XML comments could hide (or fabricate) cells from the regex → ET.
     if "<!--" in sheet_data:
         return None
+    if "\r" in sheet_data:
+        # XML end-of-line handling, which ElementTree applies to all text.
+        sheet_data = sheet_data.replace("\r\n", "\n").replace("\r", "\n")
     matches = _FAST_CELL_RE.findall(sheet_data)
     if len(matches) != len(_FAST_CELL_OPEN_RE.findall(sheet_data)):
         return None
     # Rows lacking an r attribute imply positions (and row heights) the
     # fast regexes cannot see — let the ET path reconstruct them.
     if sheet_data.count("<row") != len(_FAST_ROW_R_RE.findall(sheet_data)):
+        return None
+    table = _fast_cell_table(
+        matches, "&" in sheet_data, shared_strings, styles, date1904
+    )
+    if table is None:
         return None
 
     # Metadata (format, cols, merges, links) parsed via ET on the remainder
@@ -271,114 +442,147 @@ def _parse_sheet_fast(
         if row_idx is not None and row_idx > 0 and ht is not None and ht > 0:
             grid.metrics.row_height_points[row_idx - 1] = ht
 
-    cells = grid.cells
+    grid.set_cells(table)
+    return grid
+
+
+def _fast_cell_table(
+    matches: list[tuple[str, str, str, str, str]],
+    has_refs: bool,
+    shared_strings: list[str],
+    styles: Stylesheet,
+    date1904: bool,
+) -> CellTable | None:
+    """The cell table of the scanned cells, in document order; None when a
+    cell needs the ElementTree path.
+
+    Columns are built per distinct attribute string and <v> text; only
+    cells holding more than one plain <v> (formulas, inline strings) take
+    the per-cell branch.
+    """
+    if not matches:
+        return CellTable()
+    letters, row_texts, attr_texts, v_texts, inners = zip(*matches)
+
+    def shared(text: str) -> str:
+        try:
+            return shared_strings[int(text)]
+        except (ValueError, IndexError):
+            return ""
+
+    def date(text: str) -> str:
+        if text == "":
+            return ""
+        try:
+            return _render_date(float(text), date1904)
+        except ValueError:
+            return text
+
+    def boolean(text: str) -> str:
+        return "True" if text.strip() == "1" else "False"
+
+    def same(text: str) -> str:
+        return text
+
+    renderers = {"n": _render_number, "d": date, "s": shared, "b": boolean}
+    memos: dict[str, _Rendered] = {}
     date_styles = styles.date_style_ids()
-    shared_formulas: dict[str, tuple[str, int, int]] = {}
-    min_r = min_c = None
-    max_r = max_c = 0
-    # Attr strings and column letters repeat massively on dense sheets —
-    # memoize their decoding (bounded by distinct styles / columns).
-    attr_cache: dict[str, tuple[int | None, str]] = {"": (None, "n")}
-    col_cache: dict[str, int] = {}
-    for letters, row_str, attrs_str, inner in matches:
-        col0 = col_cache.get(letters)
-        if col0 is None:
-            col0 = _col_letters_to_index(letters)
-            col_cache[letters] = col0
-        row1 = int(row_str)
-        decoded = attr_cache.get(attrs_str)
-        if decoded is None:
-            style_idx = None
-            cell_type = "n"
-            for attr_name, attr_value in _FAST_ATTR_RE.findall(attrs_str):
-                if attr_name == "s":
-                    try:
-                        style_idx = int(attr_value)
-                    except ValueError:
-                        style_idx = None
-                elif attr_name == "t":
-                    cell_type = attr_value
-            decoded = (style_idx, cell_type)
-            attr_cache[attrs_str] = decoded
-        style_idx, cell_type = decoded
-
-        formula: str | None = None
-        v_text = ""
-        if inner:
-            f_match = _FAST_F_RE.search(inner)
-            if f_match is not None:
-                f_attrs = f_match.group(1) or ""
-                f_text = _unescape(f_match.group(2) or "")
-                if 't="shared"' in f_attrs:
-                    si_match = re.search(r'si="([^"]*)"', f_attrs)
-                    if si_match is not None:
-                        si = si_match.group(1)
-                        if f_text:
-                            shared_formulas[si] = (f_text, row1, col0)
-                        else:
-                            master = shared_formulas.get(si)
-                            if master is not None:
-                                from ..functions.formulas import translate_formula
-
-                                f_text = translate_formula(
-                                    master[0], row1 - master[1], col0 - master[2]
-                                )
-                formula = f_text
-            v_match = _FAST_V_RE.search(inner)
-            if v_match is not None:
-                v_text = _unescape(v_match.group(1))
-
-        if cell_type == "n":
-            if v_text == "":
-                value = ""
-            elif style_idx is not None and style_idx in date_styles:
+    style_of: dict[str, int | None] = {}
+    memo_of: dict[str, _Rendered] = {}
+    inline_attrs: set[str] = set()
+    for attrs in set(attr_texts):
+        if "&" in attrs:
+            return None  # an entity in s= or t= → the ET path decodes it
+        style_idx = None
+        cell_type = "n"
+        for attr_name, attr_value in _FAST_ATTR_RE.findall(attrs):
+            if attr_name == "s":
                 try:
-                    value = _render_date(float(v_text), date1904)
+                    style_idx = int(attr_value)
                 except ValueError:
-                    value = v_text
-            else:
-                value = _render_number(v_text)
-        elif cell_type == "s":
-            try:
-                value = shared_strings[int(v_text)]
-            except (ValueError, IndexError):
-                value = ""
-        elif cell_type == "inlineStr":
+                    style_idx = None
+            elif attr_name == "t":
+                cell_type = attr_value
+        if cell_type not in _CELL_TYPES:
+            return None  # unknown cell type → ET path
+        if cell_type == "inlineStr":
+            inline_attrs.add(attrs)
+        kind = "d" if cell_type == "n" and style_idx in date_styles else cell_type
+        memo = memos.get(kind)
+        if memo is None:
+            memo = memos[kind] = _Rendered(renderers.get(kind, same))
+        style_of[attrs] = style_idx
+        memo_of[attrs] = memo
+
+    if has_refs:
+        v_texts = [_unescape(v) for v in v_texts]
+        if None in v_texts:
+            return None
+    col_of = {name: _col_letters_to_index(name) for name in set(letters)}
+    rows = list(map(int, row_texts))
+    cols = list(map(col_of.__getitem__, letters))
+    cell_styles = list(map(style_of.__getitem__, attr_texts))
+    values = list(map(getitem, map(memo_of.__getitem__, attr_texts), v_texts))
+    formulas: dict[int, str] = {}
+
+    slow = [i for i, inner in enumerate(inners) if inner] if any(inners) else []
+    if inline_attrs:
+        slow = sorted(
+            set(slow).union(i for i, a in enumerate(attr_texts) if a in inline_attrs)
+        )
+    shared_formulas: dict[str, tuple[str, int, int]] = {}
+    for i in slow:
+        inner = inners[i]
+        if "<!" in inner:
+            return None  # CDATA → the ET path reads it
+        row1, col0 = rows[i], cols[i]
+        f_match = _FAST_F_RE.search(inner)
+        if f_match is not None:
+            f_text = _unescape(f_match.group(2) or "")
+            if f_text is None:
+                return None
+            f_attrs: dict[str, str] = {}
+            for name, dq, sq in _FAST_F_ATTR_RE.findall(f_match.group(1) or ""):
+                value = _unescape(dq or sq)
+                if value is None:
+                    return None
+                f_attrs[name] = value
+            si = f_attrs.get("si")
+            if f_attrs.get("t") == "shared" and si is not None:
+                if f_text:
+                    shared_formulas[si] = (f_text, row1, col0)
+                else:
+                    master = shared_formulas.get(si)
+                    if master is not None:
+                        from ..functions.formulas import translate_formula
+
+                        f_text = translate_formula(
+                            master[0], row1 - master[1], col0 - master[2]
+                        )
+            formulas[i] = f_text
+        if attr_texts[i] in inline_attrs:
             # Rich/phonetic structure possible → parse this cell via ET.
             try:
-                frag = ET.fromstring(
-                    f'<c xmlns="{_MAIN_NS[1:-1]}">{inner}</c>'
-                )
+                frag = ET.fromstring(f'<c xmlns="{_MAIN_NS[1:-1]}">{inner}</c>')
             except ET.ParseError:
                 return None
             is_el = frag.find(f"{_MAIN_NS}is")
-            value = _rich_text(is_el) if is_el is not None else ""
-        elif cell_type == "str":
-            value = v_text
-        elif cell_type == "b":
-            value = "True" if v_text.strip() == "1" else "False"
-        elif cell_type == "e":
-            value = v_text
-        else:
-            return None  # unknown cell type → ET path
-
-        if value == "" and style_idx is None and formula is None:
+            values[i] = _rich_text(is_el) if is_el is not None else ""
             continue
-        cells[(row1, col0)] = Cell(value=value, style=style_idx, formula=formula)
-        c1 = col0 + 1
-        if min_r is None or row1 < min_r:
-            min_r = row1
-        if min_c is None or c1 < min_c:
-            min_c = c1
-        if row1 > max_r:
-            max_r = row1
-        if c1 > max_c:
-            max_c = c1
+        v_match = _FAST_V_RE.search(inner)
+        v_text = _unescape(v_match.group(1)) if v_match is not None else ""
+        if v_text is None:
+            return None
+        values[i] = memo_of[attr_texts[i]][v_text]
 
-    if min_r is not None and min_c is not None:
-        grid.min_row, grid.min_col = min_r, min_c
-        grid.max_row, grid.max_col = max_r, max_c
-    return grid
+    table = CellTable(rows, cols, values, cell_styles, formulas)
+    if "" in values:
+        # An empty, unstyled cell without a formula is no cell at all.
+        table.take([
+            i for i, (v, s) in enumerate(zip(values, cell_styles))
+            if v != "" or s is not None or i in formulas
+        ])
+    return table
 
 
 def _parse_sheet_et(
@@ -435,15 +639,17 @@ def _parse_sheet_et_from_root(
                 metrics.column_width_points[idx] = wpts
 
     sheet_data = root.find(f"{_MAIN_NS}sheetData")
-    min_r = min_c = None
-    max_r = max_c = 0
     if sheet_data is not None:
         cell_tag = f"{_MAIN_NS}c"
         row_tag = f"{_MAIN_NS}row"
         f_tag = f"{_MAIN_NS}f"
         v_tag = f"{_MAIN_NS}v"
         match_ref = _CELL_REF_RE.match
-        cells = grid.cells
+        table = CellTable()
+        rows, cols, values, cell_styles = (
+            table.rows, table.cols, table.values, table.styles
+        )
+        formulas = table.formulas
         date_styles = styles.date_style_ids()
         # OOXML allows implicit positions: a row without r continues after
         # the previous row; a cell without r sits right of the previous cell
@@ -533,22 +739,13 @@ def _parse_sheet_et_from_root(
 
                 if value == "" and style_idx is None and formula is None:
                     continue
-                cells[(row1, col0)] = Cell(
-                    value=value, style=style_idx, formula=formula
-                )
-                c1 = col0 + 1
-                if min_r is None or row1 < min_r:
-                    min_r = row1
-                if min_c is None or c1 < min_c:
-                    min_c = c1
-                if row1 > max_r:
-                    max_r = row1
-                if c1 > max_c:
-                    max_c = c1
-
-    if min_r is not None and min_c is not None:
-        grid.min_row, grid.min_col = min_r, min_c
-        grid.max_row, grid.max_col = max_r, max_c
+                if formula is not None:
+                    formulas[len(rows)] = formula
+                rows.append(row1)
+                cols.append(col0)
+                values.append(value)
+                cell_styles.append(style_idx)
+        grid.set_cells(table)
 
     merged_node = root.find(f"{_MAIN_NS}mergeCells")
     if merged_node is not None:

@@ -72,6 +72,19 @@ class Stylesheet:
             object.__setattr__(self, "_date_ids", cached)
         return cached
 
+    def border_edges(self) -> dict[int, tuple[bool, bool, bool, bool]]:
+        """cellXf index → (top, bottom, left, right) for the styles that draw
+        any border edge (cached for the table detector's scan)."""
+        cached = getattr(self, "_border_edges", None)
+        if cached is None:
+            cached = {
+                i: (s.border.top, s.border.bottom, s.border.left, s.border.right)
+                for i, s in enumerate(self.styles)
+                if s.border.any
+            }
+            object.__setattr__(self, "_border_edges", cached)
+        return cached
+
     def style(self, idx: int | None) -> CellStyle:
         if idx is None or idx < 0 or idx >= len(self.styles):
             return _DEFAULT_STYLE

@@ -22,7 +22,8 @@ unlike the reference which re-opens the file per artifact.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, bisect_right
+from itertools import chain, compress, starmap
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from ..functions.a1 import col_index_to_alpha
 from ..functions.coerce import FLOAT_RE, INT_RE
 from ..ooxml.package import VirtualPackage
 from ..ooxml.sheet_parser import SheetGrid
-from ..ooxml.styles import BorderEdges, Stylesheet
+from ..ooxml.styles import Stylesheet
 
 _TABLE_REL_TYPE = (
     "http://schemas.openxmlformats.org/officeDocument/2006/relationships/table"
@@ -64,58 +65,65 @@ def extract_declared_table_refs(
     return refs
 
 
+# Bordered cells from which the maps are filled by numpy fancy indexing;
+# below it element-wise sets win (fancy indexing's fixed cost dominates).
+_NUMPY_BORDER_CELLS = 256
+
+
 def load_border_maps(
     grid: SheetGrid, styles: Stylesheet, limits: TableScanLimits
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Build border-presence maps with the reference's scan-limit behavior.
 
     Arrays are 1-based indexed, shape (scan_max_row+1, scan_max_col+1).
+    The scan walks rows, not cells: the bordered cells of a row are one
+    sorted slice of the row-major cell table.
     """
     max_row = max(grid.max_row, 1)
     max_col = max(grid.max_col, 1)
     scan_max_row = min(max_row, limits.max_rows)
     scan_max_col = min(max_col, limits.max_cols)
-
     shape = (scan_max_row + 1, scan_max_col + 1)
-    has_border = np.zeros(shape, dtype=bool)
-    top_edge = np.zeros(shape, dtype=bool)
-    bottom_edge = np.zeros(shape, dtype=bool)
-    left_edge = np.zeros(shape, dtype=bool)
-    right_edge = np.zeros(shape, dtype=bool)
-    col_has_border = np.zeros(shape[1], dtype=bool)
 
-    # Pre-bucket bordered cells by row: only styled cells can have borders.
-    by_row: dict[int, list[tuple[int, BorderEdges]]] = {}
-    for (r, c0), cell in grid.cells.items():
-        if cell.style is None:
-            continue
-        edges = styles.style(cell.style).border
-        if not edges.any:
-            continue
-        by_row.setdefault(r, []).append((c0 + 1, edges))
+    # Only styled cells can have borders.
+    edges_of = styles.border_edges()
+    table = grid.table
+    bordered = (
+        list(compress(range(len(table)), map(edges_of.__contains__, table.styles)))
+        if edges_of
+        else []
+    )
+    b_rows = list(map(table.rows.__getitem__, bordered))
+    b_cols = list(map(table.cols.__getitem__, bordered))  # 0-based
+    b_styles = list(map(table.styles.__getitem__, bordered))
+    maps = [np.zeros(shape, dtype=bool) for _ in range(5)]
+    if not bordered:
+        return maps[0], maps[1], maps[2], maps[3], maps[4]
 
     min_row = grid.min_row
     min_col = grid.min_col
     consecutive_empty_rows = 0
     current_max_col = scan_max_col
     rows_scanned = 0
-
+    # Highest column holding a border so far: the trailing-empty-column
+    # count is current_max_col minus it.
+    last_bordered_col = min_col - 1
+    col_step = max(limits.empty_col_run, 1)
+    spans: list[tuple[int, int]] = []  # bordered-cell index ranges kept
+    n_bordered = len(bordered)
+    j = 0
     for r in range(min_row, scan_max_row + 1):
         row_has_border = False
-        for c, edges in by_row.get(r, ()):
-            if c < min_col or c > current_max_col:
-                continue
-            row_has_border = True
-            col_has_border[c] = True
-            has_border[r, c] = True
-            if edges.top:
-                top_edge[r, c] = True
-            if edges.bottom:
-                bottom_edge[r, c] = True
-            if edges.left:
-                left_edge[r, c] = True
-            if edges.right:
-                right_edge[r, c] = True
+        if j < n_bordered and b_rows[j] == r:
+            end = bisect_right(b_rows, r, j)
+            lo = bisect_left(b_cols, min_col - 1, j, end)
+            hi = bisect_right(b_cols, current_max_col - 1, lo, end)
+            j = end
+            if lo < hi:
+                row_has_border = True
+                spans.append((lo, hi))
+                if b_cols[hi - 1] + 1 > last_bordered_col:
+                    last_bordered_col = b_cols[hi - 1] + 1
 
         if row_has_border:
             consecutive_empty_rows = 0
@@ -126,18 +134,44 @@ def load_border_maps(
             break
         if rows_scanned < limits.min_rows_before_col_shrink:
             continue
-        trailing_empty_cols = 0
-        for c in range(current_max_col, min_col - 1, -1):
-            if col_has_border[c]:
-                break
-            trailing_empty_cols += 1
-            if trailing_empty_cols >= limits.empty_col_run:
-                new_max_col = max(min_col, current_max_col - trailing_empty_cols)
-                if new_max_col < current_max_col:
-                    current_max_col = new_max_col
-                break
+        if current_max_col - last_bordered_col >= col_step:
+            current_max_col = max(min_col, current_max_col - col_step)
 
-    return has_border, top_edge, bottom_edge, left_edge, right_edge
+    kept = list(chain.from_iterable(starmap(range, spans)))
+    width = shape[1]
+    if len(kept) >= _NUMPY_BORDER_CELLS:
+        idx = np.array(kept, dtype=np.intp)
+        flat = (
+            np.array(b_rows, dtype=np.intp)[idx] * width
+            + np.array(b_cols, dtype=np.intp)[idx]
+            + 1
+        )
+        keys = list(edges_of)
+        edge_table = np.zeros((max(keys) + 1, 4), dtype=bool)
+        edge_table[keys] = list(edges_of.values())
+        flags = edge_table[np.array(b_styles, dtype=np.intp)[idx]]
+        maps[0].reshape(-1)[flat] = True
+        for k in range(4):
+            maps[k + 1].reshape(-1)[flat[flags[:, k]]] = True
+    else:
+        has_border, top_edge, bottom_edge, left_edge, right_edge = maps
+        for i in kept:
+            r, c = b_rows[i], b_cols[i] + 1
+            has_border[r, c] = True
+            top, bottom, left, right = edges_of[b_styles[i]]
+            if top:
+                top_edge[r, c] = True
+            if bottom:
+                bottom_edge[r, c] = True
+            if left:
+                left_edge[r, c] = True
+            if right:
+                right_edge[r, c] = True
+    return maps[0], maps[1], maps[2], maps[3], maps[4]
+
+
+# Rows from which _components_bboxes folds stacks of identical rows.
+_BLOCK_MIN_ROWS = 32
 
 
 def _components_bboxes(
@@ -147,10 +181,11 @@ def _components_bboxes(
 
     Run-length union-find: rows decompose into runs of consecutive True
     cells (vectorized), runs union with overlapping runs of the previous
-    row. O(#runs) instead of O(#cells) — a dense bordered table is one run
-    per row. Produces the same boxes as the reference's per-cell BFS
-    (cells.py:1081-1120), emitted in the same row-major discovery order
-    (topmost row, then leftmost cell of that row).
+    row. O(#runs) instead of O(#cells); a stack of identical rows counts as
+    one row, so a dense bordered table is one run. Produces the same boxes
+    as the reference's per-cell BFS (cells.py:1081-1120), emitted in the
+    same row-major discovery order (topmost row, then leftmost cell of that
+    row).
     """
     h, w = grid.shape
     if h == 0 or w == 0 or not grid.any():
@@ -170,11 +205,26 @@ def _components_bboxes(
             parent[x], x = root, parent[x]
         return root
 
+    # Each row equal to the row above joins that row's block: a block's
+    # components are those of its first row, stretched over its height.
+    # Short grids skip the numpy passes that finding blocks costs.
+    if h >= _BLOCK_MIN_ROWS:
+        new_block = np.ones(h, dtype=bool)
+        new_block[1:] = (grid[1:] != grid[:-1]).any(axis=1)
+        blocks = grid[new_block]
+        block_top = np.flatnonzero(new_block)
+        block_height = np.diff(block_top, append=h).tolist()
+        block_top = block_top.tolist()
+    else:
+        blocks = grid
+        block_top = list(range(h))
+        block_height = [1] * h
+
     # All runs in one vectorized pass: pad a False column per row, flatten,
     # and diff once — run rows/cols recovered by divmod on the padded width.
     wp = w + 1
-    padded = np.zeros((h, wp), dtype=np.int8)
-    padded[:, :w] = grid
+    padded = np.zeros((len(block_top), wp), dtype=np.int8)
+    padded[:, :w] = blocks
     flat = padded.ravel()
     d = np.diff(flat, prepend=np.int8(0))
     start_pos = np.flatnonzero(d == 1)
@@ -183,7 +233,12 @@ def _components_bboxes(
     run_starts = (start_pos % wp).tolist()
     run_ends = (end_pos % wp).tolist()
 
-    runs: list[tuple[int, int, int, int]] = []  # (row, start, end, label)
+    # A run joins the component of the first previous-row run it overlaps
+    # (unioning any further ones); a component's label is its first run's,
+    # the smallest, so label order is discovery order. Per label:
+    # [min_r, min_c, max_r, max_c, size], merged into the root on union;
+    # r counts blocks until the boxes map back to grid rows.
+    stats: list[list[int]] = []
     prev: list[tuple[int, int, int]] = []  # (start, end, label) of prev row
     prev_row = -2
     cur: list[tuple[int, int, int]] = []
@@ -194,43 +249,48 @@ def _components_bboxes(
             cur = []
             pi = 0
             prev_row = r
-        label = len(parent)
-        parent.append(label)
         # advance past prev-row runs that end before this run starts
-        while pi < len(prev) and prev[pi][1] < s:
+        n_prev = len(prev)
+        while pi < n_prev and prev[pi][1] < s:
             pi += 1
+        label = -1
         pj = pi
-        while pj < len(prev) and prev[pj][0] <= e:
-            ra, rb = find(label), find(prev[pj][2])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+        while pj < n_prev and prev[pj][0] <= e:
+            other = prev[pj][2]
+            if parent[other] != other:
+                other = find(other)
+            if label < 0:
+                label = other
+            elif other != label:
+                keep, gone = (label, other) if label < other else (other, label)
+                parent[gone] = keep
+                a, b = stats[keep], stats[gone]
+                a[0] = min(a[0], b[0])
+                a[1] = min(a[1], b[1])
+                a[3] = max(a[3], b[3])
+                a[4] += b[4]
+                label = keep
             pj += 1
-        runs.append((r, s, e, label))
-        cur.append((s, e, label))
-
-    # Aggregate per root: bbox, size, and discovery key.
-    stats: dict[int, list[int]] = {}
-    for r, s, e, label in runs:
-        root = find(label)
-        st = stats.get(root)
-        if st is None:
-            # [min_r, min_c, max_r, max_c, size, disc_row, disc_col]
-            stats[root] = [r, s, r, e, e - s + 1, r, s]
+        size = (e - s + 1) * block_height[r]
+        if label < 0:
+            label = len(parent)
+            parent.append(label)
+            stats.append([r, s, r, e, size])
         else:
+            st = stats[label]
             if s < st[1]:
                 st[1] = s
             st[2] = r
             if e > st[3]:
                 st[3] = e
-            st[4] += e - s + 1
-            if r == st[5] and s < st[6]:
-                st[6] = s
-    out = [
-        (st[0], st[1], st[2], st[3])
-        for st in sorted(stats.values(), key=lambda st: (st[5], st[6]))
-        if st[4] >= min_size
+            st[4] += size
+        cur.append((s, e, label))
+
+    return [
+        (block_top[st[0]], st[1], block_top[st[2]] + block_height[st[2]] - 1, st[3])
+        for label, st in enumerate(stats)
+        if parent[label] == label and st[4] >= min_size
     ]
-    return out
 
 
 def _components_bboxes_small(
@@ -349,30 +409,50 @@ def shrink_to_content(
     return top, left, bottom, right
 
 
-def _values_and_mask(
-    grid: SheetGrid, top: int, left: int, bottom: int, right: int
-) -> tuple[list[list[str]], np.ndarray]:
-    """Dense value block + boolean nonempty mask (1-based bounds, inclusive).
+# Cells in a candidate rectangle's rows from which its mask is filled by
+# numpy fancy indexing; below it element-wise sets win.
+_NUMPY_MASK_CELLS = 256
 
-    The strip-emptiness test runs once per cell here; everything downstream
+
+def _nonempty_mask(
+    grid: SheetGrid, top: int, left: int, bottom: int, right: int
+) -> np.ndarray:
+    """Boolean nonempty mask over a rectangle (1-based bounds, inclusive).
+
+    The rectangle's rows are one slice of the row-major cell table. The
+    strip-emptiness test runs once per cell here; everything downstream
     (clusters, density, coverage, plausibility) is numpy over the mask.
     """
     h = bottom - top + 1
     w = right - left + 1
-    values = [[""] * w for _ in range(h)]
+    table = grid.table
+    rows, cols, values = table.rows, table.cols, table.values
+    lo = bisect_left(rows, top)
+    hi = bisect_right(rows, bottom, lo)
     mask = np.zeros((h, w), dtype=bool)
-    cells = grid.cells
-    for r in range(top, bottom + 1):
-        row_vals = values[r - top]
-        for c in range(left, right + 1):
-            cell = cells.get((r, c - 1))
-            if cell is None:
-                continue
-            v = cell.value
-            row_vals[c - left] = v
-            if v and v.strip() != "":
-                mask[r - top, c - left] = True
-    return values, mask
+    if hi - lo >= _NUMPY_MASK_CELLS:
+        r = np.array(rows[lo:hi], dtype=np.intp)
+        c = np.array(cols[lo:hi], dtype=np.intp)
+        keep = np.array(list(map(bool, map(str.strip, values[lo:hi]))), dtype=bool)
+        keep &= (c >= left - 1) & (c <= right - 1)
+        mask[r[keep] - top, c[keep] - (left - 1)] = True
+        return mask
+    for i in range(lo, hi):
+        c0 = cols[i]
+        if left - 1 <= c0 <= right - 1 and values[i].strip() != "":
+            mask[rows[i] - top, c0 - (left - 1)] = True
+    return mask
+
+
+def _row_values(grid: SheetGrid, row: int, left: int, right: int) -> list[str]:
+    """Values of ``row`` over columns left..right (1-based), "" when absent."""
+    table = grid.table
+    out = [""] * (right - left + 1)
+    start, end = table.row_span(row)
+    lo = bisect_left(table.cols, left - 1, start, end)
+    for i in range(lo, bisect_right(table.cols, right - 1, lo, end)):
+        out[table.cols[i] - (left - 1)] = table.values[i]
+    return out
 
 
 def _density_coverage_mask(sub: np.ndarray) -> tuple[float, float]:
@@ -405,7 +485,7 @@ def _header_like_row(row: list[str], row_mask: np.ndarray) -> bool:
 
 
 def _collect_candidates(
-    values: list[list[str]],
+    grid: SheetGrid,
     mask: np.ndarray,
     base_top: int,
     base_left: int,
@@ -430,7 +510,12 @@ def _collect_candidates(
         if not structured:
             continue
         header = any(
-            _header_like_row(values[r0 + i][c0 : c1 + 1], sub[i])
+            _header_like_row(
+                _row_values(
+                    grid, base_top + r0 + i, base_left + c0, base_left + c1
+                ),
+                sub[i],
+            )
             for i in range(min(2, sub.shape[0]))
         )
         score = density + (0.2 if header else 0.0)
@@ -469,8 +554,8 @@ def detect_tables(
         )
         if top > bottom or left > right:
             continue
-        values, mask = _values_and_mask(grid, top, left, bottom, right)
-        for addr in _collect_candidates(values, mask, top, left, params):
+        mask = _nonempty_mask(grid, top, left, bottom, right)
+        for addr in _collect_candidates(grid, mask, top, left, params):
             if addr not in dedup:
                 dedup.add(addr)
                 tables.append(addr)

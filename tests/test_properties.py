@@ -86,19 +86,22 @@ def _brute_components(grid: np.ndarray, min_size: int):
 
 
 class TestLabelingProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         st.integers(min_value=1, max_value=20),
         st.integers(min_value=1, max_value=20),
         st.integers(min_value=0, max_value=2**31 - 1),
         st.sampled_from([0.15, 0.5, 0.85]),
         st.sampled_from([1, 4]),
+        st.sampled_from([1, 4]),
     )
-    def test_run_length_equals_bfs(self, h, w, seed, density, min_size):
+    def test_run_length_equals_bfs(self, h, w, seed, density, min_size, stretch):
         """The vectorized labeling matches the reference-shaped per-cell BFS
-        (boxes AND emission order) on arbitrary grids."""
+        (boxes AND emission order) on arbitrary grids, including tall ones
+        whose rows repeat (stretch > 1 repeats each row 1..stretch times)."""
         rng = np.random.RandomState(seed)
         grid = rng.rand(h, w) < density
+        grid = np.repeat(grid, rng.randint(1, stretch + 1, size=h), axis=0)
         assert _components_bboxes(grid, min_size) == _brute_components(grid, min_size)
 
 
@@ -173,4 +176,47 @@ class TestCanonicalProperties:
         parsed = json.loads(text)
         assert parsed == dict_without_empty_values(value) or (
             parsed is None and value is None
+        )
+
+
+class TestCellRowJson:
+    """The cell_row formatter writes exactly what json.dumps writes."""
+
+    _special_text = st.sampled_from(
+        ['say "hi"', "back\\slash", "ctl\x00\x01\x1f\x7f", "line\u2028sep",
+         "emoji \U0001F600", "lone \ud800 high", "\udfff", "", " "]
+    )
+    _cell_value = st.one_of(
+        st.text(max_size=12),
+        _special_text,
+        st.integers(min_value=-(10**30), max_value=10**30),
+        st.sampled_from(["-0.0", "0.0000001", "1.50", "-12.25", ".5", "3.0"]).map(
+            coerce_numeric_preserve_format
+        ),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    _col_key = st.one_of(
+        st.integers(min_value=0, max_value=16383).map(str),
+        st.integers(min_value=0, max_value=16383).map(col_index_to_alpha),
+    )
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=1_048_576),
+        st.dictionaries(_col_key, _cell_value, min_size=1, max_size=8),
+        st.one_of(
+            st.none(),
+            st.dictionaries(_col_key, st.one_of(st.text(max_size=20), _special_text),
+                            max_size=4),
+        ),
+    )
+    def test_matches_json_dumps(self, r, cells, links):
+        import json
+
+        from exstruct_ray.extract.document import cell_row_json
+        from exstruct_ray.models import CellRow
+
+        row = CellRow(r=r, c=cells, links=links)
+        assert cell_row_json(row) == json.dumps(
+            row.to_payload(), ensure_ascii=False, separators=(",", ":")
         )

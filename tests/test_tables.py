@@ -121,3 +121,89 @@ class TestDetectEndToEnd:
             ).resolved(),
         )
         assert strict.sheets["S"].table_candidates == []
+
+
+def _reference_border_maps(grid, styles, limits):
+    """The per-cell scan the row-slice scan replaced, kept as its oracle."""
+    max_row, max_col = max(grid.max_row, 1), max(grid.max_col, 1)
+    scan_max_row = min(max_row, limits.max_rows)
+    scan_max_col = min(max_col, limits.max_cols)
+    shape = (scan_max_row + 1, scan_max_col + 1)
+    maps = [np.zeros(shape, dtype=bool) for _ in range(5)]
+    col_has_border = np.zeros(shape[1], dtype=bool)
+    by_row = {}
+    for (r, c0), cell in grid.cells.items():
+        edges = styles.style(cell.style).border
+        if cell.style is not None and edges.any:
+            by_row.setdefault(r, []).append((c0 + 1, edges))
+    empty_rows = scanned = 0
+    cap = scan_max_col
+    for r in range(grid.min_row, scan_max_row + 1):
+        row_has_border = False
+        for c, edges in by_row.get(r, ()):
+            if c < grid.min_col or c > cap:
+                continue
+            row_has_border = True
+            col_has_border[c] = True
+            for m, flag in zip(maps, (True, edges.top, edges.bottom, edges.left, edges.right)):
+                if flag:
+                    m[r, c] = True
+        empty_rows = 0 if row_has_border else empty_rows + 1
+        scanned += 1
+        if empty_rows >= limits.empty_row_run:
+            break
+        if scanned < limits.min_rows_before_col_shrink:
+            continue
+        trailing = 0
+        for c in range(cap, grid.min_col - 1, -1):
+            if col_has_border[c]:
+                break
+            trailing += 1
+            if trailing >= limits.empty_col_run:
+                cap = min(cap, max(grid.min_col, cap - trailing))
+                break
+    return maps
+
+
+class TestBorderMapScan:
+    def test_row_slice_scan_matches_per_cell_scan(self):
+        """Scan limits (empty-row exit, trailing-column shrink, caps) give
+        the same maps on random sheets, on both fill paths (below and above
+        the numpy cell gate)."""
+        from exstruct_ray.ooxml.sheet_parser import CellTable, SheetGrid
+        from exstruct_ray.ooxml.styles import BorderEdges, CellStyle, Stylesheet
+        from exstruct_ray.tables.detect import load_border_maps
+
+        styles = Stylesheet(
+            styles=[CellStyle(None, BorderEdges(*(bool(b >> k & 1) for k in range(4))), False)
+                    for b in range(16)]
+        )
+        rng = np.random.RandomState(7)
+        for case in range(150):
+            rows, cols = int(rng.randint(1, 60)), int(rng.randint(1, 40))
+            density = rng.choice([0.05, 0.3, 0.9])
+            cells = sorted(
+                (r + 1 + int(rng.randint(0, 3)), c)
+                for r in range(rows) for c in range(cols) if rng.rand() < density
+            )
+            cells = sorted(set(cells))
+            if not cells:
+                continue
+            grid = SheetGrid(name="S")
+            grid.set_cells(CellTable(
+                rows=[r for r, _ in cells],
+                cols=[c for _, c in cells],
+                values=["x"] * len(cells),
+                styles=[int(s) if s < 16 else None for s in rng.randint(0, 20, len(cells))],
+            ))
+            limits = TableScanLimits(
+                max_rows=int(rng.randint(1, 70)),
+                max_cols=int(rng.randint(1, 50)),
+                empty_row_run=int(rng.randint(1, 8)),
+                empty_col_run=int(rng.randint(1, 10)),
+                min_rows_before_col_shrink=int(rng.randint(0, 10)),
+            )
+            got = load_border_maps(grid, styles, limits)
+            want = _reference_border_maps(grid, styles, limits)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (case, limits)
