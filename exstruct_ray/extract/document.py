@@ -528,14 +528,10 @@ def workbook_to_spans(workbook: WorkbookData, opts: ResolvedOptions) -> list[Spa
 
 # json.dumps(..., ensure_ascii=False, separators=(",", ":")) builds a new
 # JSONEncoder and C encoder per call; build that same C encoder once.
-if c_make_encoder is not None:
-    _encode_payload = c_make_encoder(
-        None, json.JSONEncoder().default, encode_basestring, None, ":", ",",
-        False, False, True,
-    )
-else:  # no C accelerator: json.dumps is the encoder
-    def _encode_payload(payload: dict, _level: int) -> list[str]:
-        return [json.dumps(payload, ensure_ascii=False, separators=(",", ":"))]
+_encode_payload = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring, None, ":", ",",
+    False, False, True,
+)
 
 
 def cell_row_json(row: CellRow) -> str:

@@ -67,7 +67,8 @@ def extract_declared_table_refs(
 
 # Bordered cells from which the maps are filled by numpy fancy indexing;
 # below it element-wise sets win (fancy indexing's fixed cost dominates).
-_NUMPY_BORDER_CELLS = 256
+# Measured crossover: 32-64 cells (BASELINE.md, "Columnar cell path").
+_NUMPY_BORDER_CELLS = 64
 
 
 def load_border_maps(
@@ -170,8 +171,10 @@ def load_border_maps(
     return maps[0], maps[1], maps[2], maps[3], maps[4]
 
 
-# Rows from which _components_bboxes folds stacks of identical rows.
-_BLOCK_MIN_ROWS = 32
+# Rows from which _components_bboxes folds stacks of identical rows. Finding
+# the stacks costs fixed numpy passes: on shorter grids they cost more than
+# folding saves (measured crossover 40-64 rows, BASELINE.md).
+_BLOCK_MIN_ROWS = 64
 
 
 def _components_bboxes(
@@ -410,8 +413,9 @@ def shrink_to_content(
 
 
 # Cells in a candidate rectangle's rows from which its mask is filled by
-# numpy fancy indexing; below it element-wise sets win.
-_NUMPY_MASK_CELLS = 256
+# numpy fancy indexing; below it element-wise sets win (measured crossover
+# 128-192 cells, BASELINE.md).
+_NUMPY_MASK_CELLS = 160
 
 
 def _nonempty_mask(

@@ -93,7 +93,7 @@ class TestLabelingProperties:
         st.integers(min_value=0, max_value=2**31 - 1),
         st.sampled_from([0.15, 0.5, 0.85]),
         st.sampled_from([1, 4]),
-        st.sampled_from([1, 4]),
+        st.sampled_from([1, 8]),
     )
     def test_run_length_equals_bfs(self, h, w, seed, density, min_size, stretch):
         """The vectorized labeling matches the reference-shaped per-cell BFS

@@ -207,3 +207,56 @@ class TestBorderMapScan:
             want = _reference_border_maps(grid, styles, limits)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), (case, limits)
+
+
+def _reference_nonempty_mask(grid, top, left, bottom, right):
+    """The per-position loop ``_nonempty_mask`` replaced, as its oracle."""
+    mask = np.zeros((bottom - top + 1, right - left + 1), dtype=bool)
+    cells = grid.cells
+    for r in range(top, bottom + 1):
+        for c in range(left, right + 1):
+            cell = cells.get((r, c - 1))
+            if cell is not None and cell.value and cell.value.strip() != "":
+                mask[r - top, c - left] = True
+    return mask
+
+
+class TestNonemptyMask:
+    def test_mask_matches_per_position_loop(self):
+        """Random sheets and rectangles, on both fill paths (below and above
+        the numpy cell gate): the rectangle's rows hold cells left and right
+        of it, and values include whitespace-only strings."""
+        from exstruct_ray.ooxml.sheet_parser import CellTable, SheetGrid
+        from exstruct_ray.tables.detect import _NUMPY_MASK_CELLS, _nonempty_mask
+
+        pool = ["x", "", " ", "\t", "\n ", "\u3000", " a ", "0", " "]
+        rng = np.random.RandomState(11)
+        paths = set()
+        for case in range(150):
+            rows, cols = int(rng.randint(1, 60)), int(rng.randint(1, 40))
+            density = rng.choice([0.1, 0.5, 0.95])
+            cells = [
+                (r + 1, c)
+                for r in range(rows) for c in range(cols) if rng.rand() < density
+            ]
+            if not cells:
+                continue
+            grid = SheetGrid(name="S")
+            grid.set_cells(CellTable(
+                rows=[r for r, _ in cells],
+                cols=[c for _, c in cells],
+                values=[pool[i] for i in rng.randint(0, len(pool), len(cells))],
+                styles=[None] * len(cells),
+            ))
+            for _ in range(4):
+                top = int(rng.randint(1, rows + 1))
+                bottom = int(rng.randint(top, rows + 2))
+                left = int(rng.randint(1, cols + 1))
+                right = int(rng.randint(left, cols + 2))
+                in_rows = sum(top <= r <= bottom for r, _ in cells)
+                paths.add(in_rows >= _NUMPY_MASK_CELLS)
+                got = _nonempty_mask(grid, top, left, bottom, right)
+                want = _reference_nonempty_mask(grid, top, left, bottom, right)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (case, top, left, bottom, right)
+        assert paths == {False, True}
