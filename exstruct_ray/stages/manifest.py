@@ -10,12 +10,13 @@ leftover directories — never one giant output file, never re-extracting
 finished work.
 
 Every pending partition runs in ONE streaming Ray Data execution, so the
-executor's tail is paid once per job rather than per partition, and its
-first wave starts one task per CPU (the plan's block size is capped from
-the input footers; see ``build_job_dataset``). Each task reads one input
-file, extracts it and writes the rows, grouped by partition, straight to
-the partition directories under a name derived from the partition and the
-block's first doc_id (a retried task overwrites its own file). The task
+executor's tail is paid once per job rather than per partition, and the
+execution is one wave of min(files, CPUs) tasks (see
+``build_job_dataset``). Each task reads its group of input files (dealt
+to the tasks by footer size), extracts them and writes the rows, grouped
+by partition, straight to the partition directories under a name derived
+from the partition and the block's first doc_id (a retried task
+overwrites its own files). The task
 returns one small stats row per (block, partition) — docs, spans, errors —
 and the driver streams those rows: a partition commits its manifest line
 as soon as its streamed doc count equals the row count in its input
@@ -153,6 +154,36 @@ def write_partition_files(table: pa.Table, output_dir: str) -> pa.Table:
     return pa.Table.from_pylist(stats, schema=STATS_SCHEMA)
 
 
+def deal_files(files: list[str], sizes: list[int], n: int) -> list[list[str]]:
+    """``files`` dealt into ``min(n, len(files))`` groups of near-equal
+    total ``sizes``, in the order Ray reads them.
+
+    The files go largest first (ties by path) snake-wise to the groups:
+    0, 1, …, n-1, n-1, …, 1, 0, 0, 1, …. Ray 2.49's
+    ``ParquetDatasource.get_read_tasks`` cuts its file list in order with
+    ``np.array_split``, which gives the first ``len(files) % n`` chunks
+    one file more, so the longer groups come first: the concatenated
+    groups, read with ``override_num_blocks=n``, are one task each.
+    """
+    ranked = [f for _, f in sorted(zip(sizes, files), key=lambda sf: (-sf[0], sf[1]))]
+    groups: list[list[str]] = [[] for _ in range(min(n, len(files)))]
+    for i, f in enumerate(ranked):
+        lap, j = divmod(i, len(groups))
+        groups[j if lap % 2 == 0 else len(groups) - 1 - j].append(f)
+    return sorted(groups, key=len, reverse=True)
+
+
+def _job_cpus() -> int:
+    """The CPUs one job's plan can use at once: the session's, capped by
+    the current DataContext's CPU limit (which ``read_parquet`` copies
+    into the plan's context) when one is set."""
+    import ray
+    from ray.data import DataContext
+
+    limit = DataContext.get_current().execution_options.resource_limits.cpu
+    return max(1, int(min(ray.cluster_resources().get("CPU", 1), limit)))
+
+
 def build_job_dataset(
     pending: dict[int, list[str]],
     output_dir: str,
@@ -164,19 +195,27 @@ def build_job_dataset(
     ({partition id: input files}): its rows are the ``STATS_SCHEMA`` rows
     of the written blocks; consuming it extracts and writes the output.
 
-    Read→Extract→Write is one fused task per input file (no map
-    ``batch_size``: any value blocks Ray Data's fusion with the read),
+    The job is one wave of ``n = min(files, CPUs)`` fused
+    Read→Extract→Write tasks (no map ``batch_size``: any value blocks Ray
+    Data's fusion with the read),
     ``ReadParquet->MapBatches(split_or_extract)->MapBatches(write_partitions)``
-    with or without ``explode_threshold``.
+    with or without ``explode_threshold``. A task dispatched after
+    another's completion leaves the freed CPU idle until the executor's
+    next 0.1 s ``ray.wait`` poll; with one task per CPU none is
+    dispatched late. The files are dealt to the tasks by footer bytes
+    (``deal_files``), so no task holds all the large files. A retried
+    task re-reads its own group and rewrites the same files, but a retry
+    redoes its whole group, not one file.
 
     The largest input file's uncompressed bytes (from its footer) cap the
     plan's ``target_max_block_size``. Until an operator has emitted
     output, Ray Data charges each of its running tasks that size times
     its streaming buffer (2 × 128 MiB by default) of object store, and
-    the fused task emits its one small stats block only at its end: with
-    the default, a 512 MiB store starts one task and leaves the other
-    CPUs idle until the first file is done. The cap goes on the plan's
-    own context copy (``ds.context``), never on the global one.
+    the fused task emits only small stats blocks, the first once its
+    first block is written: with the default, a 512 MiB store starts one
+    task and leaves the other CPUs idle until that block is done. The cap
+    goes on the plan's own context copy (``ds.context``), never on the
+    global one.
     """
     import ray.data
 
@@ -188,10 +227,14 @@ def build_job_dataset(
         for pid, part_files in pending.items()
         for f in part_files
     }
+    sizes = [_footer_bytes(f) for f in files]
+    groups = deal_files(files, sizes, _job_cpus())
     ds = ray.data.read_parquet(
-        files, override_num_blocks=len(files), include_paths=True
+        [f for group in groups for f in group],
+        override_num_blocks=len(groups),
+        include_paths=True,
     )
-    largest = max(_footer_bytes(f) for f in files)
+    largest = max(sizes)
     if largest and ds.context.target_max_block_size:
         ds.context.target_max_block_size = min(ds.context.target_max_block_size, largest)
 

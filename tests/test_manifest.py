@@ -476,3 +476,199 @@ class TestExplodeJob:
         assert summary["docs"] == 31
         assert set(load_manifest(str(out_dir))) == {0, 1, 2, 3}
         assert _output_rows(out_dir) == clean
+
+
+class TestDealFiles:
+    """``deal_files`` orders a job's files for Ray's contiguous read split."""
+
+    def test_six_files_on_four_cpus(self):
+        from exstruct_ray.stages.manifest import deal_files
+
+        files = ["a", "b", "c", "d", "e", "f"]
+        sizes = [10, 60, 30, 50, 20, 40]
+        # largest first b d f c, then back e a; the two-file groups go first
+        groups = deal_files(files, sizes, 4)
+        assert groups == [["f", "a"], ["c", "e"], ["b"], ["d"]]
+        totals = [sum(sizes[files.index(f)] for f in g) for g in groups]
+        assert totals == [50, 50, 60, 50]
+
+    def test_nine_files_on_four_cpus(self):
+        from exstruct_ray.stages.manifest import deal_files
+
+        files = [f"f{k}" for k in range(9)]
+        sizes = [10 * (k + 1) for k in range(9)]  # f8 largest
+        groups = deal_files(files, sizes, 4)
+        assert groups == [["f8", "f1", "f0"], ["f7", "f2"], ["f6", "f3"], ["f5", "f4"]]
+
+    def test_group_lengths_follow_array_split(self):
+        import numpy as np
+
+        from exstruct_ray.stages.manifest import deal_files
+
+        for m in range(1, 21):
+            files = [f"p{k:02d}" for k in range(m)]
+            sizes = [(k * 7919) % 13 for k in range(m)]
+            for n in range(1, 7):
+                groups = deal_files(files, sizes, n)
+                want = [len(c) for c in np.array_split(np.arange(m), n) if len(c)]
+                assert [len(g) for g in groups] == want, (m, n)
+                assert sorted(f for g in groups for f in g) == files
+
+    def test_more_cpus_than_files_gives_one_file_per_group(self):
+        from exstruct_ray.stages.manifest import deal_files
+
+        groups = deal_files(["x", "y", "z"], [5, 9, 7], 8)
+        assert groups == [["y"], ["z"], ["x"]]
+
+    def test_equal_sizes_deal_in_path_order(self):
+        """Ties keep path order, which is ``list_input_files``'s order;
+        a shuffled input deals the same way."""
+        from exstruct_ray.stages.manifest import deal_files
+
+        files = [f"p{k}" for k in range(6)]
+        want = [["p2", "p5"], ["p3", "p4"], ["p0"], ["p1"]]
+        assert deal_files(files, [100] * 6, 4) == want
+        assert deal_files(files[::-1], [100] * 6, 4) == want
+
+    def test_ray_reads_each_group_as_one_task(self, ray_session, tmp_path):
+        """Pin on Ray's parquet split: a Ray upgrade that cuts the file list
+        differently fails here instead of silently unbalancing jobs."""
+        from ray.data._internal.datasource.parquet_datasource import ParquetDatasource
+
+        from exstruct_ray.stages.manifest import _footer_bytes, deal_files, list_input_files
+
+        write_corpus_parquet(str(tmp_path), 27, seed=42, rows_per_file=3)
+        files = list_input_files(str(tmp_path))
+        groups = deal_files(files, [_footer_bytes(f) for f in files], 4)
+        assert [len(g) for g in groups] == [3, 2, 2, 2]
+        order = [f for g in groups for f in g]
+        tasks = ParquetDatasource(order).get_read_tasks(len(groups))
+        assert [list(t.metadata.input_files) for t in tasks] == groups
+
+
+def _uneven_inputs(folder, counts) -> None:
+    """One parquet file per entry of ``counts``, holding that many docs."""
+    from exstruct_ray.datagen.corpus import build_document
+
+    folder.mkdir()
+    start = 0
+    for k, n in enumerate(counts):
+        docs = [build_document(start + i, seed=42) for i in range(n)]
+        _write_docs(folder / f"part-{k:02d}.parquet", docs)
+        start += n
+
+
+def _task_spans(since: float, want: int) -> list[tuple[float, float]]:
+    """(start, end) of the fused map tasks that started after ``since``
+    (µs), once ``want`` of them are in the timeline and no more arrive."""
+    import time
+
+    import ray
+
+    def spans():
+        return sorted(
+            (e["ts"], e["ts"] + e["dur"])
+            for e in ray.timeline()
+            if e.get("ph") == "X"
+            and e.get("cat", "").startswith("task::ReadParquet->MapBatches(")
+            and e["ts"] >= since
+        )
+
+    deadline = time.monotonic() + 30
+    while len(spans()) < want and time.monotonic() < deadline:
+        time.sleep(0.5)  # workers report task events about once a second
+    time.sleep(2)  # and a late one would show by now
+    return spans()
+
+
+class TestOneWaveJob:
+    COUNTS = [4, 1, 9, 2, 6, 3, 8, 1, 5]  # 9 files, 39 docs
+
+    def test_nine_files_run_as_four_tasks(self, ray_session, tmp_path):
+        """9 files on 4 CPUs: one wave of 4 fused tasks, partitions of 2
+        files straddling them, every partition complete and every row
+        equal to in-process extraction."""
+        import time
+
+        import pyarrow.parquet as pq
+        import ray
+
+        from exstruct_ray.stages.actor import ExtractActor
+        from exstruct_ray.stages.manifest import list_input_files
+
+        inp = tmp_path / "in"
+        _uneven_inputs(inp, self.COUNTS)
+        files = list_input_files(str(inp))
+        # One live worker per CPU: this job's tasks are too short for Ray
+        # to start a missing worker before the first task ends.
+        hold = ray.remote(num_cpus=1)(lambda s: time.sleep(s))
+        ray.get([hold.remote(0.5) for _ in range(4)])
+        run_extraction_job(str(inp), str(tmp_path / "warm"), files_per_partition=2)
+        since = time.time() * 1e6
+        out = tmp_path / "out"
+        summary = run_extraction_job(str(inp), str(out), files_per_partition=2)
+        assert summary["executed"] == 5
+        assert summary["docs"] == sum(self.COUNTS)
+
+        tasks = _task_spans(since, 4)
+        assert len(tasks) == 4, tasks
+        first_end = min(end for _, end in tasks)
+        assert all(start < first_end for start, _ in tasks), tasks
+
+        manifest = load_manifest(str(out))
+        assert set(manifest) == {0, 1, 2, 3, 4}
+        for pid, rec in manifest.items():
+            assert rec.input_files == files[2 * pid : 2 * pid + 2]
+            assert rec.docs == sum(pq.read_metadata(f).num_rows for f in rec.input_files)
+
+        want = {}
+        for f in files:
+            for r in ExtractActor()(pq.read_table(f)).to_pylist():
+                want[r["doc_id"]] = (r["spans"], r["n_spans"], r["n_errors"])
+        rows, _files = _output_rows(out)  # asserts no doc_id twice
+        assert rows == want
+
+    def test_crash_after_first_commit_reruns_only_the_rest(
+        self, ray_session, tmp_path, monkeypatch
+    ):
+        """The rerun's groups differ from the first attempt's (fewer
+        pending files), so its block cuts and file names may differ; its
+        rows may not."""
+        from exstruct_ray.stages import manifest as mod
+
+        inp = tmp_path / "in"
+        _uneven_inputs(inp, self.COUNTS)
+        run_extraction_job(str(inp), str(tmp_path / "clean"), files_per_partition=2)
+        clean_rows, _ = _output_rows(tmp_path / "clean")
+
+        out = tmp_path / "out"
+        real_append = mod._append_manifest
+        calls = []
+
+        def crash_after_first(output_dir, record):
+            if calls:
+                raise OSError("simulated crash during commit")
+            calls.append(record.partition_id)
+            real_append(output_dir, record)
+
+        monkeypatch.setattr(mod, "_append_manifest", crash_after_first)
+        with pytest.raises(OSError, match="simulated crash"):
+            run_extraction_job(str(inp), str(out), files_per_partition=2)
+        monkeypatch.setattr(mod, "_append_manifest", real_append)
+        assert set(load_manifest(str(out))) == set(calls)
+
+        ran = []
+        real_build = mod.build_job_dataset
+
+        def record_build(pending, *args, **kwargs):
+            ran.extend(pending)
+            return real_build(pending, *args, **kwargs)
+
+        monkeypatch.setattr(mod, "build_job_dataset", record_build)
+        summary = run_extraction_job(str(inp), str(out), files_per_partition=2)
+        assert summary["skipped"] == 1
+        assert sorted(ran) == sorted({0, 1, 2, 3, 4} - set(calls))
+        assert summary["docs"] == sum(self.COUNTS)
+        assert set(load_manifest(str(out))) == {0, 1, 2, 3, 4}
+        rows, _ = _output_rows(out)
+        assert rows == clean_rows
