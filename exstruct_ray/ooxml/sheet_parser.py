@@ -238,6 +238,17 @@ def _render_number(text: str) -> str:
         return text
 
 
+def _shared_string(shared_strings: list[str], text: str) -> str:
+    """The shared string a ``t="s"`` cell's <v> text names, or "" when the
+    text is not an index in 0..len-1 (the sst index is unsigned, so -1
+    names no entry rather than the last one)."""
+    try:
+        i = int(text)
+    except ValueError:
+        return ""
+    return shared_strings[i] if 0 <= i < len(shared_strings) else ""
+
+
 def _render_date(serial: float, date1904: bool = False) -> str:
     """Render an Excel date serial the way pandas' Timestamp str() does.
 
@@ -465,10 +476,7 @@ def _fast_cell_table(
     letters, row_texts, attr_texts, v_texts, inners = zip(*matches)
 
     def shared(text: str) -> str:
-        try:
-            return shared_strings[int(text)]
-        except (ValueError, IndexError):
-            return ""
+        return _shared_string(shared_strings, text)
 
     def date(text: str) -> str:
         if text == "":
@@ -727,14 +735,10 @@ def _parse_sheet_et_from_root(
                     else:
                         value = _render_number(v_text)
                 elif cell_type == "s":
-                    try:
-                        value = shared_strings[int(v_text)]
-                    except (ValueError, IndexError):
-                        value = ""
+                    value = _shared_string(shared_strings, v_text)
                 else:
                     value = _render_value(
-                        cell_type, v_text, c_el, style_idx, shared_strings, styles,
-                        date1904,
+                        cell_type, v_text, c_el, style_idx, styles, date1904
                     )
 
                 if value == "" and style_idx is None and formula is None:
@@ -787,15 +791,9 @@ def _render_value(
     v_text: str,
     c_el: ET.Element,
     style_idx: int | None,
-    shared_strings: list[str],
     styles: Stylesheet,
     date1904: bool = False,
 ) -> str:
-    if cell_type == "s":
-        try:
-            return shared_strings[int(v_text)]
-        except (ValueError, IndexError):
-            return ""
     if cell_type == "inlineStr":
         is_el = c_el.find(f"{_MAIN_NS}is")
         if is_el is None:

@@ -99,7 +99,7 @@ def lsh_neardup_pairs(ds, dim: int, threshold: float = 0.38):
     ships (band_idx, band_key, vec_id) — the embedding does
     NOT replicate ×bands through the AllToAll. Candidate pairs (a tiny
     fraction of the corpus) then attach their two embeddings via two
-    tagged-union bucket merges, and cosine verification runs in
+    bucket merges, and cosine verification runs in
     map_batches. No O(n²) broadcast matmul, no driver materialization.
     The recalled pair set is deterministic (seeded planes), so the whole
     pipeline is oracle-checkable by re-deriving the same buckets in SQL.
@@ -163,7 +163,7 @@ def lsh_neardup_pairs(ds, dim: int, threshold: float = 0.38):
         n_buckets=256,
     )
 
-    # Attach both embeddings with the Arrow-native tagged-union bucket
+    # Attach both embeddings with the Arrow-native bucket
     # merge (ops/shuffle.py:attach_payload): vectors ride both exchanges
     # as packed float64 Arrow binary buffers, never pandas object columns
     # of pickled bytes. A pair colliding in several bands dedups inside

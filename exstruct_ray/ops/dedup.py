@@ -263,7 +263,7 @@ def minhash_dedup_pairs(
     )
 
     # Attach each candidate's two signatures with the Arrow-native
-    # tagged-union bucket merge (ops/shuffle.py:attach_payload) — the
+    # bucket merge (ops/shuffle.py:attach_payload) — the
     # signatures ride both exchanges as Arrow binary buffers, never pandas
     # object columns of pickled bytes. Duplicate pairs surfaced by several
     # bands dedup inside the first merge (they always share doc_a and
@@ -560,7 +560,7 @@ def label_propagation_groups_ds(pairs_ds, max_iters: int = 50):
     O(log diameter) rounds via pointer jumping. Semantics identical to the
     driver union-find:
     group_id is the component's minimum doc id, the canonical member keeps
-    it. Uses the tagged-union bucket merge throughout (no Dataset.join).
+    it. Uses the bucket merge throughout (no Dataset.join).
 
     Returns a ``ray.data.Dataset`` of (doc_id, group_id, is_canonical) —
     one row per duplicated doc. The label table stays on the cluster;
@@ -587,13 +587,15 @@ def label_propagation_groups_ds(pairs_ds, max_iters: int = 50):
     def reduce_min(group: pd.DataFrame) -> pd.DataFrame:
         return group.groupby("node", as_index=False)["label"].min()
 
-    def reduce_min_tracked(group: pd.DataFrame) -> pd.DataFrame:
-        """Merge current labels (is_cur rows) with received proposals,
-        emitting a per-node ``changed`` flag — the distributed fixpoint
-        signal. The convergence test is then a scalar sum over ``changed``,
-        never a driver collect of the label table."""
-        new = group.groupby("node", as_index=False)["label"].min()
-        cur = group[group["is_cur"]].groupby("node")["label"].min()
+    def reduce_min_tracked(cur: pd.DataFrame, recv: pd.DataFrame) -> pd.DataFrame:
+        """Merge current labels with received proposals, emitting a
+        per-node ``changed`` flag — the distributed fixpoint signal. The
+        convergence test is then a scalar sum over ``changed``, never a
+        driver collect of the label table."""
+        new = pd.concat([cur[["node", "label"]], recv]).groupby(
+            "node", as_index=False
+        )["label"].min()
+        cur = cur.groupby("node")["label"].min()
         # float64 so absent-current nodes (shouldn't occur: every node is
         # seeded a label at init) read NaN and count as changed
         old = cur.reindex(new["node"]).to_numpy(dtype="float64")
@@ -620,34 +622,10 @@ def label_propagation_groups_ds(pairs_ds, max_iters: int = 50):
         n_buckets=n_buckets,
     ).materialize()
 
-    def tag_edges(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": batch["src"],
-                "dst": batch["dst"],
-                "label": np.int64(-1),
-                "is_label": False,
-            }
-        )
-
-    def tag_labels(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": batch["node"],
-                "dst": batch["node"],
-                "label": batch["label"],
-                "is_label": True,
-            }
-        )
-
-    def propagate(group: pd.DataFrame) -> pd.DataFrame:
-        e = group[~group["is_label"]]
-        lab = group[group["is_label"]]
+    def propagate(e: pd.DataFrame, lab: pd.DataFrame) -> pd.DataFrame:
         if e.empty or lab.empty:
             return None
-        m = e[["key", "dst"]].merge(
-            lab[["key", "label"]].drop_duplicates("key"), on="key", how="inner"
-        )
+        m = e.merge(lab.drop_duplicates("node"), left_on="src", right_on="node")
         return pd.DataFrame({"node": m["dst"], "label": m["label"]})
 
     def jump_edges(batch: pd.DataFrame) -> pd.DataFrame:
@@ -661,12 +639,6 @@ def label_propagation_groups_ds(pairs_ds, max_iters: int = 50):
             }
         )
 
-    def cur_tagged(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch[["node", "label"]].assign(is_cur=True)
-
-    def recv_tagged(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch[["node", "label"]].assign(is_cur=False)
-
     def changed_partial(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"n": [int(batch["changed"].sum())]})
 
@@ -675,20 +647,14 @@ def label_propagation_groups_ds(pairs_ds, max_iters: int = 50):
             current.map_batches(jump_edges, batch_format="pandas")
         )
         received = bucket_exchange(
-            [
-                iteration_edges.map_batches(tag_edges, batch_format="pandas"),
-                current.map_batches(tag_labels, batch_format="pandas"),
-            ],
+            [iteration_edges, current],
             propagate,
-            key="key",
+            key=["src", "node"],
             schema=label_cols,
             n_buckets=n_buckets,
         )
         merged = bucket_exchange(
-            [
-                current.map_batches(cur_tagged, batch_format="pandas"),
-                received.map_batches(recv_tagged, batch_format="pandas"),
-            ],
+            [current, received],
             reduce_min_tracked,
             key="node",
             schema=label_cols + [("changed", "int64")],
@@ -726,7 +692,7 @@ def neardup_best_keep_distributed(docs, groups_ds, n_buckets: int = 64):
 
     Never collects or broadcasts the member table (a boilerplate-heavy
     crawl's dup members can be 30-50% of the corpus): member rows and
-    corpus token counts meet in a doc-bucket tagged-union merge (the
+    corpus token counts meet in a doc-bucket merge (the
     corpus side ships ids + counts only — 16 B/doc on the wire, the text
     never leaves its reading task), then ranking runs inside
     a group-bucket exchange (exact per-component groupby, the
@@ -737,43 +703,13 @@ def neardup_best_keep_distributed(docs, groups_ds, n_buckets: int = 64):
     (doc_id, group_id, n_tokens, keep).
     """
 
-    union_cols = [
-        ("doc_id", "int64"),
-        ("group_id", "int64"),
-        ("n_tokens", "int64"),
-        ("tag", "int64"),
-    ]
-
-    def member_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].astype("int64").reset_index(
-                    drop=True
-                ),
-                "group_id": batch["group_id"].astype("int64").reset_index(
-                    drop=True
-                ),
-                "n_tokens": np.int64(0),
-                "tag": np.int64(1),
-            }
-        )
-        return out[[c for c, _ in union_cols]]
-
     def count_rows(batch: pd.DataFrame) -> pd.DataFrame:
         n_tokens = (
             batch["text"].fillna("").str.findall(r"[^\t\n\f\r ]+").str.len()
         )
-        out = pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].astype("int64").reset_index(
-                    drop=True
-                ),
-                "group_id": np.int64(-1),
-                "n_tokens": n_tokens.astype("int64").reset_index(drop=True),
-                "tag": np.int64(0),
-            }
+        return pd.DataFrame(
+            {"doc_id": batch["doc_id"], "n_tokens": n_tokens.astype("int64")}
         )
-        return out[[c for c, _ in union_cols]]
 
     mid_cols = [
         ("doc_id", "int64"),
@@ -781,12 +717,10 @@ def neardup_best_keep_distributed(docs, groups_ds, n_buckets: int = 64):
         ("n_tokens", "int64"),
     ]
 
-    def attach_tokens(group: pd.DataFrame) -> pd.DataFrame:
-        mem = group[group["tag"] == 1]
+    def attach_tokens(mem: pd.DataFrame, cnt: pd.DataFrame) -> pd.DataFrame:
         if not len(mem):
             return None
-        cnt = group.loc[group["tag"] == 0, ["doc_id", "n_tokens"]]
-        m = mem[["doc_id", "group_id"]].merge(cnt, on="doc_id", how="left")
+        m = mem.merge(cnt, on="doc_id", how="left")
         m["n_tokens"] = m["n_tokens"].fillna(0).astype("int64")
         return m.astype("int64")[[c for c, _ in mid_cols]]
 
@@ -807,7 +741,7 @@ def neardup_best_keep_distributed(docs, groups_ds, n_buckets: int = 64):
 
     members = bucket_exchange(
         [
-            groups_ds.map_batches(member_rows, batch_format="pandas"),
+            groups_ds,
             docs.map_batches(count_rows, batch_format="pandas"),
         ],
         attach_tokens,
@@ -827,49 +761,20 @@ def neardup_survivors_distributed(docs, groups_ds, n_buckets: int = 64):
 
     The pruned-id set is NOT broadcast (at extreme dup skew it is a
     large corpus fraction): pruned ids and corpus ids meet in a
-    doc-bucket tagged-union merge and the anti-join happens per bucket —
+    doc-bucket merge and the anti-join happens per bucket —
     one ids-only AllToAll. Returns a Dataset of (doc_id,).
     """
 
-    union_cols = [
-        ("doc_id", "int64"),
-        ("tag", "int64"),
-    ]
-
     def pruned_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        sel = batch.loc[~batch["is_canonical"].astype(bool)]
-        out = pd.DataFrame(
-            {
-                "doc_id": sel["doc_id"].astype("int64").reset_index(
-                    drop=True
-                ),
-                "tag": np.int64(1),
-            }
-        )
-        return out[[c for c, _ in union_cols]]
+        return batch.loc[~batch["is_canonical"].astype(bool), ["doc_id"]]
 
-    def id_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].astype("int64").reset_index(
-                    drop=True
-                ),
-                "tag": np.int64(0),
-            }
-        )
-        return out[[c for c, _ in union_cols]]
-
-    def anti(group: pd.DataFrame) -> pd.DataFrame:
-        pruned = group.loc[group["tag"] == 1, "doc_id"]
-        keep = group.loc[
-            (group["tag"] == 0) & ~group["doc_id"].isin(pruned), ["doc_id"]
-        ]
-        return keep.astype("int64").reset_index(drop=True)
+    def anti(pruned: pd.DataFrame, ids: pd.DataFrame) -> pd.DataFrame:
+        return ids.loc[~ids["doc_id"].isin(pruned["doc_id"])].astype("int64")
 
     return bucket_exchange(
         [
             groups_ds.map_batches(pruned_rows, batch_format="pandas"),
-            docs.map_batches(id_rows, batch_format="pandas"),
+            docs.select_columns(["doc_id"]),
         ],
         anti,
         key="doc_id",

@@ -76,7 +76,7 @@ def pagerank_distributed(
 ) -> pd.DataFrame:
     """PageRank via per-iteration bucket-exchanged contributions.
 
-    Two tagged-union bucket exchanges per iteration (contribution send
+    Two bucket exchanges per iteration (contribution send
     keyed by src, inflow reduce keyed by dst); the pr table — (node, deg,
     pr), one row per duplicated doc — is the only thing materialized
     between rounds, and deg rides it so the degree join happens once.
@@ -119,36 +119,10 @@ def pagerank_distributed(
     ).materialize()
 
     # Exchange 1 (contribution send): edges keyed by src x pr keyed by node.
-    def tag_edges(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": batch["src"],
-                "dst": batch["dst"],
-                "pr": np.int64(0),
-                "deg": np.int64(0),
-                "is_pr": False,
-            }
-        )
-
-    def tag_pr(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": batch["node"],
-                "dst": batch["node"],
-                "pr": batch["pr"],
-                "deg": batch["deg"],
-                "is_pr": True,
-            }
-        )
-
-    def send_contribs(group: pd.DataFrame) -> pd.DataFrame:
-        e = group[~group["is_pr"]]
-        p = group[group["is_pr"]]
+    def send_contribs(e: pd.DataFrame, p: pd.DataFrame) -> pd.DataFrame:
         if e.empty or p.empty:
             return None
-        m = e[["key", "dst"]].merge(
-            p[["key", "pr", "deg"]].drop_duplicates("key"), on="key", how="inner"
-        )
+        m = e.merge(p.drop_duplicates("node"), left_on="src", right_on="node")
         return pd.DataFrame(
             {
                 "dst": m["dst"].to_numpy(np.int64),
@@ -158,41 +132,19 @@ def pagerank_distributed(
 
     # Exchange 2 (inflow reduce + rank update): contribs keyed by dst x
     # pr table keyed by node (provides the node universe and carries deg).
-    def tag_contribs(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": batch["dst"],
-                "contrib": batch["contrib"],
-                "deg": np.int64(0),
-                "is_node": False,
-            }
-        )
-
-    def tag_nodes(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": batch["node"],
-                "contrib": np.int64(0),
-                "deg": batch["deg"],
-                "is_node": True,
-            }
-        )
-
-    def update_pr(group: pd.DataFrame) -> pd.DataFrame:
-        node_rows = group[group["is_node"]]
+    def update_pr(c: pd.DataFrame, node_rows: pd.DataFrame) -> pd.DataFrame:
         if node_rows.empty:
             return None
         inflow = (
-            group[~group["is_node"]]
-            .groupby("key")["contrib"]
+            c.groupby("dst")["contrib"]
             .sum()
-            .reindex(node_rows["key"].to_numpy())
+            .reindex(node_rows["node"].to_numpy())
             .fillna(0)
             .to_numpy(np.int64)
         )
         return pd.DataFrame(
             {
-                "node": node_rows["key"].to_numpy(np.int64),
+                "node": node_rows["node"].to_numpy(np.int64),
                 "deg": node_rows["deg"].to_numpy(np.int64),
                 "pr": 15 * base // 100 + 85 * inflow // 100,
             }
@@ -200,22 +152,16 @@ def pagerank_distributed(
 
     for _ in range(n_iter):
         contribs = bucket_exchange(
-            [
-                edges.map_batches(tag_edges, batch_format="pandas"),
-                pr.map_batches(tag_pr, batch_format="pandas"),
-            ],
+            [edges, pr],
             send_contribs,
-            key="key",
+            key=["src", "node"],
             schema=[("dst", "int64"), ("contrib", "int64")],
             n_buckets=n_buckets,
         )
         pr = bucket_exchange(
-            [
-                contribs.map_batches(tag_contribs, batch_format="pandas"),
-                pr.map_batches(tag_nodes, batch_format="pandas"),
-            ],
+            [contribs, pr],
             update_pr,
-            key="key",
+            key=["dst", "node"],
             schema=PR_COLS,
             n_buckets=n_buckets,
         ).materialize()

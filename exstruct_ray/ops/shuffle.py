@@ -1,11 +1,21 @@
-"""One exchange primitive for every coarse-bucket shuffle.
+"""One exchange primitive for every coarse-bucket shuffle and join.
 
 ``bucket_exchange`` is the engine's only ``groupby → map_groups`` style
-exchange (and its replacement for ``Dataset.join``). It owns the whole
-decision: it tags each side with a deterministic hash bucket of a key
-column, unions the sides, partitions on the bucket and runs the caller's
-reduce once per bucket group. Callers write only the tag of each side
-and the exact in-group reduce.
+exchange (and its replacement for ``Dataset.join``). Callers state the
+logical operation only: the sides, each side's key column(s) and the
+exact in-group reduce. The exchange owns the physical row layout.
+
+Each side keeps its own columns. The sides run together, one Ray Data
+execution each, started at once (a union of sides with different
+columns makes Ray log a schema change). Every non-empty block then
+becomes part of one carrier: an Arrow table of a side index, a hash
+bucket of that side's key and the null-filled union of all sides'
+columns. Integer keys of every width are cast to int64 before hashing,
+so an int32 key meets an equal int64 key: ``pd.util.hash_array``
+buckets int32 and int64 negatives apart. The
+reduce gets one frame per side for each bucket, in ``batch_format``; a
+side with no rows in that bucket arrives as a typed empty frame with
+that side's columns.
 
 Empty hash partitions are the failure mode it exists for. Ray's sort
 emits a zero-column block for every partition that receives no rows;
@@ -13,50 +23,55 @@ pandas reduces then KeyError, pyarrow joins reject the block, and the
 executor logs a schema-divergence warning. ``bucket_exchange`` therefore
 counts rows per bucket first and sorts on explicit boundaries drawn from
 the occupied buckets only (placed at row-count quantiles, so a skewed
-key spreads over partitions), which leaves no partition empty. A reduce
-that returns nothing still yields one typed block built from the
-declared output schema.
+key spreads over partitions), which leaves no partition empty. Every
+output block is Arrow with the declared schema, including the one empty
+block of a partition whose reduces all return nothing.
 
-The other helpers are the pieces several sites share: the bucket hash,
-a typed empty block for map UDFs, ``to_frame`` (a ``to_pandas`` that
-keeps the declared columns when every block is empty) and
-``attach_payload`` (the Arrow-native "pairs ⋈ per-doc payload" reduce).
+The other helpers are the pieces several sites share: a typed empty
+block for map UDFs, ``to_frame`` (a ``to_pandas`` that keeps the
+declared columns when every block is empty) and ``attach_payload`` (the
+Arrow-native "pairs ⋈ per-doc payload" reduce).
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 
-# Bucket column the exchange adds to every side and drops before the reduce.
+# Carrier columns: the hash bucket and the index of the row's side.
 BUCKET = "__bucket"
+SIDE = "__side"
 
 
-def hash_bucket_np(values: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Coarse deterministic bucket (int64) of a key array: integers,
-    strings or other objects ``pd.util.hash_array`` hashes.
+def _arrow(block) -> pa.Table:
+    if isinstance(block, pd.DataFrame):
+        block = pa.Table.from_pandas(block, preserve_index=False)
+    return block.replace_schema_metadata()
+
+
+def _key_values(table: pa.Table, col: str) -> np.ndarray:
+    arr = table.column(col)
+    if pa.types.is_integer(arr.type):
+        arr = pc.cast(arr, pa.int64(), safe=False)
+    return arr.to_numpy()
+
+
+def _bucket_of(table: pa.Table, key: str | list[str], n_buckets: int) -> np.ndarray:
+    """Coarse deterministic bucket (int64) of each row's key.
 
     pd.util.hash_array, never builtin hash(): the per-process salt would
     split partials across workers."""
-    return (pd.util.hash_array(values) % n_buckets).astype("int64")
-
-
-def _key_hash_bucket(block, key: str | list[str], n_buckets: int) -> np.ndarray:
-    cols = [
-        block[k].to_numpy()
-        if isinstance(block, pd.DataFrame)
-        else block.column(k).to_numpy(zero_copy_only=False)
-        for k in ([key] if isinstance(key, str) else key)
-    ]
-    if len(cols) == 1:
-        return hash_bucket_np(cols[0], n_buckets)
-    h = np.zeros(len(cols[0]), dtype=np.uint64)
-    for c in cols:
+    cols = [_key_values(table, k) for k in ([key] if isinstance(key, str) else key)]
+    h = pd.util.hash_array(cols[0])
+    for c in cols[1:]:
         h = h * np.uint64(1_000_003) + pd.util.hash_array(c)
-    return (h % np.uint64(n_buckets)).astype("int64")
+    return (h % np.uint64(n_buckets)).astype(np.int64)
 
 
 def _arrow_schema(schema) -> pa.Schema:
@@ -71,61 +86,104 @@ def _arrow_schema(schema) -> pa.Schema:
     return pa.schema(fields)
 
 
-def _as_format(block, to_arrow: bool):
-    if isinstance(block, pd.DataFrame):
-        return pa.Table.from_pandas(block, preserve_index=False) if to_arrow else block
-    return block if to_arrow else block.to_pandas()
+@ray.remote(num_returns=2)
+def _bucket_block(block, key, n_buckets: int):
+    """One side block as Arrow plus its bucket column; second return:
+    (bucket counts, the block's own schema)."""
+    table = _arrow(block)
+    b = _bucket_of(table, key, n_buckets)
+    return table.append_column(BUCKET, pa.array(b)), (
+        np.bincount(b, minlength=n_buckets),
+        table.schema,
+    )
 
 
 @ray.remote(num_returns=2)
-def _tag_block(block, key, n_buckets: int, to_arrow: bool):
-    """Bucket-tag one block; second return: (bucket counts, metadata, schema)."""
+def _carrier_block(table: pa.Table, side: int, carrier: pa.Schema):
+    """A bucketed side block laid out as the carrier; second return: its
+    block metadata."""
     from ray.data.block import BlockAccessor
 
-    block = _as_format(block, to_arrow)
-    b = _key_hash_bucket(block, key, n_buckets)
-    if to_arrow:
-        block = block.append_column(BUCKET, pa.array(b))
-    else:
-        block = block.assign(**{BUCKET: b})
-    acc = BlockAccessor.for_block(block)
-    info = (np.bincount(b, minlength=n_buckets), acc.get_metadata(), acc.schema())
-    return block, info
+    n, prefix = table.num_rows, f"{side}:"
+    cols = []
+    for f in carrier:
+        name = f.name[len(prefix):] if f.name.startswith(prefix) else None
+        if f.name == BUCKET:
+            cols.append(table.column(BUCKET))
+        elif f.name == SIDE:
+            cols.append(pa.array(np.full(n, side, dtype=np.int64)))
+        elif name in table.column_names:
+            cols.append(table.column(name).cast(f.type))
+        else:
+            cols.append(pa.nulls(n, f.type))
+    out = pa.Table.from_arrays(cols, schema=carrier)
+    return out, BlockAccessor.for_block(out).get_metadata()
 
 
-def _tagged_input(sides, key, n_buckets: int, to_arrow: bool):
-    """Run the sides, drop their empty blocks and bucket-tag the rest.
+def _side_schema(schemas: list[pa.Schema], empty_refs: list) -> pa.Schema:
+    """A side's columns: the unified schema of its non-empty blocks, else
+    of one of its empty blocks, else none."""
+    if schemas:
+        return pa.unify_schemas(schemas, promote_options="permissive")
+    return _arrow(ray.get(empty_refs[0])).schema if empty_refs else pa.schema([])
 
-    Returns the tagged Dataset (stats lineage kept, as
-    ``Dataset.materialize`` does), per-bucket row counts and the block
-    count. Empty blocks never reach a map stage here: Ray skips the UDF
-    on an empty input block and emits a zero-column block instead."""
+
+def _carrier_input(sides, keys, n_buckets: int):
+    """Run the sides together and lay their non-empty blocks out as the
+    carrier.
+
+    Returns the carrier Dataset (stats lineage kept, as
+    ``Dataset.materialize`` does), each side's schema, per-bucket row
+    counts and the block count. Empty blocks never reach a map stage
+    here: Ray skips the UDF on an empty input block and passes it on
+    unchanged."""
     from ray.data._internal.execution.interfaces import RefBundle
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.input_data_operator import InputData
     from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
     from ray.data.dataset import MaterializedDataset
 
-    mat = (sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]).materialize()
-    refs = [
-        ref
-        for bundle in mat.iter_internal_ref_bundles()
-        for ref, meta in bundle.blocks
-        if meta.num_rows
+    if len(sides) == 1:
+        mats = [sides[0].materialize()]
+    else:  # the sides' Datasets are built, so no read_parquet runs in a thread
+        with ThreadPoolExecutor(len(sides)) as pool:
+            mats = list(pool.map(lambda s: s.materialize(), sides))
+    tagged, empty_refs = [], [[] for _ in sides]
+    for i, (mat, key) in enumerate(zip(mats, keys)):
+        for bundle in mat.iter_internal_ref_bundles():
+            for ref, meta in bundle.blocks:
+                if meta.num_rows:
+                    tagged.append((i, *_bucket_block.remote(ref, key, n_buckets)))
+                else:
+                    empty_refs[i].append(ref)
+    infos = ray.get([info for _, _, info in tagged])
+    side_schemas = [
+        _side_schema([s for (j, _, _), (_, s) in zip(tagged, infos) if j == i], refs)
+        for i, refs in enumerate(empty_refs)
     ]
-    tagged = [_tag_block.remote(r, key, n_buckets, to_arrow) for r in refs]
-    infos = ray.get([info for _, info in tagged])
+    carrier = pa.schema(
+        [(BUCKET, pa.int64()), (SIDE, pa.int64())]
+        + [(f"{i}:{f.name}", f.type) for i, s in enumerate(side_schemas) for f in s]
+    )
+    built = [_carrier_block.remote(t, i, carrier) for i, t, _ in tagged]
+    metas = ray.get([meta for _, meta in built])
     bundles = [
-        RefBundle(blocks=((block, meta),), owns_blocks=False, schema=schema)
-        for (block, _), (_, meta, schema) in zip(tagged, infos)
+        RefBundle(blocks=((block, meta),), owns_blocks=False, schema=carrier)
+        for (block, _), meta in zip(built, metas)
     ]
+    stats = (
+        mats[0]._plan.stats()
+        if len(mats) == 1
+        else DatasetStats(metadata={}, parent=[m._plan.stats() for m in mats])
+    )
     ds = MaterializedDataset(
-        ExecutionPlan(mat._plan.stats(), data_context=mat.context),
-        LogicalPlan(InputData(input_data=bundles), mat.context),
+        ExecutionPlan(stats, data_context=mats[0].context),
+        LogicalPlan(InputData(input_data=bundles), mats[0].context),
     )
     ds._plan.execute()
-    counts = sum((c for c, _, _ in infos), np.zeros(n_buckets, dtype=np.int64))
-    return ds, counts, len(bundles)
+    counts = sum((c for c, _ in infos), np.zeros(n_buckets, dtype=np.int64))
+    return ds, side_schemas, counts, len(bundles)
 
 
 def _boundaries(counts: np.ndarray, n_parts: int) -> list[int]:
@@ -144,66 +202,82 @@ def bucket_exchange(
     sides,
     reduce,
     *,
-    key: str | list[str],
+    key,
     schema,
     n_buckets: int = 64,
     batch_format: str = "pandas",
 ):
-    """Shuffle ``sides`` on a hash bucket of ``key`` and run ``reduce``
+    """Shuffle ``sides`` on a hash bucket of their keys and run ``reduce``
     once per bucket.
 
-    ``sides`` is one Dataset or a list of Datasets whose rows share
-    columns (the tagged union of a join). ``reduce(group)`` receives all
-    rows of one bucket in ``batch_format`` (``"pandas"`` or
-    ``"pyarrow"``), bucket column removed, so rows with equal ``key``
-    always meet in one call; it returns a frame/table, possibly empty, or
-    ``None``. ``schema`` declares the output: a ``pa.Schema`` or a
-    ``[(col, pandas dtype)]`` list. No output block is
-    zero-column: a partition whose reduces all return nothing yields one
-    empty Arrow table of ``schema`` (Arrow, not pandas, so Ray's block
-    sizing never samples an empty object column). The exchange's map
-    operator is named after ``reduce.__name__``.
+    ``sides`` is one Dataset, or a list of Datasets with their own
+    columns. ``key`` names the key: for one Dataset a column or a list of
+    columns; for a list of sides a column every side has, or a list with
+    one key per side. ``reduce(*frames)`` receives one frame per side
+    holding that side's rows of one bucket, in ``batch_format``
+    (``"pandas"`` or ``"pyarrow"``), so rows with equal keys always meet
+    in one call; a side with no rows in the bucket arrives as an empty
+    frame with that side's columns (taken from its non-empty blocks,
+    else from an empty one; a side that produced no block has none). It
+    returns a frame/table, possibly empty, or ``None``.
+    ``schema`` declares the output: a ``pa.Schema`` or a
+    ``[(col, pandas dtype)]`` list. Every output block is Arrow of that
+    schema, one per partition, and a partition whose reduces all return
+    nothing yields one empty table. The exchange's map operator is named
+    after ``reduce.__name__``.
 
-    The sides run (and their blocks are bucket-tagged) when this is
-    called; the exchange itself stays lazy.
+    The sides run (and their blocks are bucketed) when this is called;
+    the exchange itself stays lazy.
     """
     import ray.data
 
+    if isinstance(sides, (list, tuple)):
+        keys = [key] * len(sides) if isinstance(key, str) else list(key)
+    else:
+        sides, keys = [sides], [key]
+    if len(keys) != len(sides):
+        raise ValueError(f"{len(sides)} sides but {len(keys)} keys")
     to_arrow = batch_format == "pyarrow"
-    empty = empty_block(schema)
-    sides = list(sides) if isinstance(sides, (list, tuple)) else [sides]
-    ds, counts, n_blocks = _tagged_input(sides, key, n_buckets, to_arrow)
+    out_schema = _arrow_schema(schema)
+    empty = out_schema.empty_table()
+    ds, side_schemas, counts, n_blocks = _carrier_input(sides, keys, n_buckets)
     if not n_blocks:
         return ray.data.from_arrow(empty)
+    names = [s.names for s in side_schemas]
+    cols = [[f"{i}:{n}" for n in ns] for i, ns in enumerate(names)]
 
-    def apply(block):
-        block = _as_format(block, to_arrow)
-        b = np.asarray(block[BUCKET], dtype=np.int64)
-        if (b[1:] < b[:-1]).any():  # the single-partition path is unsorted
-            order = np.argsort(b, kind="stable")
-            b = b[order]
-            block = block.take(order) if to_arrow else block.iloc[order]
-        if to_arrow:
-            rows = block.drop_columns([BUCKET])
-            cut = lambda s, e: rows.slice(s, e - s)  # noqa: E731
-        else:
-            rows = block.drop(columns=[BUCKET])
-            cut = lambda s, e: rows.iloc[s:e].reset_index(drop=True)  # noqa: E731
-        ends = [*(np.flatnonzero(b[1:] != b[:-1]) + 1), len(b)]
-        yielded = False
-        for s, e in zip([0, *ends[:-1]], ends):
-            out = reduce(cut(s, e))
+    def apply(block: pa.Table):
+        b = block.column(BUCKET).to_numpy()
+        # Side-major, bucket-minor order: each side's rows are one slice.
+        k = block.column(SIDE).to_numpy() * n_buckets + b
+        if (k[1:] < k[:-1]).any():
+            order = np.argsort(k, kind="stable")
+            k, block = k[order], block.take(order)
+        frames, side_buckets = [], []
+        for i in range(len(names)):
+            lo, hi = np.searchsorted(k, [i * n_buckets, (i + 1) * n_buckets])
+            rows = block.slice(lo, hi - lo).select(cols[i]).rename_columns(names[i])
+            frames.append(rows if to_arrow else rows.to_pandas())
+            side_buckets.append(k[lo:hi] - i * n_buckets)
+        outs = []
+        for bucket in np.unique(b):
+            groups = []
+            for rows, sb in zip(frames, side_buckets):
+                s, e = np.searchsorted(sb, [bucket, bucket + 1])
+                groups.append(
+                    rows.slice(s, e - s) if to_arrow
+                    else rows.iloc[s:e].reset_index(drop=True)
+                )
+            out = reduce(*groups)
             if out is not None and len(out):
-                yielded = True
-                yield out
-        if not yielded:
-            yield empty
+                outs.append(arrow_block(out, out_schema))
+        yield pa.concat_tables(outs) if outs else empty
 
     apply.__name__ = reduce.__name__
     bounds = _boundaries(counts, n_blocks)
     # One occupied bucket or one block: a single partition, no sampling.
     shuffled = ds.sort(BUCKET, boundaries=bounds) if bounds else ds.repartition(1)
-    return shuffled.map_batches(apply, batch_size=None, batch_format=None)
+    return shuffled.map_batches(apply, batch_size=None, batch_format="pyarrow")
 
 
 def to_frame(ds, schema) -> pd.DataFrame:
@@ -244,13 +318,17 @@ def empty_block(cols) -> pa.Table:
     return _arrow_schema(cols).empty_table()
 
 
-def arrow_block(frame: pd.DataFrame, cols) -> pa.Table:
-    """``frame``'s ``cols`` as an Arrow block of that schema: what a pandas
-    map UDF with an object column returns, so an empty batch and a full
-    one give the same block type (mixed pandas and Arrow blocks make Ray
-    warn of a schema change) and no zero-row pandas block is sized."""
+def arrow_block(frame, cols) -> pa.Table:
+    """``frame``'s ``cols`` (a pandas frame or an Arrow table) as an Arrow
+    block of that schema: what a pandas map UDF with an object column
+    returns, so an empty batch and a full one give the same block type
+    (mixed pandas and Arrow blocks make Ray warn of a schema change) and
+    no zero-row pandas block is sized."""
     schema = _arrow_schema(cols)
-    table = pa.Table.from_pandas(frame[schema.names], schema=schema, preserve_index=False)
+    if isinstance(frame, pd.DataFrame):
+        table = pa.Table.from_pandas(frame[schema.names], schema=schema, preserve_index=False)
+    else:
+        table = frame.select(schema.names).cast(schema)
     return table.replace_schema_metadata()
 
 
@@ -268,8 +346,8 @@ def attach_payload(
     dedup_pairs: bool = False,
     n_buckets: int = 64,
 ):
-    """Arrow-native tagged-union bucket merge: attach one payload column
-    to a pair table by key.
+    """Arrow-native bucket merge: attach one payload column to a pair
+    table by key.
 
     The generic shape behind every "candidate ids ⋈ per-doc payload"
     exchange (MinHash ids-only signature attach, LSH embedding attach,
@@ -288,54 +366,18 @@ def attach_payload(
     (candidates surfaced by several bands always share the ``on`` key and
     therefore the same bucket, so no extra dedup shuffle is needed).
     """
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     carry_payloads = dict(carry_payloads or {})
-    payload_type = payload_type if payload_type is not None else pa.binary()
-
-    def _placeholder(dtype, n: int):
-        if pa.types.is_string(dtype) or pa.types.is_large_string(dtype):
-            return pa.array([""] * n, dtype)
-        return pa.array([b""] * n, dtype)
-
     out_schema = pa.schema(
         [(c, pa.int64()) for c in carry_ids]
         + list(carry_payloads.items())
-        + [(out, payload_type)]
+        + [(out, payload_type if payload_type is not None else pa.binary())]
     )
+    carry = [*carry_ids, *carry_payloads]
 
     def _np(col) -> np.ndarray:
-        return col.combine_chunks().to_numpy(zero_copy_only=False)
+        return col.combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64)
 
-    def tag_pairs(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols: dict[str, object] = {"key": pc.cast(batch[on], pa.int64())}
-        for c in carry_ids:
-            cols[c] = pc.cast(batch[c], pa.int64())
-        for c, t in carry_payloads.items():
-            cols[c] = pc.cast(batch[c], t)
-        cols["payload"] = _placeholder(payload_type, n)
-        cols["is_payload"] = pa.array(np.zeros(n, dtype=bool))
-        return pa.table(cols)
-
-    def tag_payloads(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols: dict[str, object] = {"key": pc.cast(batch[payload_key], pa.int64())}
-        zeros = pa.array(np.zeros(n, dtype=np.int64))
-        for c in carry_ids:
-            cols[c] = zeros
-        for c, t in carry_payloads.items():
-            cols[c] = _placeholder(t, n)
-        cols["payload"] = pc.cast(batch[payload_col], payload_type)
-        cols["is_payload"] = pa.array(np.ones(n, dtype=bool))
-        return pa.table(cols)
-
-    def merge(group: pa.Table) -> pa.Table:
-        group = group.combine_chunks()
-        is_p = _np(group["is_payload"]).astype(bool)
-        pair_t = group.filter(pa.array(~is_p))
-        pay_t = group.filter(pa.array(is_p))
+    def merge(pair_t: pa.Table, pay_t: pa.Table) -> pa.Table:
         if pair_t.num_rows == 0 or pay_t.num_rows == 0:
             return None
         if dedup_pairs:
@@ -349,30 +391,23 @@ def attach_payload(
                     neq |= s[1:] != s[:-1]
                 keep[1:] = neq
             pair_t = pair_t.take(pa.array(order[keep]))
-        pk = _np(pay_t["key"])
+        pk = _np(pay_t[payload_key])
         o = np.argsort(pk, kind="stable")
         sk = pk[o]
         first = np.ones(len(sk), dtype=bool)
         first[1:] = sk[1:] != sk[:-1]
         sk, o = sk[first], o[first]
-        jk = _np(pair_t["key"])
-        pos = np.searchsorted(sk, jk)
-        pos_c = np.minimum(pos, len(sk) - 1)
+        jk = _np(pair_t[on])
+        pos_c = np.minimum(np.searchsorted(sk, jk), len(sk) - 1)
         valid = sk[pos_c] == jk
-        pair_sel = pair_t.filter(pa.array(valid))
-        payload_vals = pay_t["payload"].take(pa.array(o[pos_c[valid]]))
-        cols = {c: pair_sel[c] for c in carry_ids}
-        cols.update({c: pair_sel[c] for c in carry_payloads})
-        cols[out] = payload_vals
+        cols = {c: pair_t[c].filter(pa.array(valid)) for c in carry}
+        cols[out] = pay_t[payload_col].take(pa.array(o[pos_c[valid]]))
         return pa.table(cols)
 
     return bucket_exchange(
-        [
-            pairs_ds.map_batches(tag_pairs, batch_format="pyarrow"),
-            payload_ds.map_batches(tag_payloads, batch_format="pyarrow"),
-        ],
+        [pairs_ds, payload_ds],
         merge,
-        key="key",
+        key=[on, payload_key],
         schema=out_schema,
         n_buckets=n_buckets,
         batch_format="pyarrow",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .ops.shuffle import arrow_block, bucket_exchange, empty_block, to_frame
@@ -222,52 +223,33 @@ def revenue_by_nation(sf_dir: str):
     def order_partials(batch: pd.DataFrame) -> pd.DataFrame:
         tmp = pd.DataFrame(
             {
-                "key": batch["o_custkey"].astype("int64"),
+                "o_custkey": batch["o_custkey"],
                 "rev100": np.rint(batch["o_totalprice"] * 100).astype("int64"),
                 "n_orders": 1,
             }
         )
-        agg = tmp.groupby("key", as_index=False).sum()
-        agg["nkey"] = np.int64(-1)
-        agg["is_cust"] = False
-        return agg
-
-    def cust_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": batch["c_custkey"].astype("int64"),
-                "rev100": np.int64(0),
-                "n_orders": np.int64(0),
-                "nkey": batch["c_nationkey"].astype("int64"),
-                "is_cust": True,
-            }
-        )
+        return tmp.groupby("o_custkey", as_index=False).sum()
 
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     customer = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
 
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        o = group[~group["is_cust"]]
-        c = group[group["is_cust"]]
+    def merge(o: pd.DataFrame, c: pd.DataFrame) -> pd.DataFrame:
         if o.empty or c.empty:
             return None
-        osum = o.groupby("key", as_index=False)[["rev100", "n_orders"]].sum()
+        osum = o.groupby("o_custkey", as_index=False)[["rev100", "n_orders"]].sum()
         m = osum.merge(
-            c[["key", "nkey"]].drop_duplicates("key"), on="key", how="inner"
+            c.drop_duplicates("c_custkey"), left_on="o_custkey", right_on="c_custkey"
         )
-        m["n_name"] = m["nkey"].map(nation_names)
+        m["n_name"] = m["c_nationkey"].map(nation_names)
         m = m.dropna(subset=["n_name"])
         return m.groupby("n_name", as_index=False)[["rev100", "n_orders"]].sum()
 
     schema = [("n_name", "object"), ("rev100", "int64"), ("n_orders", "int64")]
     partials = to_frame(
         bucket_exchange(
-            [
-                orders.map_batches(order_partials, batch_format="pandas"),
-                customer.map_batches(cust_rows, batch_format="pandas"),
-            ],
+            [orders.map_batches(order_partials, batch_format="pandas"), customer],
             merge,
-            key="key",
+            key=["o_custkey", "c_custkey"],
             schema=schema,
             n_buckets=n_buckets,
         ),
@@ -455,10 +437,10 @@ def events_asof_orders(sf_dir: str):
     """As-of join: each event matched to the user's latest prior order.
 
     Hash-partitioned merge variant: both sides bucket on the key
-    (user_id/o_custkey % B), union into one tagged stream, and each bucket
-    group runs a vectorized pandas merge_asof (orders sorted by date with
-    orderkey tie-break). Nothing materializes on the driver; a bucket only
-    needs its own slice of both tables in memory — the documented
+    (user_id/o_custkey % B) and each bucket group runs a vectorized
+    pandas merge_asof (orders sorted by date with orderkey tie-break).
+    Nothing materializes on the driver; a bucket only needs its own
+    slice of both tables in memory — the documented
     partitioning assumption at 100 TB is per-bucket fit, tunable via B.
     """
     n_buckets = 32
@@ -470,45 +452,21 @@ def events_asof_orders(sf_dir: str):
     )
     events = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
 
-    def tag_orders(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": batch["o_custkey"].astype("int64"),
-                "t": batch["o_orderdate"],
-                "event_id": np.int64(-1),
-                "o_orderkey": batch["o_orderkey"].astype("int64"),
-                "o_totalprice": batch["o_totalprice"].astype("float64"),
-                "is_order": True,
-            }
-        )
-
-    def tag_events(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": batch["user_id"].astype("int64"),
-                "t": batch["ts"],
-                "event_id": batch["event_id"].astype("int64"),
-                "o_orderkey": np.int64(-1),
-                "o_totalprice": np.float64(0.0),
-                "is_order": False,
-            }
-        )
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        o = group[group["is_order"]]
-        e = group[~group["is_order"]]
+    def merge(o: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
         if o.empty or e.empty:
             return None
         # merge_asof(direction="backward") takes the LAST order row with
         # t <= event t per key — sorting orders by (t, o_orderkey) makes
         # date ties resolve to the largest orderkey (oracle semantics).
-        o = o.sort_values(["t", "o_orderkey"], kind="mergesort")
-        e = e.sort_values("t", kind="mergesort")
+        o = o.sort_values(["o_orderdate", "o_orderkey"], kind="mergesort")
+        e = e.sort_values("ts", kind="mergesort")
         m = pd.merge_asof(
-            e[["t", "key", "event_id"]],
-            o[["t", "key", "o_orderkey", "o_totalprice"]],
-            on="t",
-            by="key",
+            e,
+            o,
+            left_on="ts",
+            right_on="o_orderdate",
+            left_by="user_id",
+            right_by="o_custkey",
             direction="backward",
         )
         m = m.dropna(subset=["o_orderkey"])
@@ -527,12 +485,9 @@ def events_asof_orders(sf_dir: str):
     ]
     out = to_frame(
         bucket_exchange(
-            [
-                orders.map_batches(tag_orders, batch_format="pandas"),
-                events.map_batches(tag_events, batch_format="pandas"),
-            ],
+            [orders, events],
             merge,
-            key="key",
+            key=["o_custkey", "user_id"],
             schema=schema,
             n_buckets=n_buckets,
         ),
@@ -546,8 +501,8 @@ def events_in_order_window(sf_dir: str):
     o_orderdate + 7 days) per order.
 
     Ray Data has no interval-join operator — expressed with the engine's
-    bucket-merge pattern: both sides hash-bucket on the customer key, one
-    tagged union, and each group runs ONE vectorized interval match (a
+    bucket-merge pattern: both sides hash-bucket on the customer key and
+    each group runs ONE vectorized interval match (a
     composite (key, ts)-rank searchsorted over the whole bucket — no
     per-customer loop, no cross product). Partitioning assumption at
     scale: one bucket's rows fit a worker; salt the bucket count for hot
@@ -561,29 +516,7 @@ def events_in_order_window(sf_dir: str):
     )
     events = _read(sf_dir, "events", columns=["user_id", "ts"])
 
-    def tag_orders(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": batch["o_custkey"].astype("int64"),
-                "t": batch["o_orderdate"],
-                "o_orderkey": batch["o_orderkey"].astype("int64"),
-                "is_order": True,
-            }
-        )
-
-    def tag_events(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": batch["user_id"].astype("int64"),
-                "t": batch["ts"],
-                "o_orderkey": np.int64(-1),
-                "is_order": False,
-            }
-        )
-
-    def match(group: pd.DataFrame) -> pd.DataFrame:
-        o = group[group["is_order"]]
-        e = group[~group["is_order"]]
+    def match(o: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
         if o.empty:
             return None
         if e.empty:
@@ -601,8 +534,8 @@ def events_in_order_window(sf_dir: str):
         # n_keys × (n_unique_ts + 2) < 2^63 — per-bucket row counts, i.e.
         # the same per-bucket-fits-a-worker assumption the merge already
         # makes.
-        e_keys = e["key"].to_numpy()
-        e_ts = e["t"].to_numpy()
+        e_keys = e["user_id"].to_numpy()
+        e_ts = e["ts"].to_numpy()
         uniq_keys = np.unique(e_keys)
         uniq_ts = np.unique(e_ts)
         m = np.int64(len(uniq_ts) + 2)
@@ -612,11 +545,11 @@ def events_in_order_window(sf_dir: str):
         )
         comp.sort()
 
-        o_starts = o["t"].to_numpy()
-        key_pos = np.searchsorted(uniq_keys, o["key"].to_numpy()).astype(np.int64)
+        o_starts = o["o_orderdate"].to_numpy()
+        o_keys = o["o_custkey"].to_numpy()
+        key_pos = np.searchsorted(uniq_keys, o_keys).astype(np.int64)
         has_events = (key_pos < len(uniq_keys)) & (
-            uniq_keys[np.minimum(key_pos, len(uniq_keys) - 1)]
-            == o["key"].to_numpy()
+            uniq_keys[np.minimum(key_pos, len(uniq_keys) - 1)] == o_keys
         )
         # rank of the window bounds among event timestamps: events with
         # t >= start are exactly those with ts-rank >= searchsorted(left).
@@ -637,12 +570,9 @@ def events_in_order_window(sf_dir: str):
     schema = [("o_orderkey", "int64"), ("n_events", "int64")]
     out = to_frame(
         bucket_exchange(
-            [
-                orders.map_batches(tag_orders, batch_format="pandas"),
-                events.map_batches(tag_events, batch_format="pandas"),
-            ],
+            [orders, events],
             match,
-            key="key",
+            key=["o_custkey", "user_id"],
             schema=schema,
             n_buckets=n_buckets,
         ),
@@ -1089,33 +1019,20 @@ def lineitem_join_orders(sf_dir: str):
         disc_price = batch["l_extendedprice"] * (1 - batch["l_discount"])
         tmp = pd.DataFrame(
             {
-                "key": batch["l_orderkey"].astype("int64"),
+                "l_orderkey": batch["l_orderkey"],
                 "rev10000": np.rint(disc_price * 10000).astype("int64"),
                 "n_items": np.int64(1),
             }
         )
-        agg = tmp.groupby("key", as_index=False).sum()
-        agg["prio"] = ""
-        agg["is_order"] = False
-        return agg
+        return tmp.groupby("l_orderkey", as_index=False).sum()
 
-    def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": batch["o_orderkey"].astype("int64"),
-                "rev10000": np.int64(0),
-                "n_items": np.int64(0),
-                "prio": batch["o_orderpriority"],
-                "is_order": True,
-            }
+    def merge_priority(items: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        m = items.groupby("l_orderkey", as_index=False)[["rev10000", "n_items"]].sum()
+        m = m.merge(
+            orders.drop_duplicates("o_orderkey"),
+            left_on="l_orderkey",
+            right_on="o_orderkey",
         )
-
-    def merge_priority(group: pd.DataFrame) -> pd.DataFrame:
-        items = group[~group["is_order"]]
-        orders = group[group["is_order"]].drop_duplicates("key")
-        m = items.groupby("key", as_index=False)[["rev10000", "n_items"]].sum()
-        m = m.merge(orders[["key", "prio"]], on="key", how="inner")
-        m = m.rename(columns={"prio": "o_orderpriority"})
         return m.groupby("o_orderpriority", as_index=False)[
             ["rev10000", "n_items"]
         ].sum()
@@ -1127,12 +1044,9 @@ def lineitem_join_orders(sf_dir: str):
     schema = [("o_orderpriority", "object"), ("rev10000", "int64"), ("n_items", "int64")]
     partials = to_frame(
         bucket_exchange(
-            [
-                lineitem.map_batches(item_partials, batch_format="pandas"),
-                orders.map_batches(order_rows, batch_format="pandas"),
-            ],
+            [lineitem.map_batches(item_partials, batch_format="pandas"), orders],
             merge_priority,
-            key="key",
+            key=["l_orderkey", "o_orderkey"],
             schema=schema,
         ),
         schema,
@@ -1151,8 +1065,8 @@ def order_priority_counts(sf_dir: str):
     (l_returnflag='R'), counted by priority.
 
     The EXISTS side never joins row-to-row: each lineitem batch reduces to
-    its distinct returned orderkeys (partial distinct), the tagged-union
-    bucket merge tests membership per orders row inside each group, and
+    its distinct returned orderkeys (partial distinct), the bucket merge
+    tests membership per orders row inside each group, and
     only per-(bucket, priority) count partials reach the driver. Exchange
     bytes = distinct keys + filtered orders ids, never the lineitem table.
     """
@@ -1165,59 +1079,28 @@ def order_priority_counts(sf_dir: str):
     )
     lineitem = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_returnflag"])
 
-    TAG_COLS = [
-        ("key", "int64"), ("priority", "object"), ("is_order", "bool"),
-    ]
+    def q1_orders(batch: pa.Table) -> pa.Table:
+        d = pc.field("o_orderdate")
+        return batch.filter((d >= lo) & (d < hi)).select(["o_orderkey", "o_orderpriority"])
 
-    def tag_orders(batch: pd.DataFrame) -> pd.DataFrame:
-        sel = batch[(batch["o_orderdate"] >= lo) & (batch["o_orderdate"] < hi)]
-        if sel.empty:
-            return empty_block(TAG_COLS)
-        keys = sel["o_orderkey"].astype("int64")
-        return pd.DataFrame(
-            {
-                "key": keys,
-                "priority": sel["o_orderpriority"].astype(object),
-                "is_order": True,
-            }
-        )
+    def returned_keys(batch: pd.DataFrame) -> pd.DataFrame:
+        return batch.loc[batch["l_returnflag"] == "R", ["l_orderkey"]].drop_duplicates()
 
-    def tag_returned(batch: pd.DataFrame) -> pd.DataFrame:
-        keys = (
-            batch.loc[batch["l_returnflag"] == "R", "l_orderkey"]
-            .drop_duplicates()
-            .astype("int64")
-        )
-        if keys.empty:
-            return empty_block(TAG_COLS)
-        return pd.DataFrame(
-            {
-                "key": keys,
-                "priority": "",
-                "is_order": False,
-            }
-        )
-
-    def semi_count(group: pd.DataFrame) -> pd.DataFrame:
-        o = group[group["is_order"]]
-        returned = group.loc[~group["is_order"], "key"].unique()
-        if o.empty or not len(returned):
+    def semi_count(o: pd.DataFrame, returned: pd.DataFrame) -> pd.DataFrame:
+        if o.empty or returned.empty:
             return None
-        hit = o[o["key"].isin(returned)]
-        out = (
-            hit.groupby("priority").size().rename("order_count").reset_index()
-        )
-        return out.rename(columns={"priority": "o_orderpriority"})
+        hit = o[o["o_orderkey"].isin(returned["l_orderkey"])]
+        return hit.groupby("o_orderpriority").size().rename("order_count").reset_index()
 
     schema = [("o_orderpriority", "object"), ("order_count", "int64")]
     partials = to_frame(  # <= n_buckets × priorities rows
         bucket_exchange(
             [
-                orders.map_batches(tag_orders, batch_format="pandas"),
-                lineitem.map_batches(tag_returned, batch_format="pandas"),
+                orders.map_batches(q1_orders, batch_format="pyarrow"),
+                lineitem.map_batches(returned_keys, batch_format="pandas"),
             ],
             semi_count,
-            key="key",
+            key=["o_orderkey", "l_orderkey"],
             schema=schema,
             n_buckets=n_buckets,
         ),
@@ -1249,61 +1132,26 @@ def customers_inactive_2001(sf_dir: str):
     )
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
 
-    TAG_COLS = [
-        ("key", "int64"), ("segment", "object"), ("bal100", "int64"),
-        ("is_cust", "bool"),
-    ]
+    def active_keys(batch: pd.DataFrame) -> pd.DataFrame:
+        return batch.loc[batch["o_orderdate"] >= cutoff, ["o_custkey"]].drop_duplicates()
 
-    def tag_cust(batch: pd.DataFrame) -> pd.DataFrame:
-        keys = batch["c_custkey"].astype("int64")
-        return pd.DataFrame(
-            {
-                "key": keys,
-                "segment": batch["c_mktsegment"].astype(object),
-                "bal100": np.rint(batch["c_acctbal"] * 100).astype("int64"),
-                "is_cust": True,
-            }
-        )
-
-    def tag_active(batch: pd.DataFrame) -> pd.DataFrame:
-        keys = (
-            batch.loc[batch["o_orderdate"] >= cutoff, "o_custkey"]
-            .drop_duplicates()
-            .astype("int64")
-        )
-        if keys.empty:
-            return empty_block(TAG_COLS)
-        return pd.DataFrame(
-            {
-                "key": keys,
-                "segment": "",
-                "bal100": np.int64(0),
-                "is_cust": False,
-            }
-        )
-
-    def anti_agg(group: pd.DataFrame) -> pd.DataFrame:
-        c = group[group["is_cust"]]
-        active = group.loc[~group["is_cust"], "key"].unique()
-        miss = c[~c["key"].isin(active)]
+    def anti_agg(c: pd.DataFrame, active: pd.DataFrame) -> pd.DataFrame:
+        miss = c[~c["c_custkey"].isin(active["o_custkey"])]
         if miss.empty:
             return None
-        out = miss.groupby("segment").agg(
-            n_customers=("key", "size"), bal100=("bal100", "sum")
+        miss = miss.assign(bal100=np.rint(miss["c_acctbal"] * 100).astype("int64"))
+        return miss.groupby("c_mktsegment").agg(
+            n_customers=("c_custkey", "size"), bal100=("bal100", "sum")
         ).reset_index()
-        return out.rename(columns={"segment": "c_mktsegment"})
 
     schema = [
         ("c_mktsegment", "object"), ("n_customers", "int64"), ("bal100", "int64"),
     ]
     partials = to_frame(
         bucket_exchange(
-            [
-                cust.map_batches(tag_cust, batch_format="pandas"),
-                orders.map_batches(tag_active, batch_format="pandas"),
-            ],
+            [cust, orders.map_batches(active_keys, batch_format="pandas")],
             anti_agg,
-            key="key",
+            key=["c_custkey", "o_custkey"],
             schema=schema,
             n_buckets=n_buckets,
         ),
@@ -1970,11 +1818,12 @@ def doc_dedup_group_sizes(sf_dir: str):
 def doc_ngram_verified_pairs(sf_dir: str):
     """MinHash candidates verified by exact word-3-gram Jaccard.
 
-    Fully distributed: candidate pairs attach their two texts with the
-    Arrow-native tagged-union bucket merge (ops/shuffle.py:attach_payload
-    — texts ride the exchanges as Arrow string buffers, not pandas object
-    columns), then each batch verifies its own pairs inside map_batches.
-    Texts never materialize on the driver.
+    Fully distributed: candidate pairs attach their first text with the
+    Arrow-native bucket merge (ops/shuffle.py:attach_payload — texts
+    ride the exchanges as Arrow string buffers, not pandas object
+    columns); a second doc_b-bucket exchange meets each pair with its
+    second text and verifies it in the reduce. Texts never materialize
+    on the driver.
     """
     import pyarrow as pa
 
@@ -1990,36 +1839,24 @@ def doc_ngram_verified_pairs(sf_dir: str):
         carry_ids=["doc_a", "doc_b"], payload_type=pa.large_string(),
         dedup_pairs=True,
     )
-    with_b = attach_payload(
-        with_a, docs,
-        on="doc_b", out="text_b", payload_key="doc_id", payload_col="text",
-        carry_ids=["doc_a", "doc_b"],
-        carry_payloads={"text_a": pa.large_string()},
-        payload_type=pa.large_string(),
-    )
+    cols = [("doc_a", "int64"), ("doc_b", "int64"), ("jaccard", "float64")]
 
-    def verify(batch: pa.Table) -> pa.Table:
-        rows = {"doc_a": [], "doc_b": [], "jaccard": []}
-        for a, b, ta, tb in zip(
-            batch["doc_a"].to_pylist(), batch["doc_b"].to_pylist(),
-            batch["text_a"].to_pylist(), batch["text_b"].to_pylist(),
-        ):
-            # Raw float jaccard: inter/union of identical integer
-            # cardinalities divides to the identical double in DuckDB.
-            jac = ngram_jaccard(ta or "", tb or "", n=3)
-            if jac >= 0.5:
-                rows["doc_a"].append(int(a))
-                rows["doc_b"].append(int(b))
-                rows["jaccard"].append(jac)
-        return pa.table(
-            {
-                "doc_a": pa.array(rows["doc_a"], pa.int64()),
-                "doc_b": pa.array(rows["doc_b"], pa.int64()),
-                "jaccard": pa.array(rows["jaccard"], pa.float64()),
-            }
+    def verify(pairs: pd.DataFrame, texts: pd.DataFrame) -> pd.DataFrame:
+        m = pairs.merge(
+            texts.drop_duplicates("doc_id"), left_on="doc_b", right_on="doc_id"
         )
+        # Raw float jaccard: inter/union of identical integer
+        # cardinalities divides to the identical double in DuckDB.
+        m["jaccard"] = [
+            ngram_jaccard(ta or "", tb or "", n=3)
+            for ta, tb in zip(m["text_a"], m["text"])
+        ]
+        return m[m["jaccard"] >= 0.5]
 
-    out = with_b.map_batches(verify, batch_format="pyarrow").to_pandas()
+    out = to_frame(
+        bucket_exchange([with_a, docs], verify, key=["doc_b", "doc_id"], schema=cols),
+        cols,
+    )
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
@@ -3073,9 +2910,9 @@ def doc_tfidf_top_terms(sf_dir: str):
     guaranteed across engines).
 
     Fully distributed: per-batch exact tf explode (each doc lives in one
-    row), df by token-bucket merge, tf⋈df via the tagged-union bucket
-    merge, per-doc top-3 inside a doc-bucket groupby. The compact tf
-    table is materialized once before its two consumers (df aggregation
+    row), df by token-bucket merge, tf⋈df via the bucket merge, per-doc
+    top-3 inside a doc-bucket groupby. The compact tf table is
+    materialized once before its two consumers (df aggregation
     and the join) — the lineage-re-execution rule."""
     from .ops.text import RE2_WS_PATTERN
 
@@ -3110,22 +2947,6 @@ def doc_tfidf_top_terms(sf_dir: str):
         out.columns = ["term", "df"]
         return out
 
-    # tf rows tagged is_tf=True, df rows is_tf=False; one union stream,
-    # exact pandas merge inside each token bucket.
-    def tag_tf(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch[["term", "doc_id", "tf"]].copy()
-        out["df"] = np.int64(0)
-        out["is_tf"] = True
-        return out
-
-    def tag_df(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch[["term"]].copy()
-        out["doc_id"] = np.int64(0)
-        out["tf"] = np.int64(0)
-        out["df"] = batch["df"].astype("int64")
-        out["is_tf"] = False
-        return out
-
     df_ds = bucket_exchange(
         tf_ds.map_batches(df_partial, batch_format="pandas"),
         lambda g: g.groupby("term", as_index=False).agg(df=("df", "sum")),
@@ -3133,9 +2954,8 @@ def doc_tfidf_top_terms(sf_dir: str):
         schema=[("term", "object"), ("df", "int64")],
     )
 
-    def join_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        tf_rows = group[group["is_tf"]][["doc_id", "term", "tf"]]
-        df_rows = group[~group["is_tf"]][["term", "df"]]
+    # tf ⋈ df: exact pandas merge inside each token bucket.
+    def join_in_bucket(tf_rows: pd.DataFrame, df_rows: pd.DataFrame) -> pd.DataFrame:
         if tf_rows.empty or df_rows.empty:
             return None
         out = tf_rows.merge(df_rows, on="term", how="inner")
@@ -3145,10 +2965,7 @@ def doc_tfidf_top_terms(sf_dir: str):
         return out[["doc_id", "term", "tf", "df"]]
 
     scored = bucket_exchange(
-        [
-            tf_ds.map_batches(tag_tf, batch_format="pandas"),
-            df_ds.map_batches(tag_df, batch_format="pandas"),
-        ],
+        [tf_ds, df_ds],
         join_in_bucket,
         key="term",
         schema=[("doc_id", "int64"), ("term", "object"), ("tf", "int64"), ("df", "int64")],
@@ -3980,7 +3797,7 @@ def doc_exactsubstr_cut(sf_dir: str):
 
     Scale shape: the span discovery is the existing two-coarse-bucket
     exchange (ids+positions only on the wire); the cut then meets the raw
-    text in ONE doc-bucket tagged-union merge where a vectorized
+    text in ONE doc-bucket merge where a vectorized
     difference-array mask drops the covered words — the text is read once
     and shuffled once, spans are duplicated-content-sized, and nothing
     corpus-sized reaches the driver. Output one row per document:
@@ -3998,50 +3815,8 @@ def doc_exactsubstr_cut(sf_dir: str):
         ("n_cut_words", "int64"),
         ("text_clean", "object"),
     ]
-    union_cols = [
-        ("doc_id", "int64"),
-        ("tag", "int64"),
-        ("start_word", "int64"),
-        ("end_word", "int64"),
-        ("text", "object"),
-    ]
-
-    def tag_docs(batch: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].astype("int64").reset_index(
-                    drop=True
-                ),
-                "tag": np.int64(0),
-                "start_word": np.int64(0),
-                "end_word": np.int64(0),
-                "text": batch["text"].fillna("").reset_index(drop=True),
-            }
-        )
-        return out[[c for c, _ in union_cols]]
-
-    def tag_spans(batch: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].astype("int64").reset_index(
-                    drop=True
-                ),
-                "tag": np.int64(1),
-                "start_word": batch["start_word"]
-                .astype("int64")
-                .reset_index(drop=True),
-                "end_word": batch["end_word"]
-                .astype("int64")
-                .reset_index(drop=True),
-                "text": "",
-            }
-        )
-        return out[[c for c, _ in union_cols]]
-
-    def cut_group(group: pd.DataFrame) -> pd.DataFrame:
-        is_span = group["tag"].to_numpy() == 1
-        docs_g = group.loc[~is_span]
-        spans_g = group.loc[is_span].sort_values(["doc_id", "start_word"])
+    def cut_group(docs_g: pd.DataFrame, spans_g: pd.DataFrame) -> pd.DataFrame:
+        spans_g = spans_g.sort_values(["doc_id", "start_word"])
         sdoc = spans_g["doc_id"].to_numpy(dtype=np.int64)
         sstart = spans_g["start_word"].to_numpy(dtype=np.int64)
         send = spans_g["end_word"].to_numpy(dtype=np.int64)
@@ -4083,10 +3858,7 @@ def doc_exactsubstr_cut(sf_dir: str):
 
     out = to_frame(
         bucket_exchange(
-            [
-                docs.map_batches(tag_docs, batch_format="pandas"),
-                spans.map_batches(tag_spans, batch_format="pandas"),
-            ],
+            [docs, spans],
             cut_group,
             key="doc_id",
             schema=out_cols,
@@ -4538,50 +4310,17 @@ def _boilerplate_by_source_distributed(docs, dup_ds):
     """Big route of doc_boilerplate_by_source: the dup-member table never
     touches the driver. Corpus rows (doc_id, source, n_tokens — ids +
     enums only, text never leaves its reading task) and per-doc dup sums
-    meet in a doc-bucket tagged-union merge whose groups fold straight to
-    per-source partials; the driver folds source-cardinality × n_buckets
+    meet in a doc-bucket merge whose groups fold straight to per-source
+    partials; the driver folds source-cardinality × n_buckets
     rows. NULL sources excluded (the pinned contract)."""
-    union_cols = [
-        ("doc_id", "int64"),
-        ("source", "object"),
-        ("n_tokens", "int64"),
-        ("dup_tokens", "int64"),
-        ("tag", "int64"),
-    ]
+    corpus_cols = [("doc_id", "int64"), ("source", "object"), ("n_tokens", "int64")]
 
-    def corpus_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch[batch["source"].notna()].reset_index(drop=True)
-        if not len(batch):
-            return empty_block(union_cols)
+    def corpus_rows(batch: pd.DataFrame) -> pa.Table:
+        batch = batch[batch["source"].notna()]
         n_tokens = (
             batch["text"].fillna("").str.findall(r"[^\t\n\f\r ]+").str.len()
         )
-        out = pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].astype("int64"),
-                "source": batch["source"].astype("object"),
-                "n_tokens": n_tokens.astype("int64"),
-                "dup_tokens": np.int64(0),
-                "tag": np.int64(0),
-            }
-        )
-        return out[[c for c, _ in union_cols]]
-
-    def dup_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].astype("int64").reset_index(
-                    drop=True
-                ),
-                "source": "",
-                "n_tokens": np.int64(0),
-                "dup_tokens": batch["dup_tokens"]
-                .astype("int64")
-                .reset_index(drop=True),
-                "tag": np.int64(1),
-            }
-        )
-        return out[[c for c, _ in union_cols]]
+        return arrow_block(batch.assign(n_tokens=n_tokens.astype("int64")), corpus_cols)
 
     part_cols = [
         ("source", "object"),
@@ -4590,11 +4329,9 @@ def _boilerplate_by_source_distributed(docs, dup_ds):
         ("dup_tokens", "int64"),
     ]
 
-    def merge_to_source(group: pd.DataFrame) -> pd.DataFrame:
-        c = group.loc[group["tag"] == 0, ["doc_id", "source", "n_tokens"]]
+    def merge_to_source(c: pd.DataFrame, d: pd.DataFrame) -> pd.DataFrame:
         if not len(c):
             return None
-        d = group.loc[group["tag"] == 1, ["doc_id", "dup_tokens"]]
         m = c.merge(d, on="doc_id", how="left")
         m["dup_tokens"] = m["dup_tokens"].fillna(0).astype("int64")
         agg = m.groupby("source", as_index=False).agg(
@@ -4606,10 +4343,7 @@ def _boilerplate_by_source_distributed(docs, dup_ds):
 
     parts = to_frame(
         bucket_exchange(
-            [
-                docs.map_batches(corpus_rows, batch_format="pandas"),
-                dup_ds.map_batches(dup_rows, batch_format="pandas"),
-            ],
+            [docs.map_batches(corpus_rows, batch_format="pandas"), dup_ds],
             merge_to_source,
             key="doc_id",
             schema=part_cols,
@@ -4650,7 +4384,7 @@ def doc_boilerplate_by_source(
     count: at or under ``driver_member_limit`` the doc→source mapping
     comes from ONE corpus pass against the broadcast member-id set;
     above it (boilerplate-heavy crawls) corpus rows and dup sums meet in
-    a doc-bucket tagged-union merge that folds straight to per-source
+    a doc-bucket merge that folds straight to per-source
     partials — either way only source-cardinality rows reach the driver
     from the corpus side."""
     import ray
@@ -4949,9 +4683,9 @@ def doc_cut_packs(sf_dir: str):
     The dedup→pack hand-off a pretraining data build actually runs.
 
     Scale shape: span discovery is the existing two-bucket exchange; the
-    per-doc counts and the span coverage sums meet in ONE range-bucket
-    tagged-union merge (the bucket doubles as the packing range key), the
-    compact survivor table (doc_id, n_kept, bucket — 24 B/doc) is
+    per-doc counts and the span coverage sums meet in ONE doc-bucket merge
+    that also stamps each survivor's packing range key, the compact
+    survivor table (doc_id, n_kept, bucket — 24 B/doc) is
     materialized before its two consumers, and the global prefix sum is
     the doc_pack_sequences pattern (tree-reduced bucket totals, driver
     prefixes the tiny totals, vectorized in-bucket cumsum)."""
@@ -4961,43 +4695,11 @@ def doc_cut_packs(sf_dir: str):
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     spans = duplicated_ngram_spans(docs, n=5)
 
-    union_cols = [
-        ("doc_id", "int64"),
-        ("tag", "int64"),
-        ("n", "int64"),
-        ("bucket", "int64"),
-    ]
-
     def count_rows(batch: pd.DataFrame) -> pd.DataFrame:
         n_tokens = (
             batch["text"].fillna("").str.findall(r"[^\t\n\f\r ]+").str.len()
         )
-        out = pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].astype("int64").reset_index(
-                    drop=True
-                ),
-                "tag": np.int64(0),
-                "n": n_tokens.astype("int64").reset_index(drop=True),
-            }
-        )
-        out["bucket"] = (out["doc_id"] // bucket_width).astype("int64")
-        return out[[c for c, _ in union_cols]]
-
-    def span_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].astype("int64").reset_index(
-                    drop=True
-                ),
-                "tag": np.int64(1),
-                "n": (batch["end_word"] - batch["start_word"])
-                .astype("int64")
-                .reset_index(drop=True),
-            }
-        )
-        out["bucket"] = (out["doc_id"] // bucket_width).astype("int64")
-        return out[[c for c, _ in union_cols]]
+        return pd.DataFrame({"doc_id": batch["doc_id"], "n": n_tokens.astype("int64")})
 
     surv_cols = [
         ("doc_id", "int64"),
@@ -5005,9 +4707,11 @@ def doc_cut_packs(sf_dir: str):
         ("bucket", "int64"),
     ]
 
-    def merge_kept(group: pd.DataFrame) -> pd.DataFrame:
-        tot = group.loc[group["tag"] == 0].groupby("doc_id")["n"].sum()
-        cut = group.loc[group["tag"] == 1].groupby("doc_id")["n"].sum()
+    def merge_kept(counts: pd.DataFrame, spans_g: pd.DataFrame) -> pd.DataFrame:
+        tot = counts.groupby("doc_id")["n"].sum()
+        cut = (spans_g["end_word"] - spans_g["start_word"]).groupby(
+            spans_g["doc_id"]
+        ).sum()
         kept = (tot - cut.reindex(tot.index, fill_value=0)).astype("int64")
         kept = kept[kept > 0]
         out = pd.DataFrame(
@@ -5020,12 +4724,9 @@ def doc_cut_packs(sf_dir: str):
         return out.astype("int64")[[c for c, _ in surv_cols]]
 
     survivors = bucket_exchange(
-        [
-            docs.map_batches(count_rows, batch_format="pandas"),
-            spans.map_batches(span_rows, batch_format="pandas"),
-        ],
+        [docs.map_batches(count_rows, batch_format="pandas"), spans],
         merge_kept,
-        key="bucket",
+        key="doc_id",
         schema=surv_cols,
     ).materialize()  # compact 24 B/doc table, two consumers below
     return _pack_survivors(survivors, "n_kept")
@@ -5148,7 +4849,7 @@ def doc_neardup_survivors(
     ray.put and the corpus streams through one vectorized filter (no
     join shuffle — strictly cheaper while the set fits every worker).
     Above it (boilerplate-heavy crawls where dup members are 30-50% of
-    the corpus) the anti-join routes through the doc-bucket tagged-union
+    the corpus) the anti-join routes through the doc-bucket
     merge (ops.dedup.neardup_survivors_distributed) and the member table
     never touches the driver."""
     import ray
@@ -5230,7 +4931,7 @@ def doc_neardup_best_keep(
     corpus pass filtered against the broadcast member-id set and ranking
     happens on that duplicate-count-sized table; above it (boilerplate-
     heavy crawls, dup members 30-50% of corpus) the whole selection runs
-    distributed — doc-bucket tagged-union merge attaches token counts
+    distributed — doc-bucket merge attaches token counts
     ids-only, a group-bucket exchange ranks per component
     (ops.dedup.neardup_best_keep_distributed) — and the member table
     never touches the driver."""
@@ -5374,7 +5075,7 @@ def doc_clean_corpus(sf_dir: str, eval_ds=None):
     map_batches pass (benchmark grams built distributed and broadcast
     via ray.put — only gram rows ever reach the driver); dedup
     canonicality is a content-hash coarse-bucket groupby; the two per-doc
-    signal streams then meet in a doc-bucket tagged-union merge — two
+    signal streams then meet in a doc-bucket merge — two
     AllToAlls total, nothing corpus-sized on the driver."""
     import hashlib as _hashlib
 
@@ -5386,13 +5087,7 @@ def doc_clean_corpus(sf_dir: str, eval_ds=None):
     grams_ref = _bench_grams_ref(docs, eval_ds)
     external_eval = eval_ds is not None
 
-    out_cols = [
-        ("doc_id", "int64"),
-        ("tag", "int64"),
-        ("quality_keep", "int64"),
-        ("decontam_keep", "int64"),
-        ("dedup_keep", "int64"),
-    ]
+    dedup_cols = [("doc_id", "int64"), ("dedup_keep", "int64")]
 
     def signals(batch: pd.DataFrame, _ref=grams_ref) -> pd.DataFrame:
         grams = ray.get(_ref)
@@ -5414,15 +5109,13 @@ def doc_clean_corpus(sf_dir: str, eval_ds=None):
         out = pd.DataFrame(
             {
                 "doc_id": ids,
-                "tag": np.int64(0),
                 "quality_keep": g["keep"].astype("int64"),
                 "decontam_keep": ((~is_bench) & (contam == 0)).astype(
                     np.int64
                 ),
-                "dedup_keep": np.int64(0),
             }
         )
-        return out[[c for c, _ in out_cols]]
+        return out
 
     def hash_rows(batch: pd.DataFrame) -> pd.DataFrame:
         texts = batch["text"].fillna("")
@@ -5441,26 +5134,18 @@ def doc_clean_corpus(sf_dir: str, eval_ds=None):
 
     def keeper_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
         mins = group.groupby("content_hash")["doc_id"].transform("min")
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
-                "doc_id": group["doc_id"].astype("int64").reset_index(
-                    drop=True
-                ),
-                "tag": np.int64(1),
-                "quality_keep": np.int64(0),
-                "decontam_keep": np.int64(0),
-                "dedup_keep": (group["doc_id"] == mins)
-                .astype("int64")
-                .reset_index(drop=True),
+                "doc_id": group["doc_id"].astype("int64"),
+                "dedup_keep": (group["doc_id"] == mins).astype("int64"),
             }
         )
-        return out[[c for c, _ in out_cols]]
 
     dedup_tags = bucket_exchange(
         docs.map_batches(hash_rows, batch_format="pandas"),
         keeper_in_bucket,
         key="content_hash",
-        schema=out_cols,
+        schema=dedup_cols,
     )
     sig = docs.map_batches(signals, batch_format="pandas")
     cols = [
@@ -5471,9 +5156,10 @@ def doc_clean_corpus(sf_dir: str, eval_ds=None):
         ("keep", "int64"),
     ]
 
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
+    def merge(s: pd.DataFrame, d: pd.DataFrame) -> pd.DataFrame:
         agg = (
-            group.groupby("doc_id")[
+            pd.concat([s, d])
+            .groupby("doc_id")[
                 ["quality_keep", "decontam_keep", "dedup_keep"]
             ]
             .sum()
@@ -5556,7 +5242,7 @@ def doc_curation_packs(sf_dir: str, eval_ds=None):
     counts tokens); the benchmark grams are built distributed
     (collect_gram_set — only gram rows reach the driver) and broadcast;
     dedup canonicality rides the content-hash bucket groupby; flags
-    meet n_tokens in a doc-bucket tagged-union merge that emits only
+    meet n_tokens in a doc-bucket merge that emits only
     the compact survivor table (doc_id, n_tokens, range bucket —
     24 B/doc), materialized before its two consumers (per-bucket
     totals, in-bucket cumsum). The global prefix sum is the
@@ -5579,14 +5265,7 @@ def doc_curation_packs(sf_dir: str, eval_ds=None):
     grams_ref = _bench_grams_ref(docs, eval_ds)
     external_eval = eval_ds is not None
 
-    out_cols = [
-        ("doc_id", "int64"),
-        ("tag", "int64"),
-        ("quality_keep", "int64"),
-        ("decontam_keep", "int64"),
-        ("dedup_keep", "int64"),
-        ("n_tokens", "int64"),
-    ]
+    dedup_cols = [("doc_id", "int64"), ("dedup_keep", "int64")]
 
     def signals(batch: pd.DataFrame, _ref=grams_ref) -> pd.DataFrame:
         grams = ray.get(_ref)
@@ -5617,16 +5296,14 @@ def doc_curation_packs(sf_dir: str, eval_ds=None):
         out = pd.DataFrame(
             {
                 "doc_id": ids,
-                "tag": np.int64(0),
                 "quality_keep": g["keep"].astype("int64"),
                 "decontam_keep": ((~is_bench) & (contam == 0)).astype(
                     np.int64
                 ),
-                "dedup_keep": np.int64(0),
                 "n_tokens": toks,
             }
         )
-        return out[[c for c, _ in out_cols]]
+        return out
 
     def hash_rows(batch: pd.DataFrame) -> pd.DataFrame:
         texts = batch["text"].fillna("")
@@ -5645,27 +5322,18 @@ def doc_curation_packs(sf_dir: str, eval_ds=None):
 
     def keeper_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
         mins = group.groupby("content_hash")["doc_id"].transform("min")
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
-                "doc_id": group["doc_id"].astype("int64").reset_index(
-                    drop=True
-                ),
-                "tag": np.int64(1),
-                "quality_keep": np.int64(0),
-                "decontam_keep": np.int64(0),
-                "dedup_keep": (group["doc_id"] == mins)
-                .astype("int64")
-                .reset_index(drop=True),
-                "n_tokens": np.int64(0),
+                "doc_id": group["doc_id"].astype("int64"),
+                "dedup_keep": (group["doc_id"] == mins).astype("int64"),
             }
         )
-        return out[[c for c, _ in out_cols]]
 
     dedup_tags = bucket_exchange(
         docs.map_batches(hash_rows, batch_format="pandas"),
         keeper_in_bucket,
         key="content_hash",
-        schema=out_cols,
+        schema=dedup_cols,
     )
     sig = docs.map_batches(signals, batch_format="pandas")
 
@@ -5675,9 +5343,10 @@ def doc_curation_packs(sf_dir: str, eval_ds=None):
         ("bucket", "int64"),
     ]
 
-    def merge_survivors(group: pd.DataFrame) -> pd.DataFrame:
+    def merge_survivors(s: pd.DataFrame, d: pd.DataFrame) -> pd.DataFrame:
         agg = (
-            group.groupby("doc_id")[
+            pd.concat([s, d])
+            .groupby("doc_id")[
                 ["quality_keep", "decontam_keep", "dedup_keep", "n_tokens"]
             ]
             .sum()
@@ -6294,53 +5963,19 @@ ORACLE_SQL["doc_pagerank"] = _pagerank_oracle()
 
 def q3_shipping_priority(sf_dir: str):
     """TPC-H Q3 shape: customer(segment) ⋈ orders(date) ⋈ lineitem(date)
-    → revenue per order → top 10. Two tagged-union bucket merges (custkey
-    then orderkey — both sides pre-filtered, lineitem pre-aggregated to
+    → revenue per order → top 10. Two bucket merges (custkey then
+    orderkey — both sides pre-filtered, lineitem pre-aggregated to
     per-order integer 1e-4-dollar partials inside each batch before the
-    shuffle); order dates ride the exchange as int64 epoch-us so the
-    tagged union has one frame schema. Driver sees only per-bucket
-    grouped rows."""
+    shuffle). Driver sees only per-bucket grouped rows."""
 
     n_buckets = 64
     cutoff = pd.Timestamp("1995-03-15")
 
-    ocols = [
-        ("key", "int64"),
-        ("orderkey", "int64"),
-        ("odate_us", "int64"),
-        ("priority", "object"),
-        ("is_cust", "bool"),
-    ]
+    def order_rows(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.field("o_orderdate") < cutoff)
 
-    def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        sel = batch[batch["o_orderdate"] < cutoff]
-        if not len(sel):
-            return empty_block(ocols)
-        return pd.DataFrame(
-            {
-                "key": sel["o_custkey"].astype("int64").to_numpy(),
-                "orderkey": sel["o_orderkey"].astype("int64").to_numpy(),
-                "odate_us": sel["o_orderdate"]
-                .to_numpy("datetime64[us]")
-                .astype(np.int64),
-                "priority": sel["o_orderpriority"].astype("object").to_numpy(),
-                "is_cust": False,
-            }
-        )
-
-    def cust_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        sel = batch[batch["c_mktsegment"] == "BUILDING"]
-        if not len(sel):
-            return empty_block(ocols)
-        return pd.DataFrame(
-            {
-                "key": sel["c_custkey"].astype("int64").to_numpy(),
-                "orderkey": np.int64(-1),
-                "odate_us": np.int64(0),
-                "priority": "",
-                "is_cust": True,
-            }
-        )
+    def cust_rows(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.field("c_mktsegment") == "BUILDING").select(["c_custkey"])
 
     orders = _read(
         sf_dir,
@@ -6350,60 +5985,33 @@ def q3_shipping_priority(sf_dir: str):
     customer = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
 
     qcols = [
-        ("orderkey", "int64"),
-        ("odate_us", "int64"),
-        ("priority", "object"),
-        ("dp10000", "int64"),
-        ("is_line", "bool"),
+        ("o_orderkey", "int64"),
+        ("o_orderdate", "datetime64[us]"),
+        ("o_orderpriority", "object"),
     ]
 
-    def merge_custkey(group: pd.DataFrame) -> pd.DataFrame:
-        keys = set(group.loc[group["is_cust"], "key"])
-        o = group[~group["is_cust"] & group["key"].isin(keys)]
-        if not len(o):
-            return None
-        return pd.DataFrame(
-            {
-                "orderkey": o["orderkey"].to_numpy(),
-                "odate_us": o["odate_us"].to_numpy(),
-                "priority": o["priority"].to_numpy(),
-                "dp10000": np.int64(0),
-                "is_line": False,
-            }
-        )
+    def merge_custkey(o: pd.DataFrame, c: pd.DataFrame) -> pd.DataFrame:
+        return o[o["o_custkey"].isin(c["c_custkey"])]
 
     qualified = bucket_exchange(
         [
-            orders.map_batches(order_rows, batch_format="pandas"),
-            customer.map_batches(cust_rows, batch_format="pandas"),
+            orders.map_batches(order_rows, batch_format="pyarrow"),
+            customer.map_batches(cust_rows, batch_format="pyarrow"),
         ],
         merge_custkey,
-        key="key",
+        key=["o_custkey", "c_custkey"],
         schema=qcols,
         n_buckets=n_buckets,
     )
 
     def line_partials(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[batch["l_shipdate"] > cutoff]
-        if not len(sel):
-            return empty_block(qcols)
         dp = np.rint(
             (sel["l_extendedprice"] * (1 - sel["l_discount"])).to_numpy()
             * 10000
         ).astype(np.int64)
-        tmp = pd.DataFrame(
-            {"orderkey": sel["l_orderkey"].astype("int64").to_numpy(), "dp10000": dp}
-        )
-        agg = tmp.groupby("orderkey", as_index=False)["dp10000"].sum()
-        return pd.DataFrame(
-            {
-                "orderkey": agg["orderkey"].astype("int64"),
-                "odate_us": np.int64(0),
-                "priority": "",
-                "dp10000": agg["dp10000"].astype("int64"),
-                "is_line": True,
-            }
-        )
+        tmp = pd.DataFrame({"l_orderkey": sel["l_orderkey"].to_numpy(), "dp10000": dp})
+        return tmp.groupby("l_orderkey", as_index=False)["dp10000"].sum()
 
     lineitem = _read(
         sf_dir,
@@ -6412,43 +6020,28 @@ def q3_shipping_priority(sf_dir: str):
     )
     cols = [
         ("l_orderkey", "int64"),
-        ("odate_us", "int64"),
+        ("o_orderdate", "datetime64[us]"),
         ("o_orderpriority", "object"),
         ("dp10000", "int64"),
     ]
 
-    def merge_orderkey(group: pd.DataFrame) -> pd.DataFrame:
-        o = group[~group["is_line"]]
-        li = group[group["is_line"]]
+    def merge_orderkey(o: pd.DataFrame, li: pd.DataFrame) -> pd.DataFrame:
         if o.empty or li.empty:
             return None
-        lsum = li.groupby("orderkey", as_index=False)["dp10000"].sum()
-        m = o[["orderkey", "odate_us", "priority"]].merge(
-            lsum, on="orderkey", how="inner"
-        )
-        return pd.DataFrame(
-            {
-                "l_orderkey": m["orderkey"].astype("int64"),
-                "odate_us": m["odate_us"].astype("int64"),
-                "o_orderpriority": m["priority"].astype("object"),
-                "dp10000": m["dp10000"].astype("int64"),
-            }
-        )
+        lsum = li.groupby("l_orderkey", as_index=False)["dp10000"].sum()
+        return o.merge(lsum, left_on="o_orderkey", right_on="l_orderkey")
 
     out = to_frame(
         bucket_exchange(
             [qualified, lineitem.map_batches(line_partials, batch_format="pandas")],
             merge_orderkey,
-            key="orderkey",
+            key=["o_orderkey", "l_orderkey"],
             schema=cols,
             n_buckets=n_buckets,
         ),
         cols,
     )
     out["revenue"] = out.pop("dp10000") / 10000.0
-    out["o_orderdate"] = out.pop("odate_us").to_numpy().astype(
-        "datetime64[us]"
-    )
     out = out.sort_values(
         ["revenue", "o_orderdate", "l_orderkey"],
         ascending=[False, True, True],
@@ -6882,9 +6475,10 @@ def doc_budget_select(sf_dir: str):
         s_lo = s_lo + j * width
     t, remaining = s_lo, budget - base
 
-    def keep_below(batch: pd.DataFrame) -> pd.DataFrame:
+    def keep_below(batch: pd.DataFrame) -> pa.Table:
+        # Arrow, as the exchange's blocks it is unioned with below.
         sel = batch[batch["mean_rarity"].to_numpy(dtype=np.int64) < t]
-        return sel[out_cols]
+        return arrow_block(sel, [(c, "int64") for c in out_cols])
 
     kept_lt = scored.map_batches(keep_below, batch_format="pandas")
 
@@ -8082,7 +7676,7 @@ def q5_local_supplier_volume(sf_dir: str):
     """TPC-H Q5 shape: 6-table star join — revenue where the customer and
     the line's supplier share a nation inside one region, one order year.
 
-    Exchange plan (two coarse-bucket tagged-union merges, like Q3):
+    Exchange plan (two coarse-bucket merges, like Q3):
       - nation/region are driver constants; supplier is the classic
         1e-4-of-fact dimension table, reduced driver-side to a
         suppkey->nationkey dict over the target region only and shipped
@@ -8121,98 +7715,41 @@ def q5_local_supplier_volume(sf_dir: str):
         zip(supplier["s_suppkey"].astype(int), supplier["s_nationkey"].astype(int))
     )
 
-    cols1 = [
-        ("key", "int64"),
-        ("orderkey", "int64"),
-        ("nkey", "int64"),
-        ("is_cust", "bool"),
-    ]
+    def cust_rows(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.field("c_nationkey").isin(sorted(asia_nations)))
 
-    def cust_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        sel = batch[batch["c_nationkey"].isin(asia_nations)]
-        if not len(sel):
-            return empty_block(cols1)
-        return pd.DataFrame(
-            {
-                "key": sel["c_custkey"].astype("int64").to_numpy(),
-                "orderkey": np.int64(-1),
-                "nkey": sel["c_nationkey"].astype("int64").to_numpy(),
-                "is_cust": True,
-            }
-        )
-
-    def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        sel = batch[(batch["o_orderdate"] >= lo) & (batch["o_orderdate"] < hi)]
-        if not len(sel):
-            return empty_block(cols1)
-        return pd.DataFrame(
-            {
-                "key": sel["o_custkey"].astype("int64").to_numpy(),
-                "orderkey": sel["o_orderkey"].astype("int64").to_numpy(),
-                "nkey": np.int64(-1),
-                "is_cust": False,
-            }
-        )
+    def order_rows(batch: pa.Table) -> pa.Table:
+        d = pc.field("o_orderdate")
+        return batch.filter((d >= lo) & (d < hi)).select(["o_orderkey", "o_custkey"])
 
     customer = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
     orders = _read(
         sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"]
     )
 
-    cols2 = [
-        ("orderkey", "int64"),
-        ("nkey", "int64"),
-        ("dp10000", "int64"),
-        ("is_line", "bool"),
-    ]
-
-    def merge_custkey(group: pd.DataFrame) -> pd.DataFrame:
-        cust = group[group["is_cust"]]
-        o = group[~group["is_cust"]].merge(
-            cust[["key", "nkey"]].rename(columns={"nkey": "cn"}),
-            on="key",
-            how="inner",
-        )
-        if not len(o):
-            return None
-        return pd.DataFrame(
-            {
-                "orderkey": o["orderkey"].astype("int64").to_numpy(),
-                "nkey": o["cn"].astype("int64").to_numpy(),
-                "dp10000": np.int64(0),
-                "is_line": False,
-            }
-        )
+    def merge_custkey(c: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
+        m = o.merge(c, left_on="o_custkey", right_on="c_custkey")
+        return pd.DataFrame({"o_orderkey": m["o_orderkey"], "nkey": m["c_nationkey"]})
 
     qualified = bucket_exchange(
         [
-            customer.map_batches(cust_rows, batch_format="pandas"),
-            orders.map_batches(order_rows, batch_format="pandas"),
+            customer.map_batches(cust_rows, batch_format="pyarrow"),
+            orders.map_batches(order_rows, batch_format="pyarrow"),
         ],
         merge_custkey,
-        key="key",
-        schema=cols2,
+        key=["c_custkey", "o_custkey"],
+        schema=[("o_orderkey", "int64"), ("nkey", "int64")],
         n_buckets=n_buckets,
     )
 
     def line_partials(batch: pd.DataFrame) -> pd.DataFrame:
         nk = batch["l_suppkey"].map(supp_nation)
         sel = batch[nk.notna()].copy()
-        if not len(sel):
-            return empty_block(cols2)
         sel["nkey"] = nk[nk.notna()].astype("int64").to_numpy()
         sel["dp10000"] = np.rint(
             (sel["l_extendedprice"] * (1 - sel["l_discount"])).to_numpy() * 10000
         ).astype(np.int64)
-        agg = sel.groupby(["l_orderkey", "nkey"], as_index=False)["dp10000"].sum()
-        return pd.DataFrame(
-            {
-                "orderkey": agg["l_orderkey"].astype("int64"),
-                "nkey": agg["nkey"].astype("int64"),
-                "dp10000": agg["dp10000"].astype("int64"),
-                "is_line": True,
-            }
-        )
+        return sel.groupby(["l_orderkey", "nkey"], as_index=False)["dp10000"].sum()
 
     lineitem = _read(
         sf_dir,
@@ -8221,28 +7758,18 @@ def q5_local_supplier_volume(sf_dir: str):
     )
     cols = [("nkey", "int64"), ("dp10000", "int64")]
 
-    def merge_orderkey(group: pd.DataFrame) -> pd.DataFrame:
-        o = group[~group["is_line"]]
-        li = group[group["is_line"]]
+    def merge_orderkey(o: pd.DataFrame, li: pd.DataFrame) -> pd.DataFrame:
         if o.empty or li.empty:
             return None
         # The colocation predicate: customer nation == supplier nation.
-        m = li.merge(
-            o[["orderkey", "nkey"]], on=["orderkey", "nkey"], how="inner"
-        )
-        if not len(m):
-            return None
-        return (
-            m.groupby("nkey", as_index=False)["dp10000"]
-            .sum()
-            .astype({"nkey": "int64", "dp10000": "int64"})
-        )
+        m = li.merge(o, left_on=["l_orderkey", "nkey"], right_on=["o_orderkey", "nkey"])
+        return m.groupby("nkey", as_index=False)["dp10000"].sum()
 
     parts = to_frame(
         bucket_exchange(
             [qualified, lineitem.map_batches(line_partials, batch_format="pandas")],
             merge_orderkey,
-            key="orderkey",
+            key=["o_orderkey", "l_orderkey"],
             schema=cols,
             n_buckets=n_buckets,
         ),
@@ -8305,48 +7832,17 @@ def q10_returned_items(sf_dir: str):
         )
     )
 
-    cols1 = [
-        ("orderkey", "int64"),
-        ("custkey", "int64"),
-        ("dp10000", "int64"),
-        ("is_line", "bool"),
-    ]
-
     def line_partials(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[batch["l_returnflag"] == "R"]
-        if not len(sel):
-            return empty_block(cols1)
         dp = np.rint(
             (sel["l_extendedprice"] * (1 - sel["l_discount"])).to_numpy() * 10000
         ).astype(np.int64)
-        agg = (
-            pd.DataFrame(
-                {"orderkey": sel["l_orderkey"].astype("int64").to_numpy(), "dp10000": dp}
-            )
-            .groupby("orderkey", as_index=False)["dp10000"]
-            .sum()
-        )
-        return pd.DataFrame(
-            {
-                "orderkey": agg["orderkey"].astype("int64"),
-                "custkey": np.int64(-1),
-                "dp10000": agg["dp10000"].astype("int64"),
-                "is_line": True,
-            }
-        )
+        tmp = pd.DataFrame({"l_orderkey": sel["l_orderkey"].to_numpy(), "dp10000": dp})
+        return tmp.groupby("l_orderkey", as_index=False)["dp10000"].sum()
 
-    def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        sel = batch[(batch["o_orderdate"] >= lo) & (batch["o_orderdate"] < hi)]
-        if not len(sel):
-            return empty_block(cols1)
-        return pd.DataFrame(
-            {
-                "orderkey": sel["o_orderkey"].astype("int64").to_numpy(),
-                "custkey": sel["o_custkey"].astype("int64").to_numpy(),
-                "dp10000": np.int64(0),
-                "is_line": False,
-            }
-        )
+    def order_rows(batch: pa.Table) -> pa.Table:
+        d = pc.field("o_orderdate")
+        return batch.filter((d >= lo) & (d < hi)).select(["o_orderkey", "o_custkey"])
 
     lineitem = _read(
         sf_dir,
@@ -8357,58 +7853,23 @@ def q10_returned_items(sf_dir: str):
         sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"]
     )
 
-    cols2 = [
-        ("custkey", "int64"),
-        ("dp10000", "int64"),
-        ("name", "object"),
-        ("acctbal", "float64"),
-        ("nkey", "int64"),
-        ("is_cust", "bool"),
-    ]
-
-    def merge_orderkey(group: pd.DataFrame) -> pd.DataFrame:
-        o = group[~group["is_line"]]
-        li = group[group["is_line"]]
+    def merge_orderkey(li: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
         if o.empty or li.empty:
             return None
-        lsum = li.groupby("orderkey", as_index=False)["dp10000"].sum()
-        m = o[["orderkey", "custkey"]].merge(lsum, on="orderkey", how="inner")
-        if not len(m):
-            return None
-        agg = m.groupby("custkey", as_index=False)["dp10000"].sum()
-        return pd.DataFrame(
-            {
-                "custkey": agg["custkey"].astype("int64"),
-                "dp10000": agg["dp10000"].astype("int64"),
-                "name": "",
-                "acctbal": np.float64(0.0),
-                "nkey": np.int64(-1),
-                "is_cust": False,
-            }
-        )
+        lsum = li.groupby("l_orderkey", as_index=False)["dp10000"].sum()
+        m = o.merge(lsum, left_on="o_orderkey", right_on="l_orderkey")
+        return m.groupby("o_custkey", as_index=False)["dp10000"].sum()
 
     per_cust = bucket_exchange(
         [
             lineitem.map_batches(line_partials, batch_format="pandas"),
-            orders.map_batches(order_rows, batch_format="pandas"),
+            orders.map_batches(order_rows, batch_format="pyarrow"),
         ],
         merge_orderkey,
-        key="orderkey",
-        schema=cols2,
+        key=["l_orderkey", "o_orderkey"],
+        schema=[("o_custkey", "int64"), ("dp10000", "int64")],
         n_buckets=n_buckets,
     )
-
-    def cust_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "custkey": batch["c_custkey"].astype("int64").to_numpy(),
-                "dp10000": np.int64(0),
-                "name": batch["c_name"].astype("object").to_numpy(),
-                "acctbal": batch["c_acctbal"].astype("float64").to_numpy(),
-                "nkey": batch["c_nationkey"].astype("int64").to_numpy(),
-                "is_cust": True,
-            }
-        )
 
     customer = _read(
         sf_dir,
@@ -8421,39 +7882,22 @@ def q10_returned_items(sf_dir: str):
         ("c_name", "object"),
         ("dp10000", "int64"),
         ("c_acctbal", "float64"),
-        ("nkey", "int64"),
+        ("c_nationkey", "int64"),
     ]
 
-    def merge_custkey(group: pd.DataFrame) -> pd.DataFrame:
-        rev = group[~group["is_cust"]]
-        cust = group[group["is_cust"]]
+    def merge_custkey(rev: pd.DataFrame, cust: pd.DataFrame) -> pd.DataFrame:
         if rev.empty or cust.empty:
             return None
-        rsum = rev.groupby("custkey", as_index=False)["dp10000"].sum()
-        m = cust[["custkey", "name", "acctbal", "nkey"]].merge(
-            rsum, on="custkey", how="inner"
-        )
-        if not len(m):
-            return None
+        rsum = rev.groupby("o_custkey", as_index=False)["dp10000"].sum()
+        m = cust.merge(rsum, left_on="c_custkey", right_on="o_custkey")
         # Bucket-local top 20 under the same total order as the oracle.
-        m = m.sort_values(
-            ["dp10000", "custkey"], ascending=[False, True]
-        ).head(20)
-        return pd.DataFrame(
-            {
-                "c_custkey": m["custkey"].astype("int64").to_numpy(),
-                "c_name": m["name"].astype("object").to_numpy(),
-                "dp10000": m["dp10000"].astype("int64").to_numpy(),
-                "c_acctbal": m["acctbal"].astype("float64").to_numpy(),
-                "nkey": m["nkey"].astype("int64").to_numpy(),
-            }
-        )
+        return m.sort_values(["dp10000", "c_custkey"], ascending=[False, True]).head(20)
 
     out = to_frame(
         bucket_exchange(
-            [per_cust, customer.map_batches(cust_rows, batch_format="pandas")],
+            [per_cust, customer],
             merge_custkey,
-            key="custkey",
+            key=["o_custkey", "c_custkey"],
             schema=out_cols,
             n_buckets=n_buckets,
         ),
@@ -8463,7 +7907,7 @@ def q10_returned_items(sf_dir: str):
         ["dp10000", "c_custkey"], ascending=[False, True]
     ).head(20)
     out["revenue"] = out.pop("dp10000") / 10000.0
-    out["n_name"] = out.pop("nkey").map(nation_names)
+    out["n_name"] = out.pop("c_nationkey").map(nation_names)
     return out[
         ["c_custkey", "c_name", "revenue", "c_acctbal", "n_name"]
     ].reset_index(drop=True)
@@ -8577,51 +8021,10 @@ def q18_large_volume_customers(sf_dir: str):
     n_buckets = 64
     threshold_q100 = 300 * 100
 
-    cols1 = [
-        ("orderkey", "int64"),
-        ("custkey", "int64"),
-        ("odate_us", "int64"),
-        ("totalprice", "float64"),
-        ("q100", "int64"),
-        ("is_line", "bool"),
-    ]
-
     def line_partials(batch: pd.DataFrame) -> pd.DataFrame:
         q100 = np.rint(batch["l_quantity"].to_numpy() * 100).astype(np.int64)
-        agg = (
-            pd.DataFrame(
-                {
-                    "orderkey": batch["l_orderkey"].astype("int64").to_numpy(),
-                    "q100": q100,
-                }
-            )
-            .groupby("orderkey", as_index=False)["q100"]
-            .sum()
-        )
-        return pd.DataFrame(
-            {
-                "orderkey": agg["orderkey"].astype("int64"),
-                "custkey": np.int64(-1),
-                "odate_us": np.int64(0),
-                "totalprice": np.float64(0.0),
-                "q100": agg["q100"].astype("int64"),
-                "is_line": True,
-            }
-        )
-
-    def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "orderkey": batch["o_orderkey"].astype("int64").to_numpy(),
-                "custkey": batch["o_custkey"].astype("int64").to_numpy(),
-                "odate_us": batch["o_orderdate"]
-                .to_numpy("datetime64[us]")
-                .astype(np.int64),
-                "totalprice": batch["o_totalprice"].astype("float64").to_numpy(),
-                "q100": np.int64(0),
-                "is_line": False,
-            }
-        )
+        tmp = pd.DataFrame({"l_orderkey": batch["l_orderkey"].to_numpy(), "q100": q100})
+        return tmp.groupby("l_orderkey", as_index=False)["q100"].sum()
 
     lineitem = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
     orders = _read(
@@ -8630,65 +8033,28 @@ def q18_large_volume_customers(sf_dir: str):
         columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
     )
 
-    cols2 = [
-        ("custkey", "int64"),
-        ("orderkey", "int64"),
-        ("odate_us", "int64"),
-        ("totalprice", "float64"),
+    big_cols = [
+        ("o_orderkey", "int64"),
+        ("o_custkey", "int64"),
+        ("o_orderdate", "datetime64[us]"),
+        ("o_totalprice", "float64"),
         ("q100", "int64"),
-        ("name", "object"),
-        ("is_cust", "bool"),
     ]
 
-    def merge_orderkey(group: pd.DataFrame) -> pd.DataFrame:
-        li = group[group["is_line"]]
-        o = group[~group["is_line"]]
+    def merge_orderkey(li: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
         if li.empty or o.empty:
             return None
-        qsum = li.groupby("orderkey", as_index=False)["q100"].sum()
+        qsum = li.groupby("l_orderkey", as_index=False)["q100"].sum()
         qsum = qsum[qsum["q100"] > threshold_q100]
-        if not len(qsum):
-            return None
-        m = o[["orderkey", "custkey", "odate_us", "totalprice"]].merge(
-            qsum, on="orderkey", how="inner"
-        )
-        if not len(m):
-            return None
-        return pd.DataFrame(
-            {
-                "custkey": m["custkey"].astype("int64").to_numpy(),
-                "orderkey": m["orderkey"].astype("int64").to_numpy(),
-                "odate_us": m["odate_us"].astype("int64").to_numpy(),
-                "totalprice": m["totalprice"].astype("float64").to_numpy(),
-                "q100": m["q100"].astype("int64").to_numpy(),
-                "name": "",
-                "is_cust": False,
-            }
-        )
+        return o.merge(qsum, left_on="o_orderkey", right_on="l_orderkey")
 
     big_orders = bucket_exchange(
-        [
-            lineitem.map_batches(line_partials, batch_format="pandas"),
-            orders.map_batches(order_rows, batch_format="pandas"),
-        ],
+        [lineitem.map_batches(line_partials, batch_format="pandas"), orders],
         merge_orderkey,
-        key="orderkey",
-        schema=cols2,
+        key=["l_orderkey", "o_orderkey"],
+        schema=big_cols,
         n_buckets=n_buckets,
     )
-
-    def cust_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "custkey": batch["c_custkey"].astype("int64").to_numpy(),
-                "orderkey": np.int64(-1),
-                "odate_us": np.int64(0),
-                "totalprice": np.float64(0.0),
-                "q100": np.int64(0),
-                "name": batch["c_name"].astype("object").to_numpy(),
-                "is_cust": True,
-            }
-        )
 
     customer = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
 
@@ -8696,56 +8062,34 @@ def q18_large_volume_customers(sf_dir: str):
         ("c_name", "object"),
         ("c_custkey", "int64"),
         ("o_orderkey", "int64"),
-        ("odate_us", "int64"),
+        ("o_orderdate", "datetime64[us]"),
         ("o_totalprice", "float64"),
         ("q100", "int64"),
     ]
 
-    def merge_custkey(group: pd.DataFrame) -> pd.DataFrame:
-        o = group[~group["is_cust"]]
-        cust = group[group["is_cust"]]
+    def merge_custkey(o: pd.DataFrame, cust: pd.DataFrame) -> pd.DataFrame:
         if o.empty or cust.empty:
             return None
-        m = o.merge(
-            cust[["custkey", "name"]].rename(columns={"name": "cname"}),
-            on="custkey",
-            how="inner",
-        )
-        if not len(m):
-            return None
-        m = m.sort_values(
-            ["totalprice", "odate_us", "orderkey"],
+        m = o.merge(cust, left_on="o_custkey", right_on="c_custkey")
+        return m.sort_values(
+            ["o_totalprice", "o_orderdate", "o_orderkey"],
             ascending=[False, True, True],
         ).head(100)
-        return pd.DataFrame(
-            {
-                "c_name": m["cname"].astype("object").to_numpy(),
-                "c_custkey": m["custkey"].astype("int64").to_numpy(),
-                "o_orderkey": m["orderkey"].astype("int64").to_numpy(),
-                "odate_us": m["odate_us"].astype("int64").to_numpy(),
-                "o_totalprice": m["totalprice"].astype("float64").to_numpy(),
-                "q100": m["q100"].astype("int64").to_numpy(),
-            }
-        )
 
     out = to_frame(
         bucket_exchange(
-            [
-                big_orders,
-                customer.map_batches(cust_rows, batch_format="pandas"),
-            ],
+            [big_orders, customer],
             merge_custkey,
-            key="custkey",
+            key=["o_custkey", "c_custkey"],
             schema=out_cols,
             n_buckets=n_buckets,
         ),
         out_cols,
     )
     out = out.sort_values(
-        ["o_totalprice", "odate_us", "o_orderkey"],
+        ["o_totalprice", "o_orderdate", "o_orderkey"],
         ascending=[False, True, True],
     ).head(100)
-    out["o_orderdate"] = out.pop("odate_us").to_numpy().astype("datetime64[us]")
     out["sum_qty"] = out.pop("q100") / 100.0
     return out[
         ["c_name", "c_custkey", "o_orderkey", "o_orderdate", "o_totalprice", "sum_qty"]
@@ -8840,20 +8184,16 @@ def q7_volume_shipping(sf_dir: str):
         )
     )
 
-    cols1 = [
-        ("orderkey", "int64"),
-        ("custkey", "int64"),
+    line_cols = [
+        ("l_orderkey", "int64"),
         ("supp_nation", "object"),
         ("l_year", "int64"),
         ("dp10000", "int64"),
-        ("is_line", "bool"),
     ]
 
-    def line_partials(batch: pd.DataFrame) -> pd.DataFrame:
+    def line_partials(batch: pd.DataFrame) -> pa.Table:
         nm = batch["l_suppkey"].map(supp_name)
         sel = batch[nm.notna()].copy()
-        if not len(sel):
-            return empty_block(cols1)
         sel["supp_nation"] = nm[nm.notna()].to_numpy()
         sel["l_year"] = sel["l_shipdate"].dt.year.astype("int64")
         sel["dp10000"] = np.rint(
@@ -8862,28 +8202,7 @@ def q7_volume_shipping(sf_dir: str):
         agg = sel.groupby(
             ["l_orderkey", "supp_nation", "l_year"], as_index=False
         )["dp10000"].sum()
-        return pd.DataFrame(
-            {
-                "orderkey": agg["l_orderkey"].astype("int64"),
-                "custkey": np.int64(-1),
-                "supp_nation": agg["supp_nation"].astype("object"),
-                "l_year": agg["l_year"].astype("int64"),
-                "dp10000": agg["dp10000"].astype("int64"),
-                "is_line": True,
-            }
-        )
-
-    def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "orderkey": batch["o_orderkey"].astype("int64").to_numpy(),
-                "custkey": batch["o_custkey"].astype("int64").to_numpy(),
-                "supp_nation": "",
-                "l_year": np.int64(0),
-                "dp10000": np.int64(0),
-                "is_line": False,
-            }
-        )
+        return arrow_block(agg, line_cols)
 
     lineitem = _read(
         sf_dir,
@@ -8892,64 +8211,21 @@ def q7_volume_shipping(sf_dir: str):
     )
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
 
-    cols2 = [
-        ("custkey", "int64"),
-        ("supp_nation", "object"),
-        ("l_year", "int64"),
-        ("dp10000", "int64"),
-        ("cust_nation", "object"),
-        ("is_cust", "bool"),
-    ]
-
-    def merge_orderkey(group: pd.DataFrame) -> pd.DataFrame:
-        li = group[group["is_line"]]
-        o = group[~group["is_line"]]
+    def merge_orderkey(li: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
         if li.empty or o.empty:
             return None
-        m = li.merge(
-            o[["orderkey", "custkey"]].rename(columns={"custkey": "ck"}),
-            on="orderkey",
-            how="inner",
-        )
-        if not len(m):
-            return None
-        return pd.DataFrame(
-            {
-                "custkey": m["ck"].astype("int64").to_numpy(),
-                "supp_nation": m["supp_nation"].astype("object").to_numpy(),
-                "l_year": m["l_year"].astype("int64").to_numpy(),
-                "dp10000": m["dp10000"].astype("int64").to_numpy(),
-                "cust_nation": "",
-                "is_cust": False,
-            }
-        )
+        return li.merge(o, left_on="l_orderkey", right_on="o_orderkey")
 
     with_cust = bucket_exchange(
-        [
-            lineitem.map_batches(line_partials, batch_format="pandas"),
-            orders.map_batches(order_rows, batch_format="pandas"),
-        ],
+        [lineitem.map_batches(line_partials, batch_format="pandas"), orders],
         merge_orderkey,
-        key="orderkey",
-        schema=cols2,
+        key=["l_orderkey", "o_orderkey"],
+        schema=[("o_custkey", "int64")] + line_cols[1:],
         n_buckets=n_buckets,
     )
 
-    def cust_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        nm = batch["c_nationkey"].map(nk_to_name)
-        sel = batch[nm.notna()]
-        if not len(sel):
-            return empty_block(cols2)
-        return pd.DataFrame(
-            {
-                "custkey": sel["c_custkey"].astype("int64").to_numpy(),
-                "supp_nation": "",
-                "l_year": np.int64(0),
-                "dp10000": np.int64(0),
-                "cust_nation": nm[nm.notna()].to_numpy(),
-                "is_cust": True,
-            }
-        )
+    def cust_rows(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.field("c_nationkey").isin(sorted(nk_to_name)))
 
     customer = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
 
@@ -8960,43 +8236,23 @@ def q7_volume_shipping(sf_dir: str):
         ("dp10000", "int64"),
     ]
 
-    def merge_custkey(group: pd.DataFrame) -> pd.DataFrame:
-        li = group[~group["is_cust"]]
-        cust = group[group["is_cust"]]
+    def merge_custkey(li: pd.DataFrame, cust: pd.DataFrame) -> pd.DataFrame:
         if li.empty or cust.empty:
             return None
-        m = li.merge(
-            cust[["custkey", "cust_nation"]].rename(
-                columns={"cust_nation": "cn"}
-            ),
-            on="custkey",
-            how="inner",
-        )
+        m = li.merge(cust, left_on="o_custkey", right_on="c_custkey")
+        m["cust_nation"] = m["c_nationkey"].map(nk_to_name)
         # Cross-direction only: the two names differ (both are in the
         # target pair by construction).
-        m = m[m["supp_nation"] != m["cn"]]
-        if not len(m):
-            return None
-        agg = m.groupby(["supp_nation", "cn", "l_year"], as_index=False)[
+        m = m[m["supp_nation"] != m["cust_nation"]]
+        return m.groupby(["supp_nation", "cust_nation", "l_year"], as_index=False)[
             "dp10000"
         ].sum()
-        return pd.DataFrame(
-            {
-                "supp_nation": agg["supp_nation"].astype("object"),
-                "cust_nation": agg["cn"].astype("object"),
-                "l_year": agg["l_year"].astype("int64"),
-                "dp10000": agg["dp10000"].astype("int64"),
-            }
-        )
 
     parts = to_frame(
         bucket_exchange(
-            [
-                with_cust,
-                customer.map_batches(cust_rows, batch_format="pandas"),
-            ],
+            [with_cust, customer.map_batches(cust_rows, batch_format="pyarrow")],
             merge_custkey,
-            key="custkey",
+            key=["o_custkey", "c_custkey"],
             schema=out_cols,
             n_buckets=n_buckets,
         ),
@@ -9119,47 +8375,25 @@ def q13_customer_distribution(sf_dir: str):
     LIKE (no comment column in this schema)."""
 
     n_buckets = 64
-    cols = [
-        ("custkey", "int64"),
-        ("n_orders", "int64"),
-        ("is_cust", "bool"),
-    ]
 
     def order_partials(batch: pd.DataFrame) -> pd.DataFrame:
-        sel = batch[batch["o_orderpriority"] != "1-URGENT"]
-        if not len(sel):
-            return empty_block(cols)
-        vc = sel["o_custkey"].value_counts()
-        ck = vc.index.to_numpy(dtype=np.int64)
+        vc = batch.loc[batch["o_orderpriority"] != "1-URGENT", "o_custkey"].value_counts()
         return pd.DataFrame(
             {
-                "custkey": ck,
+                "o_custkey": vc.index.to_numpy(dtype=np.int64),
                 "n_orders": vc.to_numpy(dtype=np.int64),
-                "is_cust": False,
-            }
-        )
-
-    def cust_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        ck = batch["c_custkey"].astype("int64").to_numpy()
-        return pd.DataFrame(
-            {
-                "custkey": ck,
-                "n_orders": np.int64(0),
-                "is_cust": True,
             }
         )
 
     hist_cols = [("c_count", "int64"), ("ncust", "int64")]
 
-    def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        cust = group[group["is_cust"]]
+    def merge_bucket(o: pd.DataFrame, cust: pd.DataFrame) -> pd.DataFrame:
         if cust.empty:
             return None
         counts = (
-            group[~group["is_cust"]]
-            .groupby("custkey")["n_orders"]
+            o.groupby("o_custkey")["n_orders"]
             .sum()
-            .reindex(cust["custkey"].to_numpy(), fill_value=0)
+            .reindex(cust["c_custkey"].to_numpy(), fill_value=0)
         )
         vc = counts.value_counts()
         return pd.DataFrame(
@@ -9173,12 +8407,9 @@ def q13_customer_distribution(sf_dir: str):
     customer = _read(sf_dir, "customer", columns=["c_custkey"])
     parts = to_frame(
         bucket_exchange(
-            [
-                orders.map_batches(order_partials, batch_format="pandas"),
-                customer.map_batches(cust_rows, batch_format="pandas"),
-            ],
+            [orders.map_batches(order_partials, batch_format="pandas"), customer],
             merge_bucket,
-            key="custkey",
+            key=["o_custkey", "c_custkey"],
             schema=hist_cols,
             n_buckets=n_buckets,
         ),
@@ -9277,20 +8508,10 @@ def q8_market_share(sf_dir: str):
     lo = pd.Timestamp("1995-01-01")
     hi = pd.Timestamp("1997-01-01")
 
-    cols = [
-        ("orderkey", "int64"),
-        ("num_dp", "int64"),
-        ("den_dp", "int64"),
-        ("o_year", "int64"),
-        ("is_line", "bool"),
-    ]
-
     def line_partials(batch: pd.DataFrame) -> pd.DataFrame:
         keys = batch["l_partkey"].astype("int64").to_numpy()
         ok = (keys < np_parts) & part_ok[np.clip(keys, 0, np_parts - 1)]
         sel = batch[ok]
-        if not len(sel):
-            return empty_block(cols)
         dp = np.rint(
             (sel["l_extendedprice"] * (1 - sel["l_discount"])).to_numpy() * 10000
         ).astype(np.int64)
@@ -9298,21 +8519,12 @@ def q8_market_share(sf_dir: str):
         is_t = (sup < ns) & supp_target[np.clip(sup, 0, ns - 1)]
         tmp = pd.DataFrame(
             {
-                "orderkey": sel["l_orderkey"].astype("int64").to_numpy(),
+                "l_orderkey": sel["l_orderkey"].to_numpy(),
                 "num_dp": np.where(is_t, dp, 0),
                 "den_dp": dp,
             }
         )
-        agg = tmp.groupby("orderkey", as_index=False)[["num_dp", "den_dp"]].sum()
-        return pd.DataFrame(
-            {
-                "orderkey": agg["orderkey"].astype("int64"),
-                "num_dp": agg["num_dp"].astype("int64"),
-                "den_dp": agg["den_dp"].astype("int64"),
-                "o_year": np.int64(0),
-                "is_line": True,
-            }
-        )
+        return tmp.groupby("l_orderkey", as_index=False)[["num_dp", "den_dp"]].sum()
 
     def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
         keys = batch["o_custkey"].astype("int64").to_numpy()
@@ -9323,37 +8535,20 @@ def q8_market_share(sf_dir: str):
             & cust_in_region[np.clip(keys, 0, nc - 1)]
         )
         sel = batch[ok]
-        if not len(sel):
-            return empty_block(cols)
-        okey = sel["o_orderkey"].astype("int64").to_numpy()
         return pd.DataFrame(
             {
-                "orderkey": okey,
-                "num_dp": np.int64(0),
-                "den_dp": np.int64(0),
+                "o_orderkey": sel["o_orderkey"].to_numpy(),
                 "o_year": sel["o_orderdate"].dt.year.astype("int64").to_numpy(),
-                "is_line": False,
             }
         )
 
     out_cols = [("o_year", "int64"), ("num_dp", "int64"), ("den_dp", "int64")]
 
-    def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        li = group[group["is_line"]]
-        o = group[~group["is_line"]]
+    def merge_bucket(li: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
         if li.empty or o.empty:
             return None
-        m = li.merge(o[["orderkey", "o_year"]], on="orderkey", how="inner")
-        if not len(m):
-            return None
-        agg = m.groupby("o_year_y", as_index=False)[["num_dp", "den_dp"]].sum()
-        return pd.DataFrame(
-            {
-                "o_year": agg["o_year_y"].astype("int64"),
-                "num_dp": agg["num_dp"].astype("int64"),
-                "den_dp": agg["den_dp"].astype("int64"),
-            }
-        )
+        m = li.merge(o, left_on="l_orderkey", right_on="o_orderkey")
+        return m.groupby("o_year", as_index=False)[["num_dp", "den_dp"]].sum()
 
     lineitem = _read(
         sf_dir,
@@ -9376,7 +8571,7 @@ def q8_market_share(sf_dir: str):
                 orders.map_batches(order_rows, batch_format="pandas"),
             ],
             merge_bucket,
-            key="orderkey",
+            key=["l_orderkey", "o_orderkey"],
             schema=out_cols,
             n_buckets=n_buckets,
         ),
@@ -9437,49 +8632,18 @@ def q4_order_priority(sf_dir: str):
     lo = pd.Timestamp("1996-01-01")
     hi = pd.Timestamp("1996-04-01")
 
-    cols = [
-        ("orderkey", "int64"),
-        ("priority", "object"),
-        ("is_order", "bool"),
-    ]
-
     def line_keys(batch: pd.DataFrame) -> pd.DataFrame:
-        sel = batch[batch["l_returnflag"] == "R"]
-        if not len(sel):
-            return empty_block(cols)
-        ok = np.unique(sel["l_orderkey"].astype("int64").to_numpy())
-        return pd.DataFrame(
-            {
-                "orderkey": ok,
-                "priority": "",
-                "is_order": False,
-            }
-        )
+        return batch.loc[batch["l_returnflag"] == "R", ["l_orderkey"]].drop_duplicates()
 
-    def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        sel = batch[(batch["o_orderdate"] >= lo) & (batch["o_orderdate"] < hi)]
-        if not len(sel):
-            return empty_block(cols)
-        ok = sel["o_orderkey"].astype("int64").to_numpy()
-        return pd.DataFrame(
-            {
-                "orderkey": ok,
-                "priority": sel["o_orderpriority"].to_numpy(),
-                "is_order": True,
-            }
-        )
+    def order_rows(batch: pa.Table) -> pa.Table:
+        d = pc.field("o_orderdate")
+        return batch.filter((d >= lo) & (d < hi)).select(["o_orderkey", "o_orderpriority"])
 
     out_cols = [("o_orderpriority", "object"), ("order_count", "int64")]
 
-    def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        orders = group[group["is_order"]]
-        if orders.empty:
-            return None
-        line_keys = group.loc[~group["is_order"], "orderkey"]
-        hit = orders[orders["orderkey"].isin(set(line_keys))]
-        if hit.empty:
-            return None
-        vc = hit["priority"].value_counts()
+    def merge_bucket(keys: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        hit = orders[orders["o_orderkey"].isin(keys["l_orderkey"])]
+        vc = hit["o_orderpriority"].value_counts()
         return pd.DataFrame(
             {
                 "o_orderpriority": vc.index.to_numpy(),
@@ -9495,10 +8659,10 @@ def q4_order_priority(sf_dir: str):
         bucket_exchange(
             [
                 lineitem.map_batches(line_keys, batch_format="pandas"),
-                orders.map_batches(order_rows, batch_format="pandas"),
+                orders.map_batches(order_rows, batch_format="pyarrow"),
             ],
             merge_bucket,
-            key="orderkey",
+            key=["l_orderkey", "o_orderkey"],
             schema=out_cols,
             n_buckets=n_buckets,
         ),
@@ -9565,20 +8729,10 @@ def q9_product_type_profit(sf_dir: str):
         zip(nation["n_nationkey"].astype(int), nation["n_name"])
     )
 
-    cols = [
-        ("orderkey", "int64"),
-        ("nkey", "int64"),
-        ("dp", "int64"),
-        ("o_year", "int64"),
-        ("is_line", "bool"),
-    ]
-
     def line_partials(batch: pd.DataFrame) -> pd.DataFrame:
         keys = batch["l_partkey"].astype("int64").to_numpy()
         ok = (keys < np_parts) & part_ok[np.clip(keys, 0, np_parts - 1)]
         sel = batch[ok]
-        if not len(sel):
-            return empty_block(cols)
         pkeys = sel["l_partkey"].astype("int64").to_numpy()
         qty_c = np.rint(sel["l_quantity"].to_numpy() * 100).astype(np.int64)
         rev_dp = np.rint(
@@ -9588,57 +8742,18 @@ def q9_product_type_profit(sf_dir: str):
         sup = sel["l_suppkey"].astype("int64").to_numpy()
         nk = np.where(sup < ns, supp_nation[np.clip(sup, 0, ns - 1)], -1)
         tmp = pd.DataFrame(
-            {
-                "orderkey": sel["l_orderkey"].astype("int64").to_numpy(),
-                "nkey": nk,
-                "dp": dp,
-            }
+            {"l_orderkey": sel["l_orderkey"].to_numpy(), "nkey": nk, "dp": dp}
         )
-        agg = tmp.groupby(["orderkey", "nkey"], as_index=False)["dp"].sum()
-        return pd.DataFrame(
-            {
-                "orderkey": agg["orderkey"].astype("int64"),
-                "nkey": agg["nkey"].astype("int64"),
-                "dp": agg["dp"].astype("int64"),
-                "o_year": np.int64(0),
-                "is_line": True,
-            }
-        )
-
-    def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        ok = batch["o_orderkey"].astype("int64").to_numpy()
-        return pd.DataFrame(
-            {
-                "orderkey": ok,
-                "nkey": np.int64(-1),
-                "dp": np.int64(0),
-                "o_year": batch["o_orderdate"].dt.year.astype("int64").to_numpy(),
-                "is_line": False,
-            }
-        )
+        return tmp.groupby(["l_orderkey", "nkey"], as_index=False)["dp"].sum()
 
     out_cols = [("nkey", "int64"), ("o_year", "int64"), ("dp", "int64")]
 
-    def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        li = group[group["is_line"]]
-        o = group[~group["is_line"]]
+    def merge_bucket(li: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
         if li.empty or o.empty:
             return None
-        m = li.merge(
-            o[["orderkey", "o_year"]].rename(columns={"o_year": "yr"}),
-            on="orderkey",
-            how="inner",
-        )
-        if not len(m):
-            return None
-        agg = m.groupby(["nkey", "yr"], as_index=False)["dp"].sum()
-        return pd.DataFrame(
-            {
-                "nkey": agg["nkey"].astype("int64"),
-                "o_year": agg["yr"].astype("int64"),
-                "dp": agg["dp"].astype("int64"),
-            }
-        )
+        m = li.merge(o, left_on="l_orderkey", right_on="o_orderkey")
+        m["o_year"] = m["o_orderdate"].dt.year.astype("int64")
+        return m.groupby(["nkey", "o_year"], as_index=False)["dp"].sum()
 
     lineitem = _read(
         sf_dir,
@@ -9655,12 +8770,9 @@ def q9_product_type_profit(sf_dir: str):
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
     parts = to_frame(
         bucket_exchange(
-            [
-                lineitem.map_batches(line_partials, batch_format="pandas"),
-                orders.map_batches(order_rows, batch_format="pandas"),
-            ],
+            [lineitem.map_batches(line_partials, batch_format="pandas"), orders],
             merge_bucket,
-            key="orderkey",
+            key=["l_orderkey", "o_orderkey"],
             schema=out_cols,
             n_buckets=n_buckets,
         ),
@@ -9945,55 +9057,27 @@ def q22_global_sales_opportunity(sf_dir: str):
     sum_pos = int(pa_df["s"].sum()) if len(pa_df) else 0
     cnt_pos = int(pa_df["c"].sum()) if len(pa_df) else 0
 
-    cols = [
-        ("custkey", "int64"),
-        ("nkey", "int64"),
-        ("bal_c", "int64"),
-        ("is_cust", "bool"),
-    ]
-
     def cust_rows(batch: pd.DataFrame) -> pd.DataFrame:
         sel = batch[batch["c_nationkey"].isin(nkeys)]
-        if not len(sel):
-            return empty_block(cols)
         bal_c = np.rint(sel["c_acctbal"].to_numpy() * 100).astype(np.int64)
         keep = bal_c * cnt_pos > sum_pos
-        sel = sel[keep]
-        if not len(sel):
-            return empty_block(cols)
-        ck = sel["c_custkey"].astype("int64").to_numpy()
         return pd.DataFrame(
             {
-                "custkey": ck,
-                "nkey": sel["c_nationkey"].astype("int64").to_numpy(),
+                "c_custkey": sel["c_custkey"].to_numpy()[keep],
+                "c_nationkey": sel["c_nationkey"].to_numpy()[keep],
                 "bal_c": bal_c[keep],
-                "is_cust": True,
             }
         )
 
     def order_keys(batch: pd.DataFrame) -> pd.DataFrame:
-        ck = np.unique(batch["o_custkey"].astype("int64").to_numpy())
-        return pd.DataFrame(
-            {
-                "custkey": ck,
-                "nkey": np.int64(-1),
-                "bal_c": np.int64(0),
-                "is_cust": False,
-            }
-        )
+        return pd.DataFrame({"o_custkey": np.unique(batch["o_custkey"].to_numpy())})
 
     out_cols = [("nkey", "int64"), ("numcust", "int64"), ("bal_sum", "int64")]
 
-    def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        cust = group[group["is_cust"]]
-        if cust.empty:
-            return None
-        has_orders = set(group.loc[~group["is_cust"], "custkey"])
-        keep = cust[~cust["custkey"].isin(has_orders)]
-        if keep.empty:
-            return None
-        agg = keep.groupby("nkey").agg(
-            numcust=("custkey", "size"), bal_sum=("bal_c", "sum")
+    def merge_bucket(cust: pd.DataFrame, okeys: pd.DataFrame) -> pd.DataFrame:
+        keep = cust[~cust["c_custkey"].isin(okeys["o_custkey"])]
+        agg = keep.groupby("c_nationkey").agg(
+            numcust=("c_custkey", "size"), bal_sum=("bal_c", "sum")
         )
         return pd.DataFrame(
             {
@@ -10012,7 +9096,7 @@ def q22_global_sales_opportunity(sf_dir: str):
                 orders.map_batches(order_keys, batch_format="pandas"),
             ],
             merge_bucket,
-            key="custkey",
+            key=["c_custkey", "o_custkey"],
             schema=out_cols,
             n_buckets=n_buckets,
         ),
@@ -10352,49 +9436,22 @@ def q12_linestatus_priority(sf_dir: str):
     hi = pd.Timestamp("1998-01-01")
     high = {"1-URGENT", "2-HIGH"}
 
-    cols = [
-        ("orderkey", "int64"),
-        ("ls", "object"),
-        ("cnt", "int64"),
-        ("is_high", "bool"),
-        ("is_line", "bool"),
-    ]
+    line_cols = [("l_orderkey", "int64"), ("l_linestatus", "object"), ("cnt", "int64")]
 
-    def line_partials(batch: pd.DataFrame) -> pd.DataFrame:
+    def line_partials(batch: pd.DataFrame) -> pa.Table:
         sel = batch[(batch["l_shipdate"] >= lo) & (batch["l_shipdate"] < hi)]
-        if not len(sel):
-            return empty_block(cols)
-        tmp = pd.DataFrame(
-            {
-                "l_orderkey": sel["l_orderkey"].astype("int64").to_numpy(),
-                "l_linestatus": sel["l_linestatus"].to_numpy(),
-            }
-        )
         agg = (
-            tmp.groupby(["l_orderkey", "l_linestatus"], as_index=False)
+            sel.groupby(["l_orderkey", "l_linestatus"], as_index=False)
             .size()
             .rename(columns={"size": "cnt"})
         )
-        ok = agg["l_orderkey"].astype("int64").to_numpy()
-        return pd.DataFrame(
-            {
-                "orderkey": ok,
-                "ls": agg["l_linestatus"].to_numpy(),
-                "cnt": agg["cnt"].astype("int64").to_numpy(),
-                "is_high": False,
-                "is_line": True,
-            }
-        )
+        return arrow_block(agg, line_cols)
 
     def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        ok = batch["o_orderkey"].astype("int64").to_numpy()
         return pd.DataFrame(
             {
-                "orderkey": ok,
-                "ls": "",
-                "cnt": np.int64(0),
-                "is_high": batch["o_orderpriority"].isin(high).to_numpy(),
-                "is_line": False,
+                "o_orderkey": batch["o_orderkey"],
+                "is_high": batch["o_orderpriority"].isin(high),
             }
         )
 
@@ -10404,34 +9461,19 @@ def q12_linestatus_priority(sf_dir: str):
         ("low_line_count", "int64"),
     ]
 
-    def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        lines = group[group["is_line"]]
-        orders = group[~group["is_line"]]
+    def merge_bucket(lines: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
         if lines.empty or orders.empty:
             return None
-        m = lines.merge(
-            orders[["orderkey", "is_high"]].rename(columns={"is_high": "hi"}),
-            on="orderkey",
-            how="inner",
-        )
-        if not len(m):
-            return None
+        m = lines.merge(orders, left_on="l_orderkey", right_on="o_orderkey")
         cnt = m["cnt"].to_numpy(dtype=np.int64)
-        hi_ = m["hi"].to_numpy(dtype=bool)
-        agg = pd.DataFrame(
-            {
-                "ls": m["ls"].to_numpy(),
-                "h": np.where(hi_, cnt, 0),
-                "l": np.where(hi_, 0, cnt),
-            }
-        ).groupby("ls", as_index=False)[["h", "l"]].sum()
+        hi_ = m["is_high"].to_numpy(dtype=bool)
         return pd.DataFrame(
             {
-                "l_linestatus": agg["ls"].to_numpy(),
-                "high_line_count": agg["h"].astype("int64").to_numpy(),
-                "low_line_count": agg["l"].astype("int64").to_numpy(),
+                "l_linestatus": m["l_linestatus"].to_numpy(),
+                "high_line_count": np.where(hi_, cnt, 0),
+                "low_line_count": np.where(hi_, 0, cnt),
             }
-        )
+        ).groupby("l_linestatus", as_index=False).sum()
 
     lineitem = _read(
         sf_dir, "lineitem", columns=["l_orderkey", "l_linestatus", "l_shipdate"]
@@ -10444,7 +9486,7 @@ def q12_linestatus_priority(sf_dir: str):
                 orders.map_batches(order_rows, batch_format="pandas"),
             ],
             merge_bucket,
-            key="orderkey",
+            key=["l_orderkey", "o_orderkey"],
             schema=out_cols,
             n_buckets=n_buckets,
         ),
@@ -10734,66 +9776,37 @@ def q21_waiting_suppliers(sf_dir: str):
 
     n_buckets = 64
 
-    cols = [
-        ("orderkey", "int64"),
-        ("suppkey", "int64"),
-        ("ret", "int64"),
-        ("is_line", "bool"),
-    ]
-
     def line_pairs(batch: pd.DataFrame) -> pd.DataFrame:
         tmp = pd.DataFrame(
             {
-                "orderkey": batch["l_orderkey"].astype("int64").to_numpy(),
-                "suppkey": batch["l_suppkey"].astype("int64").to_numpy(),
+                "l_orderkey": batch["l_orderkey"].to_numpy(),
+                "l_suppkey": batch["l_suppkey"].to_numpy(),
                 "ret": (batch["l_returnflag"] == "R").to_numpy().astype(np.int64),
             }
         )
-        agg = tmp.groupby(["orderkey", "suppkey"], as_index=False)["ret"].max()
-        return pd.DataFrame(
-            {
-                "orderkey": agg["orderkey"].astype("int64"),
-                "suppkey": agg["suppkey"].astype("int64"),
-                "ret": agg["ret"].astype("int64"),
-                "is_line": True,
-            }
-        )
+        return tmp.groupby(["l_orderkey", "l_suppkey"], as_index=False)["ret"].max()
 
-    def order_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        sel = batch[batch["o_orderstatus"] == "F"]
-        if not len(sel):
-            return empty_block(cols)
-        ok = sel["o_orderkey"].astype("int64").to_numpy()
-        return pd.DataFrame(
-            {
-                "orderkey": ok,
-                "suppkey": np.int64(-1),
-                "ret": np.int64(0),
-                "is_line": False,
-            }
-        )
+    def finished(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.field("o_orderstatus") == "F").select(["o_orderkey"])
 
     out_cols = [("suppkey", "int64"), ("numwait", "int64")]
 
-    def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        lines = group[group["is_line"]]
-        finished = group.loc[~group["is_line"], "orderkey"]
-        if lines.empty or finished.empty:
+    def merge_bucket(lines: pd.DataFrame, fin: pd.DataFrame) -> pd.DataFrame:
+        if lines.empty or fin.empty:
             return None
-        pairs = lines.groupby(["orderkey", "suppkey"], as_index=False)["ret"].max()
-        per = pairs.groupby("orderkey").agg(
-            nsupp=("suppkey", "size"), nret=("ret", "sum")
+        pairs = lines.groupby(["l_orderkey", "l_suppkey"], as_index=False)["ret"].max()
+        per = pairs.groupby("l_orderkey").agg(
+            nsupp=("l_suppkey", "size"), nret=("ret", "sum")
         )
         qual = per[(per["nsupp"] >= 2) & (per["nret"] == 1)].index
-        qual = pd.Index(qual).intersection(pd.Index(finished.unique()))
+        qual = pd.Index(qual).intersection(pd.Index(fin["o_orderkey"].unique()))
         if not len(qual):
             return None
-        offn = pairs[(pairs["ret"] == 1) & pairs["orderkey"].isin(set(qual))]
-        vc = offn["suppkey"].value_counts()
-        keys = vc.index.to_numpy(dtype=np.int64)
+        offn = pairs[(pairs["ret"] == 1) & pairs["l_orderkey"].isin(set(qual))]
+        vc = offn["l_suppkey"].value_counts()
         return pd.DataFrame(
             {
-                "suppkey": keys,
+                "suppkey": vc.index.to_numpy(dtype=np.int64),
                 "numwait": vc.to_numpy(dtype=np.int64),
             }
         )
@@ -10820,10 +9833,10 @@ def q21_waiting_suppliers(sf_dir: str):
     waits = bucket_exchange(
         [
             lineitem.map_batches(line_pairs, batch_format="pandas"),
-            orders.map_batches(order_rows, batch_format="pandas"),
+            orders.map_batches(finished, batch_format="pyarrow"),
         ],
         merge_bucket,
-        key="orderkey",
+        key=["l_orderkey", "o_orderkey"],
         schema=out_cols,
         n_buckets=n_buckets,
     )

@@ -127,6 +127,24 @@ class TestCanonicalOrder:
         assert _spans(pkg) == self.EXPECTED_SPANS
 
 
+class TestSharedStringIndex:
+    # Styled t="s" cells, so an empty value is kept: -1 and len(sst) are
+    # out of range (the sst index is unsigned, -1 must not wrap to the
+    # last entry); 1 is the last entry; "+0" is index 0.
+    SHEET_DATA = (
+        '<row r="1"><c r="A1" t="s" s="1"><v>-1</v></c>'
+        '<c r="B1" t="s" s="1"><v>2</v></c>'
+        '<c r="C1" t="s" s="1"><v>1</v></c>'
+        '<c r="D1" t="s" s="1"><v>+0</v></c></row>'
+    )
+
+    def test_out_of_range_is_empty_on_both_paths(self):
+        fast, et = _both(_package(self.SHEET_DATA, ["alpha", "beta"]))
+        _assert_same(fast, et)
+        for parsed in (fast, et):
+            assert parsed.table.values[:4] == ["", "", "beta", "alpha"]
+
+
 class TestSharedFormulaQuotes:
     def test_single_quoted_shared_formula(self):
         data = (
