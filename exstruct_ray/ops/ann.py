@@ -95,12 +95,13 @@ def lsh_neardup_pairs(ds, dim: int, threshold: float = 0.38):
     s is ((1 - acos(s)/π))^8, OR'd over bands). Verification: exact cosine
     over the candidate pairs only.
 
-    Exchange discipline (the MinHash ids-only pattern): the band shuffle
-    ships (band_idx, band_key, vec_id) — the embedding does
-    NOT replicate ×bands through the AllToAll. Candidate pairs (a tiny
-    fraction of the corpus) then attach their two embeddings via two
-    bucket merges, and cosine verification runs in
-    map_batches. No O(n²) broadcast matmul, no driver materialization.
+    Exchange discipline: the band shuffle ships (band_idx, band_key,
+    vec_id) — the embedding does NOT replicate ×bands through the
+    AllToAll. Candidate pairs (a tiny fraction of the corpus) then meet
+    their first embedding in one bucket merge, and a vec_b-bucket
+    exchange meets each pair with its second embedding and verifies the
+    cosine in the reduce. No O(n²) broadcast matmul, no driver
+    materialization.
     The recalled pair set is deterministic (seeded planes), so the whole
     pipeline is oracle-checkable by re-deriving the same buckets in SQL.
     """
@@ -163,13 +164,11 @@ def lsh_neardup_pairs(ds, dim: int, threshold: float = 0.38):
         n_buckets=256,
     )
 
-    # Attach both embeddings with the Arrow-native bucket
-    # merge (ops/shuffle.py:attach_payload): vectors ride both exchanges
-    # as packed float64 Arrow binary buffers, never pandas object columns
-    # of pickled bytes. A pair colliding in several bands dedups inside
-    # the first merge (duplicates share vec_a and therefore the bucket).
-    import pyarrow as pa
-
+    # Attach the first embedding with the Arrow-native bucket merge
+    # (ops/shuffle.py:attach_payload): vectors ride the exchanges as
+    # packed float64 Arrow binary buffers, never pandas object columns of
+    # pickled bytes. A pair colliding in several bands dedups inside the
+    # merge (duplicates share vec_a and therefore the bucket).
     def pack_vecs(batch: _pd.DataFrame) -> _pd.DataFrame:
         return _pd.DataFrame(
             {
@@ -190,35 +189,28 @@ def lsh_neardup_pairs(ds, dim: int, threshold: float = 0.38):
     with_a = attach_payload(
         cand, packed,
         on="vec_a", out="emb_a", payload_key="vec_id", payload_col="emb",
-        carry_ids=["vec_a", "vec_b"], dedup_pairs=True,
+        carry_ids=["vec_a", "vec_b"],
     )
-    with_b = attach_payload(
-        with_a, packed,
-        on="vec_b", out="emb_b", payload_key="vec_id", payload_col="emb",
-        carry_ids=["vec_a", "vec_b"], carry_payloads={"emb_a": pa.binary()},
-    )
+    cols = [("vec_a", "int64"), ("vec_b", "int64")]
 
-    def verify(batch: pa.Table) -> pa.Table:
-        a = np.frombuffer(
-            b"".join(batch["emb_a"].to_pylist()), dtype=np.float64
-        ).reshape(batch.num_rows, -1)
-        b = np.frombuffer(
-            b"".join(batch["emb_b"].to_pylist()), dtype=np.float64
-        ).reshape(batch.num_rows, -1)
+    def verify(pairs: _pd.DataFrame, vecs: _pd.DataFrame) -> _pd.DataFrame:
+        m = pairs.merge(
+            vecs.drop_duplicates("vec_id"), left_on="vec_b", right_on="vec_id"
+        )
+        if m.empty:
+            return None
+        a = np.frombuffer(b"".join(m["emb_a"]), dtype=np.float64).reshape(len(m), -1)
+        b = np.frombuffer(b"".join(m["emb"]), dtype=np.float64).reshape(len(m), -1)
         na = np.linalg.norm(a, axis=1)
         nb = np.linalg.norm(b, axis=1)
         na[na == 0] = 1.0
         nb[nb == 0] = 1.0
         cos = np.einsum("ij,ij->i", a, b) / (na * nb)
-        keep = cos >= threshold
-        return pa.table(
-            {
-                "vec_a": batch["vec_a"].combine_chunks().to_numpy()[keep],
-                "vec_b": batch["vec_b"].combine_chunks().to_numpy()[keep],
-            }
-        )
+        return m.loc[cos >= threshold, ["vec_a", "vec_b"]]
 
-    return with_b.map_batches(verify, batch_format="pyarrow")
+    return bucket_exchange(
+        [with_a, packed], verify, key=["vec_b", "vec_id"], schema=cols
+    )
 
 
 IVF_SEED = 11
@@ -335,23 +327,6 @@ def ivf_topk(
 
     partial = ds.map_batches(score, batch_format="pandas")
     return merge_partial_topk(partial, k)
-
-
-def lsh_buckets(ds, dim: int, num_planes: int = 16):
-    """(vec_id, bucket): one random-hyperplane LSH signature per vector."""
-    planes = np.random.RandomState(7).standard_normal((dim, num_planes))
-
-    def bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        vecs = np.asarray([np.asarray(v, dtype=np.float64) for v in batch["embedding"]])
-        signs = (vecs @ planes) > 0
-        keys = np.zeros(len(vecs), dtype=np.int64)
-        for bit in range(signs.shape[1]):
-            keys |= signs[:, bit].astype(np.int64) << bit
-        out = batch[["vec_id"]].copy()
-        out["bucket"] = keys
-        return out
-
-    return ds.map_batches(bucket, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ Scale notes (100 TB design):
   - exact_dedup: hash-partition groupby on the content hash; only the hash +
     doc_id move through the shuffle, never the text.
   - MinHash: signatures are computed batch-local and vectorized (numpy);
-    the LSH band groupby shuffles (band_id, band_hash, doc_id) triples only.
-    Candidate verification is per-bucket (bounded by bucket size), not
+    the LSH band exchange ships (band_key, doc_id, signature) rows and
+    verifies candidates per bucket (bounded by bucket size), not
     all-pairs.
   - SimHash: 64-bit signatures, banded into 4×16-bit keys for bucketing.
   - Embedding near-dup: per-batch matmul against a ray.put-broadcast matrix
@@ -29,7 +29,7 @@ import zlib
 import numpy as np
 import pandas as pd
 
-from .shuffle import attach_payload, bucket_exchange, empty_block
+from .shuffle import bucket_exchange, empty_block
 
 _MERSENNE = (1 << 61) - 1
 _MAX_HASH = (1 << 32) - 1
@@ -157,178 +157,24 @@ def minhash_dedup_pairs(
     bands: int = 16,
     shingle_k: int = 5,
     jaccard_threshold: float = 0.8,
-    strategy: str = "auto",
 ):
     """Near-duplicate pairs via MinHash banding + in-bucket verification.
 
     Returns a Dataset of (doc_a, doc_b, est_jaccard) with doc_a < doc_b.
 
-    ``strategy`` picks the exchange design (both produce identical pairs;
-    BASELINE.md round-3 records the measurements behind this rule):
-      - "ids_only": band shuffle ships id triples only; signatures attach
-        to the candidate set via two bucket merges. 8× fewer exchange
-        BYTES (2×S vs bands×S sig-bytes) — the multi-node default, where
-        the network is the binding resource.
-      - "sig_carry": band rows carry the signature; verification happens
-        in-bucket. Fewer AllToAll stages — faster on a single node, where
-        exchange bytes stay in shared memory and fixed shuffle costs
-        dominate; also robust to candidate explosion (verifies before
-        materializing pairs).
-      - "auto": sig_carry when the Ray cluster is one node, ids_only
-        otherwise.
-    """
-    if strategy == "auto":
-        import ray
-
-        try:
-            n_nodes = len([n for n in ray.nodes() if n.get("Alive", True)])
-        except Exception:
-            n_nodes = 1
-        strategy = "sig_carry" if n_nodes <= 1 else "ids_only"
-    if strategy == "sig_carry":
-        return minhash_dedup_pairs_sigcarry(
-            ds,
-            num_perm=num_perm,
-            bands=bands,
-            shingle_k=shingle_k,
-            jaccard_threshold=jaccard_threshold,
-        )
-    rows_per_band = num_perm // bands
-    sigs = minhash_signatures(ds, num_perm=num_perm, shingle_k=shingle_k)
-    # The signature table is consumed three times (banding + both merge
-    # rounds); materialize it ONCE or lineage recomputes the shingling 3×
-    # (measured 3.9 s/pass at sf0.1). This pins only the compact sketch
-    # table — ids + num_perm×4 bytes per doc, a small fraction of the
-    # corpus text — the in-sandbox analogue of checkpointing sketches to
-    # parquet before the pairing stages, with object-store spill at scale.
-    sigs = sigs.materialize()
-
-    # Banding ships (shuffle_key, band_key, doc_id) triples ONLY — the
-    # signature does NOT replicate ×bands through the shuffle (~10× less
-    # exchange traffic than sig-carrying band rows); candidate pairs join
-    # their two signatures afterwards, and the pair set is a tiny fraction
-    # of the corpus. The exchange runs on a COARSE hash bucket of band_key
-    # (1024 buckets): micro-groups kill a per-exact-key groupby, so
-    # exact-band grouping happens inside each bucket.
-
-    def band_ids(batch):
-        # Arrow in/out, fully vectorized: decode the sig matrix as a numpy
-        # view and FNV-mix each band's columns in one pass per band.
-        import pyarrow as pa
-
-        sig_mat = _sig_matrix(batch.column("sig"), num_perm)
-        keys = _band_keys(sig_mat, bands, rows_per_band)  # (bands, n)
-        doc_col = batch.column("doc_id").combine_chunks()
-        n = len(doc_col)
-        idx = pa.array(np.tile(np.arange(n, dtype=np.int64), bands))
-        flat_keys = keys.reshape(-1)
-        return pa.table(
-            {
-                "doc_id": doc_col.take(idx),
-                "band_key": pa.array(flat_keys),
-            }
-        )
-
-    banded = sigs.map_batches(band_ids, batch_format="pyarrow")
-
-    def candidate_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        rows_a: list = []
-        rows_b: list = []
-        counts = group["band_key"].value_counts()
-        hot = counts[counts >= 2].index
-        sub = group[group["band_key"].isin(hot)]
-        for _, bucket in sub.groupby("band_key"):
-            for ida, idb in itertools.combinations(bucket["doc_id"], 2):
-                if ida == idb:
-                    continue
-                lo, hi = sorted((ida, idb))
-                rows_a.append(lo)
-                rows_b.append(hi)
-        # Pin the id dtype: an empty group would otherwise emit object
-        # columns that break block-schema unification at the joins.
-        id_dtype = group["doc_id"].dtype
-        return pd.DataFrame(
-            {
-                "doc_a": pd.Series(rows_a, dtype=id_dtype),
-                "doc_b": pd.Series(rows_b, dtype=id_dtype),
-            }
-        )
-
-    cand = bucket_exchange(
-        banded,
-        candidate_pairs,
-        key="band_key",
-        schema=[("doc_a", "int64"), ("doc_b", "int64")],
-        n_buckets=1024,
-    )
-
-    # Attach each candidate's two signatures with the Arrow-native
-    # bucket merge (ops/shuffle.py:attach_payload) — the
-    # signatures ride both exchanges as Arrow binary buffers, never pandas
-    # object columns of pickled bytes. Duplicate pairs surfaced by several
-    # bands dedup inside the first merge (they always share doc_a and
-    # therefore the same bucket).
-    import pyarrow as pa
-
-    with_a = attach_payload(
-        cand, sigs,
-        on="doc_a", out="sig_a", payload_key="doc_id", payload_col="sig",
-        carry_ids=["doc_a", "doc_b"], dedup_pairs=True,
-    )
-    with_b = attach_payload(
-        with_a, sigs,
-        on="doc_b", out="sig_b", payload_key="doc_id", payload_col="sig",
-        carry_ids=["doc_a", "doc_b"], carry_payloads={"sig_a": pa.binary()},
-    )
-
-    def verify_est(batch: pa.Table) -> pa.Table:
-        # Uniform-width sig rows decode to one (n, num_perm) matrix each;
-        # the estimate is a single vectorized row-mean of equality.
-        sa = np.frombuffer(
-            b"".join(batch["sig_a"].to_pylist()), dtype=np.uint32
-        ).reshape(-1, num_perm)
-        sb = np.frombuffer(
-            b"".join(batch["sig_b"].to_pylist()), dtype=np.uint32
-        ).reshape(-1, num_perm)
-        est = (sa == sb).mean(axis=1)
-        keep = est >= jaccard_threshold
-        return pa.table(
-            {
-                "doc_a": batch["doc_a"].combine_chunks().to_numpy()[keep],
-                "doc_b": batch["doc_b"].combine_chunks().to_numpy()[keep],
-                "est_jaccard": est[keep],
-            }
-        )
-
-    return with_b.map_batches(verify_est, batch_format="pyarrow")
-
-
-def minhash_dedup_pairs_sigcarry(
-    ds,
-    num_perm: int = 64,
-    bands: int = 16,
-    shingle_k: int = 5,
-    jaccard_threshold: float = 0.8,
-):
-    """Sig-carrying MinHash pairs — the single-node arm of
-    minhash_dedup_pairs(strategy="auto").
-
-    Design: each band row CARRIES the full signature through the band
-    shuffle (×bands replication of num_perm×4 bytes per doc) and
-    verification happens in-bucket — two AllToAll stages instead of
-    three, at ~bands× more exchange bytes. Measured faster wherever
-    exchange bytes stay in shared memory (single node; 1.5-1.9× at
-    5k-50k docs), and robust to candidate explosion since est-Jaccard
-    filters BEFORE pairs materialize. The ids-only design wins when a
-    network prices bytes. BASELINE.md round-3 records the measurements.
+    Each band row carries the doc's full signature through the band
+    exchange (bands × num_perm × 4 bytes per doc), and the estimate is
+    checked inside the bucket, so pairs below the threshold never
+    materialize and no second exchange attaches signatures. A pair found
+    through several bands meets its copies in one doc_a bucket of the
+    final exchange. The signature table streams into that one stage, so
+    it is not materialized.
     """
     import pyarrow as pa
 
     rows_per_band = num_perm // bands
-    # NO materialize here: unlike the ids-only path (3 consumers), the sig
-    # table streams into exactly one downstream stage — materializing
-    # would force a full extra object-store pass for no lineage reuse.
     sigs = minhash_signatures(ds, num_perm=num_perm, shingle_k=shingle_k)
+
     def band_rows(batch):
         sig_mat = _sig_matrix(batch.column("sig"), num_perm)
         keys = _band_keys(sig_mat, bands, rows_per_band)
@@ -437,8 +283,8 @@ def dedup_groups(pairs_df: pd.DataFrame) -> pd.DataFrame:
     SMALL-PAIR-SET TOOL: the pairs set is usually bounded by the near-dup
     rate, making a driver-side union-find the right call — but when pairs
     themselves exceed driver memory, use label_propagation_groups (the
-    distributed fixpoint) instead, or call dedup_groups_auto which routes
-    by pair count automatically.
+    distributed fixpoint) instead, or call dedup_groups_auto_ds which
+    routes by pair count automatically.
     """
     if "doc_a" not in pairs_df.columns or not len(pairs_df):
         # zero-pair input arrives as a zero-COLUMN frame (Ray's to_pandas
@@ -482,27 +328,7 @@ def dedup_groups(pairs_df: pd.DataFrame) -> pd.DataFrame:
     return out.sort_values(["group_id", "doc_id"]).reset_index(drop=True)
 
 
-def dedup_groups_auto(pairs_ds, driver_pair_limit: int = 2_000_000):
-    """Route connected-components to the right engine by pair count.
-
-    At or under ``driver_pair_limit`` pairs the driver union-find
-    (dedup_groups) is strictly better — exact, one pass, no shuffle
-    rounds. Above it, the pair set no longer belongs on the driver and the
-    distributed min-label propagation (label_propagation_groups) takes
-    over. Both produce the identical (doc_id, group_id, is_canonical)
-    contract, so the routing is invisible to callers and oracles.
-
-    The input is materialized once: the count() probe and the chosen
-    engine both consume it without re-executing the candidate-pair
-    lineage (MinHash shingling is the expensive upstream).
-    """
-    pairs_ds = pairs_ds.materialize()
-    if pairs_ds.count() <= driver_pair_limit:
-        return dedup_groups(pairs_ds.to_pandas())
-    return label_propagation_groups(pairs_ds)
-
-
-_GROUP_COLS = [
+GROUP_COLS = [
     ("doc_id", "int64"),
     ("group_id", "int64"),
     ("is_canonical", "bool"),
@@ -510,17 +336,25 @@ _GROUP_COLS = [
 
 
 def dedup_groups_auto_ds(pairs_ds, driver_pair_limit: int = 2_000_000):
-    """dedup_groups_auto returning a ``ray.data.Dataset`` of
-    (doc_id, group_id, is_canonical) — the member-table handle that
-    downstream survivor selection consumes WITHOUT collecting it to the
-    driver (a boilerplate-heavy crawl's dup members can be 30-50% of the
-    corpus, so the member table is not driver-sized even when the pair
-    table routes small). Small route: driver union-find wrapped back
-    into a Dataset; big route: label propagation with no final collect.
+    """Connected components over near-dup pairs, routed by pair count.
 
-    Returned Dataset is materialized (both the count() probe downstream
-    routing needs and multiple consumers read it without re-executing
-    the MinHash lineage)."""
+    Returns a materialized ``ray.data.Dataset`` of
+    (doc_id, group_id, is_canonical). At or under ``driver_pair_limit``
+    pairs the driver union-find (dedup_groups) is strictly better —
+    exact, one pass, no shuffle rounds — and its frame is wrapped back
+    into a Dataset. Above it, the pair set no longer belongs on the
+    driver and the distributed min-label propagation
+    (label_propagation_groups_ds) takes over with no final collect. Both
+    give the identical contract, so the routing is invisible to callers
+    and oracles. Callers that need a frame read it with
+    ``shuffle.to_frame(..., GROUP_COLS)``; survivor selection consumes the
+    Dataset as is (a boilerplate-heavy crawl's dup members can be 30-50%
+    of the corpus, so the member table is not driver-sized even when the
+    pair table routes small).
+
+    The input is materialized once: the count() probe and the chosen
+    engine both consume it without re-executing the candidate-pair
+    lineage (MinHash shingling is the expensive upstream)."""
     import ray
 
     pairs_ds = pairs_ds.materialize()
@@ -540,7 +374,7 @@ def label_propagation_groups(pairs_ds, max_iters: int = 50):
     out = label_propagation_groups_ds(pairs_ds, max_iters).to_pandas()
     if "doc_id" not in out.columns:
         return pd.DataFrame(
-            {c: pd.Series(dtype=t) for c, t in _GROUP_COLS}
+            {c: pd.Series(dtype=t) for c, t in GROUP_COLS}
         )
     return out.sort_values(["group_id", "doc_id"]).reset_index(drop=True)[
         ["doc_id", "group_id", "is_canonical"]

@@ -181,7 +181,7 @@ def pagerank_auto(
     S: int = PR_SCALE,
     driver_pair_limit: int = 2_000_000,
 ) -> pd.DataFrame:
-    """Route PageRank by pair count — the dedup_groups_auto rule.
+    """Route PageRank by pair count — the dedup_groups_auto_ds rule.
 
     At or under the limit the driver engine is strictly better (exact, one
     pass, no shuffle rounds). Above it — a boilerplate-heavy web corpus

@@ -276,71 +276,6 @@ def decode_multipng(data: bytes) -> list[np.ndarray]:
     return frames
 
 
-def _video_frames(data: bytes) -> list[np.ndarray]:
-    """Decode the MULTIPNG test container (and, when PIL with multi-frame
-    support is importable, GIF); real ffmpeg-backed containers raise
-    NotImplementedError here — the sandbox has no codec libraries."""
-    if data[:4] == MULTIPNG_MAGIC:
-        return decode_multipng(data)
-    if _PILImage is not None:  # pragma: no cover - PIL absent here
-        import io
-
-        try:
-            frames = []
-            with _PILImage.open(io.BytesIO(data)) as img:
-                for i in range(getattr(img, "n_frames", 1)):
-                    img.seek(i)
-                    frames.append(np.asarray(img.convert("RGB")))
-            return frames
-        except Exception:
-            pass
-    raise NotImplementedError(
-        "real video containers need codec libraries not present here"
-    )
-
-
-def sample_video_frames(
-    ds, every_nth: int = 2, target_w: int = 16, target_h: int = 16,
-    batch_size: int = 8,
-):
-    """Video frame-sample pipeline: frame-sample each video payload and
-    emit per-frame features. Very small batches — frames multiply the
-    payload in memory."""
-    nth = max(1, every_nth)
-
-    def sample(batch: pd.DataFrame) -> pd.DataFrame:
-        rows = {
-            "media_id": [],
-            "frame_idx": [],
-            "n_frames_total": [],
-            "feature": [],
-        }
-        for media_id, payload in zip(batch["media_id"], batch["payload"]):
-            data = bytes(payload) if payload is not None else b""
-            try:
-                frames = _video_frames(data)
-            except (NotImplementedError, *_DECODE_ERRORS):
-                # unrecognized container OR corrupt recognized container
-                # (truncated MULTIPNG length prefix → struct/IndexError,
-                # bad inner PNG → zlib.error): skip the row, keep the task.
-                continue
-            for idx in range(0, len(frames), nth):
-                pixels = resize_nearest(frames[idx], target_w, target_h)
-                rows["media_id"].append(media_id)
-                rows["frame_idx"].append(idx)
-                rows["n_frames_total"].append(len(frames))
-                rows["feature"].append(
-                    pixels.reshape(-1, 3).mean(axis=0).astype(np.float32).tolist()
-                )
-        out = pd.DataFrame(rows)
-        if len(out):
-            out["frame_idx"] = out["frame_idx"].astype("int32")
-            out["n_frames_total"] = out["n_frames_total"].astype("int32")
-        return out
-
-    return ds.map_batches(sample, batch_format="pandas", batch_size=batch_size)
-
-
 def extract_media_features(ds, target_w: int = 32, target_h: int = 32,
                            batch_size: int = 16):
     """Media decode/feature pipeline: decode + resize + feature-extract
@@ -362,33 +297,6 @@ def extract_media_features(ds, target_w: int = 32, target_h: int = 32,
         return out
 
     return ds.map_batches(features, batch_format="pandas", batch_size=batch_size)
-
-
-def _audio_features(batch: pd.DataFrame) -> pd.DataFrame:
-    rows = {"media_id": [], "duration_sec": [], "rms": [], "zero_cross_rate": []}
-    for media_id, payload in zip(batch["media_id"], batch["payload"]):
-        data = bytes(payload) if payload is not None else b""
-        try:
-            samples, rate = decode_wav(data)
-        except Exception:
-            continue
-        rows["media_id"].append(media_id)
-        rows["duration_sec"].append(len(samples) / rate if rate else 0.0)
-        rows["rms"].append(float(np.sqrt(np.mean(samples**2))) if len(samples) else 0.0)
-        rows["zero_cross_rate"].append(
-            float(np.mean(np.abs(np.diff(np.sign(samples))) > 0))
-            if len(samples) > 1
-            else 0.0
-        )
-    return pd.DataFrame(rows)
-
-
-def extract_audio_features(ds, batch_size: int = 16):
-    """Audio decode/feature pipeline: WAV decode + summary features per
-    audio row, in small batches."""
-    return ds.map_batches(
-        _audio_features, batch_format="pandas", batch_size=batch_size
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -341,18 +341,15 @@ def attach_payload(
     payload_key: str,
     payload_col: str,
     carry_ids: list[str],
-    carry_payloads: dict[str, object] | None = None,
     payload_type=None,
-    dedup_pairs: bool = False,
     n_buckets: int = 64,
 ):
     """Arrow-native bucket merge: attach one payload column to a pair
     table by key.
 
     The generic shape behind every "candidate ids ⋈ per-doc payload"
-    exchange (MinHash ids-only signature attach, LSH embedding attach,
-    ngram-verify text attach): ``pairs_ds`` rows carry ``carry_ids``
-    (int64) plus previously attached ``carry_payloads``; each pair row
+    exchange (LSH embedding attach, ngram-verify text attach):
+    ``pairs_ds`` rows carry ``carry_ids`` (int64); each distinct pair row
     receives ``payload_ds``'s ``payload_col`` for its ``on`` key as a new
     ``out`` column (inner join — pairs without a payload drop).
 
@@ -362,17 +359,14 @@ def attach_payload(
     bytes. The in-group join is numpy searchsorted over the int64 keys +
     one Arrow ``take`` of the payload column — no pandas merge.
 
-    ``dedup_pairs=True`` drops duplicate carry_ids rows inside the merge
-    (candidates surfaced by several bands always share the ``on`` key and
-    therefore the same bucket, so no extra dedup shuffle is needed).
+    Duplicate ``carry_ids`` rows drop inside the merge (candidates
+    surfaced by several bands always share the ``on`` key and therefore
+    the same bucket, so no extra dedup shuffle is needed).
     """
-    carry_payloads = dict(carry_payloads or {})
     out_schema = pa.schema(
         [(c, pa.int64()) for c in carry_ids]
-        + list(carry_payloads.items())
         + [(out, payload_type if payload_type is not None else pa.binary())]
     )
-    carry = [*carry_ids, *carry_payloads]
 
     def _np(col) -> np.ndarray:
         return col.combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64)
@@ -380,17 +374,16 @@ def attach_payload(
     def merge(pair_t: pa.Table, pay_t: pa.Table) -> pa.Table:
         if pair_t.num_rows == 0 or pay_t.num_rows == 0:
             return None
-        if dedup_pairs:
-            idc = [_np(pair_t[c]) for c in carry_ids]
-            order = np.lexsort(idc[::-1])
-            keep = np.ones(len(order), dtype=bool)
-            if len(order) > 1:
-                neq = np.zeros(len(order) - 1, dtype=bool)
-                for c in idc:
-                    s = c[order]
-                    neq |= s[1:] != s[:-1]
-                keep[1:] = neq
-            pair_t = pair_t.take(pa.array(order[keep]))
+        idc = [_np(pair_t[c]) for c in carry_ids]
+        order = np.lexsort(idc[::-1])
+        keep = np.ones(len(order), dtype=bool)
+        if len(order) > 1:
+            neq = np.zeros(len(order) - 1, dtype=bool)
+            for c in idc:
+                s = c[order]
+                neq |= s[1:] != s[:-1]
+            keep[1:] = neq
+        pair_t = pair_t.take(pa.array(order[keep]))
         pk = _np(pay_t[payload_key])
         o = np.argsort(pk, kind="stable")
         sk = pk[o]
@@ -400,7 +393,7 @@ def attach_payload(
         jk = _np(pair_t[on])
         pos_c = np.minimum(np.searchsorted(sk, jk), len(sk) - 1)
         valid = sk[pos_c] == jk
-        cols = {c: pair_t[c].filter(pa.array(valid)) for c in carry}
+        cols = {c: pair_t[c].filter(pa.array(valid)) for c in carry_ids}
         cols[out] = pay_t[payload_col].take(pa.array(o[pos_c[valid]]))
         return pa.table(cols)
 

@@ -591,7 +591,7 @@ def doc_leakage_safe_split(sf_dir: str):
     the same content-free md5 bucketing as doc_sample_10pct, so the
     split is reproducible across runs, machines, and retries.
 
-    Shape: MinHash pairs -> components (dedup_groups_auto: driver
+    Shape: MinHash pairs -> components (dedup_groups_auto_ds: driver
     union-find under the pair limit, distributed label propagation
     above it); the doc->group table is bounded by the DUPLICATED doc
     count (same broadcast contract as doc_neardup_survivors, documented
@@ -601,11 +601,11 @@ def doc_leakage_safe_split(sf_dir: str):
 
     import ray
 
-    from .ops.dedup import dedup_groups_auto, minhash_dedup_pairs
+    from .ops.dedup import GROUP_COLS, dedup_groups_auto_ds, minhash_dedup_pairs
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     pairs = minhash_dedup_pairs(ds, jaccard_threshold=0.7)
-    groups = dedup_groups_auto(pairs)
+    groups = to_frame(dedup_groups_auto_ds(pairs), GROUP_COLS)
     mapping = dict(
         zip(groups["doc_id"].astype(int), groups["group_id"].astype(int))
     )
@@ -1762,14 +1762,15 @@ def lineitem_pushdown(sf_dir: str):
 def doc_dedup_groups(sf_dir: str):
     """Near-dup groups: MinHash pairs → connected components.
 
-    Routed through dedup_groups_auto: small pair sets take the exact
+    Routed through dedup_groups_auto_ds: small pair sets take the exact
     driver union-find, pair sets beyond driver memory take the distributed
     label propagation — identical output contract either way."""
-    from .ops.dedup import dedup_groups_auto, minhash_dedup_pairs
+    from .ops.dedup import GROUP_COLS, dedup_groups_auto_ds, minhash_dedup_pairs
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     pairs = minhash_dedup_pairs(ds, jaccard_threshold=0.7)
-    return dedup_groups_auto(pairs)
+    groups = to_frame(dedup_groups_auto_ds(pairs), GROUP_COLS)
+    return groups.sort_values(["group_id", "doc_id"]).reset_index(drop=True)
 
 
 def doc_dedup_groups_distributed(sf_dir: str):
@@ -1837,7 +1838,6 @@ def doc_ngram_verified_pairs(sf_dir: str):
         candidates, docs,
         on="doc_a", out="text_a", payload_key="doc_id", payload_col="text",
         carry_ids=["doc_a", "doc_b"], payload_type=pa.large_string(),
-        dedup_pairs=True,
     )
     cols = [("doc_a", "int64"), ("doc_b", "int64"), ("jaccard", "float64")]
 
@@ -4844,7 +4844,7 @@ def doc_neardup_survivors(
     components → keep the lowest doc_id per component; unpaired docs all
     survive.
 
-    Auto-routed like dedup_groups_auto: at or under
+    Auto-routed like dedup_groups_auto_ds: at or under
     ``driver_member_limit`` members the pruned-id set broadcasts via
     ray.put and the corpus streams through one vectorized filter (no
     join shuffle — strictly cheaper while the set fits every worker).
@@ -5900,7 +5900,7 @@ def doc_pagerank(sf_dir: str):
 
     The expensive part — shingling, banding, candidate verification — is
     fully distributed in minhash_dedup_pairs. The iterations auto-route by
-    pair count (ops/graph.py, mirroring dedup_groups_auto): bounded pair
+    pair count (ops/graph.py, mirroring dedup_groups_auto_ds): bounded pair
     sets run numpy on the driver; a graph that outgrows the driver (a
     boilerplate-heavy web corpus at scale) runs the bucket-merged
     contribution exchange, and only the final (doc_id, pr) table — one

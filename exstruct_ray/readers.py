@@ -171,18 +171,9 @@ def read_formulas(
     return result
 
 
-def cell_ref_to_rc(ref: str) -> tuple[int, int]:
-    """A1 cell → (row 1-based, col 0-based)."""
-    bounds = parse_range_zero_based(ref)
-    if bounds is None:
-        raise ValueError(f"Invalid cell ref: {ref}")
-    return bounds.r1 + 1, bounds.c1
-
-
 __all__ = [
     "Cursor",
     "alpha_to_col_index",
-    "cell_ref_to_rc",
     "read_cells",
     "read_formulas",
     "read_range",

@@ -45,41 +45,6 @@ _SHEET_INPUT = pa.schema(
 _SHEET_SCHEMA = OUTPUT_SCHEMA.append(pa.field("sheet_idx", pa.int32()))
 
 
-def read_documents(
-    path: str | list[str],
-    *,
-    fmt: str = "parquet",
-    columns: list[str] | None = None,
-    **read_kwargs,
-) -> "ray.data.Dataset":
-    """Read the interleaved-document table (doc_id, spans).
-
-    ``fmt="lance"`` uses ray.data.read_lance for Lance-backed corpora (the
-    BASELINE.json storage target); this sandbox has no lance wheel, so
-    parquet is the tested path and lance is import-gated — a drop-in swap
-    on a real cluster. ``fmt="json"``/``"jsonl"`` ingests one document
-    object per line for interchange corpora.
-    """
-    import ray.data
-
-    cols = columns or ["doc_id", "spans"]
-    if fmt == "parquet":
-        return ray.data.read_parquet(path, columns=cols, **read_kwargs)
-    if fmt in ("json", "jsonl"):
-        # JSONL ingest (one document object per line) — no column pruning
-        # at the read (text format), so select after.
-        ds = ray.data.read_json(path, **read_kwargs)
-        return ds.select_columns(cols)
-    if fmt == "lance":
-        try:
-            return ray.data.read_lance(path, columns=cols, **read_kwargs)
-        except ImportError as exc:  # pragma: no cover - no lance wheel here
-            raise RuntimeError(
-                "lance is not installed in this environment; use fmt='parquet'"
-            ) from exc
-    raise ValueError(f"Unsupported corpus format: {fmt}")
-
-
 def build_extraction_pipeline(
     ds: "ray.data.Dataset",
     options: ExtractOptions | None = None,

@@ -128,13 +128,25 @@ class TestExchangeLogNoise:
     def test_joins_log_no_schema_change(self, ray_session):
         """Every block an exchange (or a map fused onto one) emits has one
         schema: Ray logs "different schema" when pandas and Arrow blocks,
-        or two Arrow schemas, meet in one operator."""
+        or two Arrow schemas, meet in one operator. The LSH input has few
+        candidate pairs over many vectors, so some partitions of its
+        verify exchange produce no pairs."""
+        import numpy as np
+        import ray.data
+
+        from exstruct_ray.ops.ann import lsh_neardup_pairs
         from exstruct_ray.queries import (
             q3_shipping_priority,
             q18_large_volume_customers,
         )
 
-        import ray.data
+        rng = np.random.RandomState(3)
+        vecs = rng.standard_normal((40, 64))
+        vecs[1] = vecs[0] + 0.01 * rng.standard_normal(64)
+        embeddings = ray.data.from_items(
+            [{"vec_id": i, "embedding": v.tolist()} for i, v in enumerate(vecs)],
+            override_num_blocks=8,
+        )
 
         # Ray Data configures its loggers on a session's first execution,
         # which drops handlers added before it.
@@ -151,6 +163,8 @@ class TestExchangeLogNoise:
         try:
             q3_shipping_priority(SF_DIR)
             q18_large_volume_customers(SF_DIR)
+            pairs = lsh_neardup_pairs(embeddings, dim=64).to_pandas()
         finally:
             logger.removeHandler(handler)
         assert not [r for r in records if "different schema" in r]
+        assert (0, 1) in set(zip(pairs["vec_a"], pairs["vec_b"]))

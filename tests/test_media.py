@@ -173,35 +173,6 @@ class TestResizeAndDispatch:
 
 
 class TestAudioPipeline:
-    def test_audio_feature_stage(self, ray_session):
-        import ray.data
-
-        from exstruct_ray.ops.media import extract_audio_features
-
-        def wav_bytes(freq, rate=4000):
-            t = np.arange(rate) / rate
-            sig = (np.sin(2 * np.pi * freq * t) * 20000).astype("<i2")
-            buf = io.BytesIO()
-            with wave.open(buf, "wb") as wf:
-                wf.setnchannels(1)
-                wf.setsampwidth(2)
-                wf.setframerate(rate)
-                wf.writeframes(sig.tobytes())
-            return buf.getvalue()
-
-        ds = ray.data.from_items(
-            [
-                {"media_id": i, "payload": wav_bytes(200 * (i + 1))}
-                for i in range(4)
-            ]
-        )
-        out = extract_audio_features(ds, batch_size=2).to_pandas()
-        out = out.sort_values("media_id").reset_index(drop=True)
-        assert len(out) == 4
-        assert all(abs(d - 1.0) < 1e-6 for d in out["duration_sec"])
-        # higher frequency -> higher zero-crossing rate
-        assert out["zero_cross_rate"].iloc[3] > out["zero_cross_rate"].iloc[0]
-
     def test_image_pipeline_uses_real_decoder(self, ray_session):
         import ray.data
 
@@ -216,84 +187,6 @@ class TestAudioPipeline:
         expected = px.reshape(-1, 3).mean(axis=0)
         for feat in out["feature"]:
             assert np.allclose(feat, expected, atol=1.0)
-
-
-class TestVideoFrameSample:
-    def test_multipng_roundtrip_and_sampling(self, ray_session):
-        import ray.data
-
-        from exstruct_ray.ops.media import (
-            decode_multipng,
-            encode_multipng,
-            sample_video_frames,
-        )
-
-        frames = [_rand_pixels(8, 8, seed=s) for s in range(7)]
-        payload = encode_multipng(frames)
-        got = decode_multipng(payload)
-        assert len(got) == 7
-        assert np.array_equal(got[3], frames[3])
-
-        ds = ray.data.from_items(
-            [{"media_id": i, "payload": payload} for i in range(3)]
-        )
-        out = sample_video_frames(ds, every_nth=3, batch_size=2).to_pandas()
-        # frames 0, 3, 6 sampled per media
-        per_media = out[out["media_id"] == 0].sort_values("frame_idx")
-        assert per_media["frame_idx"].tolist() == [0, 3, 6]
-        assert (out["n_frames_total"] == 7).all()
-        assert all(len(f) == 3 for f in out["feature"])
-
-    def test_unknown_container_skipped(self, ray_session):
-        import ray.data
-
-        from exstruct_ray.ops.media import sample_video_frames
-
-        ds = ray.data.from_items(
-            [{"media_id": 1, "payload": b"not a video at all"}]
-        )
-        out = sample_video_frames(ds).to_pandas()
-        assert len(out) == 0
-
-    def test_corrupt_container_skipped_not_fatal(self, ray_session):
-        """A truncated MULTIPNG (valid magic, bad body) must skip the row,
-        not crash the Ray task — and good rows in the same batch survive."""
-        import ray.data
-
-        from exstruct_ray.ops.media import encode_multipng, sample_video_frames
-
-        good = encode_multipng([_rand_pixels(4, 4, seed=s) for s in range(3)])
-        truncated = good[:10]  # magic + count, then cut mid length-prefix
-        ds = ray.data.from_items(
-            [
-                {"media_id": 1, "payload": truncated},
-                {"media_id": 2, "payload": good},
-            ]
-        )
-        out = sample_video_frames(ds, every_nth=1, batch_size=4).to_pandas()
-        assert sorted(out["media_id"].unique()) == [2]
-        assert len(out) == 3
-
-
-class TestJsonCorpusReader:
-    def test_read_documents_jsonl(self, ray_session, tmp_path):
-        import json as _json
-
-        from exstruct_ray.datagen.corpus import build_document
-        from exstruct_ray.stages.pipeline import (
-            build_extraction_pipeline,
-            read_documents,
-        )
-
-        docs = [build_document(i, seed=42) for i in range(4)]
-        path = tmp_path / "docs.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            for doc in docs:
-                fh.write(_json.dumps(doc, ensure_ascii=False) + "\n")
-        ds = read_documents(str(path), fmt="jsonl")
-        out = build_extraction_pipeline(ds, batch_size=2).take_all()
-        assert {r["doc_id"] for r in out} == {d["doc_id"] for d in docs}
-        assert all(r["n_errors"] == 0 for r in out)
 
 
 class TestStereoWav:

@@ -150,27 +150,6 @@ class TestRayOps:
             assert got[0] == qi  # self is the top hit
             assert set(got) == set(expected)
 
-    def test_lsh_buckets_group_similar(self, ray_session):
-        import ray.data
-
-        from exstruct_ray.ops.ann import lsh_buckets
-
-        rng = np.random.RandomState(1)
-        base = rng.standard_normal(32)
-        near = base + rng.standard_normal(32) * 0.01
-        far = -base
-        ds = ray.data.from_items(
-            [
-                {"vec_id": 0, "embedding": base.tolist()},
-                {"vec_id": 1, "embedding": near.tolist()},
-                {"vec_id": 2, "embedding": far.tolist()},
-            ]
-        )
-        out = lsh_buckets(ds, dim=32, num_planes=8).to_pandas()
-        buckets = out.set_index("vec_id")["bucket"].to_dict()
-        assert buckets[0] == buckets[1]
-        assert buckets[0] != buckets[2]
-
     def test_media_feature_plumbing(self, ray_session):
         import ray.data
 
@@ -310,13 +289,15 @@ class TestDedupGroups:
         out = dedup_groups(pd.DataFrame({"doc_a": [], "doc_b": []}))
         assert out.empty
 
-    def test_minhash_strategies_agree(self, ray_session):
-        """ids_only and sig_carry produce the identical pair set; auto on a
-        single-node cluster routes to sig_carry (BASELINE.md round-3 rule)."""
-        import pandas as pd
+    def test_minhash_pairs_match_band_reference(self, ray_session):
+        """minhash_dedup_pairs returns exactly the pairs a driver-side
+        reference finds: every pair of docs that shares a band key and
+        whose estimated Jaccard reaches the threshold, with that estimate."""
+        import itertools
+
         import ray.data
 
-        from exstruct_ray.ops.dedup import minhash_dedup_pairs
+        from exstruct_ray.ops.dedup import _band_keys, minhash_dedup_pairs
 
         docs = [
             {"doc_id": i, "text": f"completely unrelated text number {i} "
@@ -324,50 +305,65 @@ class TestDedupGroups:
             for i in range(30)
         ]
         docs.append({"doc_id": 100, "text": docs[0]["text"] + " tail"})
-        ds = ray.data.from_items(docs)
+        a, b = _hash_params(64)
+        sigs = np.stack(
+            [minhash_signature(char_shingles(d["text"], 5), a, b) for d in docs]
+        )
+        keys = _band_keys(sigs, 16, 4)
+        expected, candidates = {}, 0
+        for i, j in itertools.combinations(range(len(docs)), 2):
+            if set(keys[:, i]) & set(keys[:, j]):
+                candidates += 1
+                est = float((sigs[i] == sigs[j]).mean())
+                if est >= 0.7:
+                    ids = sorted((docs[i]["doc_id"], docs[j]["doc_id"]))
+                    expected[tuple(ids)] = est
 
-        def pairs(strategy):
-            out = minhash_dedup_pairs(
-                ray.data.from_items(docs), jaccard_threshold=0.7,
-                strategy=strategy,
-            ).to_pandas()
-            return sorted(zip(out["doc_a"], out["doc_b"]))
-
-        ids_only = pairs("ids_only")
-        sig_carry = pairs("sig_carry")
-        auto = pairs("auto")
-        assert ids_only == sig_carry == auto
-        assert (0, 100) in ids_only
+        out = minhash_dedup_pairs(
+            ray.data.from_items(docs), jaccard_threshold=0.7
+        ).to_pandas()
+        got = {
+            (int(x), int(y)): float(e)
+            for x, y, e in zip(out["doc_a"], out["doc_b"], out["est_jaccard"])
+        }
+        assert len(got) == len(out)  # no pair twice
+        assert got == expected
+        assert (0, 100) in expected
+        assert candidates > len(expected)  # the threshold dropped some
 
     def test_auto_routing_by_pair_count(self, ray_session, monkeypatch):
-        """dedup_groups_auto: small pair sets take the driver union-find,
+        """dedup_groups_auto_ds: small pair sets take the driver union-find,
         big ones the distributed label propagation — same output."""
         import pandas as pd
         import ray.data
 
         from exstruct_ray.ops import dedup as dedup_mod
+        from exstruct_ray.ops.shuffle import to_frame
 
         pairs = pd.DataFrame({"doc_a": [1, 2, 5], "doc_b": [2, 3, 6]})
         calls = []
-        orig_uf, orig_lp = dedup_mod.dedup_groups, dedup_mod.label_propagation_groups
+        orig_uf = dedup_mod.dedup_groups
+        orig_lp = dedup_mod.label_propagation_groups_ds
         monkeypatch.setattr(
             dedup_mod, "dedup_groups",
             lambda df: calls.append("driver") or orig_uf(df),
         )
         monkeypatch.setattr(
-            dedup_mod, "label_propagation_groups",
+            dedup_mod, "label_propagation_groups_ds",
             lambda ds, **kw: calls.append("distributed") or orig_lp(ds, **kw),
         )
 
-        small = dedup_mod.dedup_groups_auto(ray.data.from_pandas(pairs))
+        def groups(**kw):
+            ds = dedup_mod.dedup_groups_auto_ds(ray.data.from_pandas(pairs), **kw)
+            out = to_frame(ds, dedup_mod.GROUP_COLS)
+            return out.sort_values(["group_id", "doc_id"]).reset_index(drop=True)
+
+        small = groups()
         assert calls == ["driver"]
-        big = dedup_mod.dedup_groups_auto(
-            ray.data.from_pandas(pairs), driver_pair_limit=2
-        )
+        big = groups(driver_pair_limit=2)
         assert calls == ["driver", "distributed"]
-        pd.testing.assert_frame_equal(
-            small.reset_index(drop=True), big.reset_index(drop=True)
-        )
+        pd.testing.assert_frame_equal(small, big)
+        assert small["group_id"].tolist() == [1, 1, 1, 5, 5]
 
 
 class TestAnnRecall:
