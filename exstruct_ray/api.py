@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .config import ExtractOptions
+from .config import ExtractOptions, ResolvedOptions
 from .extract.document import (
     Span,
+    _resolve,
     extract_document_spans,
     extract_workbook,
     workbook_to_spans,
@@ -25,14 +26,14 @@ from .ooxml.package import VirtualPackage
 
 def extract(
     source: str | Path | bytes | list[dict],
-    options: ExtractOptions | None = None,
+    options: ExtractOptions | ResolvedOptions | None = None,
 ) -> WorkbookData:
     """Extract one workbook from .xlsx bytes / path / span dicts.
 
     The single-document equivalent of the distributed pipeline — same code
-    path the Ray extraction tasks run per row.
+    path the Ray extraction tasks run per row. ``options`` may come resolved.
     """
-    opts = (options or ExtractOptions()).resolved()
+    opts = _resolve(options)
 
     def _package_from_bytes(data: bytes) -> VirtualPackage:
         from .ooxml.biff import is_cfb, read_xls_to_parts
@@ -76,8 +77,7 @@ class ExtractEngine:
 
     def extract_spans(self, source, mode: str | None = None) -> list[Span]:
         options = self.options if mode is None else self.options.with_(mode=mode)
-        workbook = extract(source, options)
-        return workbook_to_spans(workbook, options.resolved())
+        return extract_spans(source, options)
 
     def serialize(
         self, workbook: WorkbookData, fmt: str = "json", **kwargs: object
@@ -143,10 +143,12 @@ class ExtractEngine:
         return workbook
 
 
-def extract_spans(source, options: ExtractOptions | None = None) -> list[Span]:
+def extract_spans(
+    source, options: ExtractOptions | ResolvedOptions | None = None
+) -> list[Span]:
     """Module-level helper: source → ordered span sequence."""
-    opts = (options or ExtractOptions()).resolved()
-    return workbook_to_spans(extract(source, options), opts)
+    opts = _resolve(options)
+    return workbook_to_spans(extract(source, opts), opts)
 
 
 __all__ = [

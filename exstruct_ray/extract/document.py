@@ -20,12 +20,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-import json
-from json.encoder import c_make_encoder, encode_basestring
 
 from ..config import ExtractOptions, ResolvedOptions
 from ..functions.a1 import parse_range_zero_based
-from ..functions.canonical import canonical_json
+from ..functions.canonical import canonical_json, encode_compact
 from ..functions.coerce import coerce_numeric_preserve_format
 from ..models import (
     Arrow,
@@ -145,7 +143,9 @@ def extract_workbook(
 ) -> WorkbookData:
     """Run the full light-mode pipeline over a virtual package."""
     info = parse_workbook(package)
-    styles = _parse_styles_safe(package)
+    # styles.xml is parsed on the first styled cell that needs it (a date
+    # check, a border scan, a fill color); unstyled documents never read it.
+    styles = Stylesheet(load=lambda: _parse_styles_safe(package).styles)
     shared = parse_shared_strings(package)
     memo = _RowMemo()
 
@@ -261,10 +261,13 @@ def _extract_sheet(
         colors_map=colors_map,
         merged_cells=merged if opts.include_merged_cells else None,
     )
+    # The shapes and charts are this sheet's own: strip sizes in place.
     if not opts.include_shape_size:
-        sheet.shapes = [s.without_size() for s in sheet.shapes]
+        for item in shapes:
+            item.w = item.h = None
     if not opts.include_chart_size:
-        sheet.charts = [c.without_size() for c in sheet.charts]
+        for item in charts:
+            item.w = item.h = None
     if opts.alpha_col:
         sheet = _project_alpha(sheet)
     return sheet
@@ -526,17 +529,9 @@ def workbook_to_spans(workbook: WorkbookData, opts: ResolvedOptions) -> list[Spa
     ]
 
 
-# json.dumps(..., ensure_ascii=False, separators=(",", ":")) builds a new
-# JSONEncoder and C encoder per call; build that same C encoder once.
-_encode_payload = c_make_encoder(
-    None, json.JSONEncoder().default, encode_basestring, None, ":", ",",
-    False, False, True,
-)
-
-
 def cell_row_json(row: CellRow) -> str:
     """``json.dumps(row.to_payload(), ensure_ascii=False, separators=(",", ":"))``."""
-    return "".join(_encode_payload(row.to_payload(), 0))
+    return "".join(encode_compact(row.to_payload(), 0))
 
 
 def _workbook_spans_into(

@@ -10,6 +10,15 @@ the canonical form byte-stable for the span-equality invariant.
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring
+
+# json.dumps(..., ensure_ascii=False, separators=(",", ":")) builds a new
+# JSONEncoder and C encoder per call; build that same C encoder once.
+# ``"".join(encode_compact(obj, 0))`` is that dump.
+encode_compact = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring, None, ":", ",",
+    False, False, True,
+)
 
 _EMPTIES = (None, "", [], {})
 
@@ -43,6 +52,4 @@ def _is_empty(v: object) -> bool:
 
 def canonical_json(obj: object) -> str:
     """Compact deterministic JSON (insertion-ordered keys, no ASCII escapes)."""
-    return json.dumps(
-        dict_without_empty_values(obj), ensure_ascii=False, separators=(",", ":")
-    )
+    return "".join(encode_compact(dict_without_empty_values(obj), 0))

@@ -11,17 +11,22 @@ ADR-0003's omission policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .functions.a1 import col_index_to_alpha
 
-_BACKEND_METADATA_KEYS = ("provenance", "approximation_level", "confidence")
+_BACKEND_METADATA_KEYS = frozenset(("provenance", "approximation_level", "confidence"))
 
 
-def _strip_backend(payload: dict, include_backend_metadata: bool) -> dict:
+def _present(payload: dict, include_backend_metadata: bool) -> dict:
+    """The payload's non-None fields; backend metadata only when asked for."""
     if include_backend_metadata:
-        return payload
-    return {k: v for k, v in payload.items() if k not in _BACKEND_METADATA_KEYS}
+        return {k: v for k, v in payload.items() if v is not None}
+    return {
+        k: v
+        for k, v in payload.items()
+        if v is not None and k not in _BACKEND_METADATA_KEYS
+    }
 
 
 @dataclass
@@ -69,13 +74,7 @@ class Shape:
             "kind": self.kind,
             "type": self.type,
         }
-        return _strip_backend(
-            {k: v for k, v in payload.items() if v is not None},
-            include_backend_metadata,
-        )
-
-    def without_size(self) -> "Shape":
-        return replace(self, w=None, h=None)
+        return _present(payload, include_backend_metadata)
 
 
 @dataclass
@@ -116,13 +115,7 @@ class Arrow:
             "end_id": self.end_id,
             "direction": self.direction,
         }
-        return _strip_backend(
-            {k: v for k, v in payload.items() if v is not None},
-            include_backend_metadata,
-        )
-
-    def without_size(self) -> "Arrow":
-        return replace(self, w=None, h=None)
+        return _present(payload, include_backend_metadata)
 
 
 @dataclass
@@ -173,13 +166,7 @@ class SmartArt:
             "layout": self.layout,
             "nodes": [n.to_payload() for n in self.nodes],
         }
-        return _strip_backend(
-            {k: v for k, v in payload.items() if v is not None},
-            include_backend_metadata,
-        )
-
-    def without_size(self) -> "SmartArt":
-        return replace(self, w=None, h=None)
+        return _present(payload, include_backend_metadata)
 
 
 @dataclass
@@ -233,13 +220,7 @@ class Chart:
             "approximation_level": self.approximation_level,
             "confidence": self.confidence,
         }
-        return _strip_backend(
-            {k: v for k, v in payload.items() if v is not None},
-            include_backend_metadata,
-        )
-
-    def without_size(self) -> "Chart":
-        return replace(self, w=None, h=None)
+        return _present(payload, include_backend_metadata)
 
 
 @dataclass

@@ -27,6 +27,40 @@ _DGM = "{http://schemas.openxmlformats.org/drawingml/2006/diagram}"
 _R = "{http://schemas.openxmlformats.org/officeDocument/2006/relationships}"
 _XDR = "{http://schemas.openxmlformats.org/drawingml/2006/spreadsheetDrawing}"
 
+_PREFIXES = {"a": _A, "c": _C, "dgm": _DGM, "xdr": _XDR}
+
+
+def _path(text: str) -> tuple[str, ...]:
+    """``"xdr:spPr/a:xfrm"`` → the Clark-notation child tags, for ``_find``."""
+    return tuple(
+        _PREFIXES[prefix] + local
+        for prefix, local in (step.split(":") for step in text.split("/"))
+    )
+
+
+_SP_NAME = _path("xdr:nvSpPr/xdr:cNvPr")
+_SP_PROPS = _path("xdr:nvSpPr/xdr:cNvSpPr")
+_SP_XFRM = _path("xdr:spPr/a:xfrm")
+_SP_GEOM = _path("xdr:spPr/a:prstGeom")
+_SP_LINE = _path("xdr:spPr/a:ln")
+_CXN_NAME = _path("xdr:nvCxnSpPr/xdr:cNvPr")
+_CXN_PROPS = _path("xdr:nvCxnSpPr/xdr:cNvCxnSpPr")
+_FRAME_NAME = _path("xdr:nvGraphicFramePr/xdr:cNvPr")
+_FRAME_CHART = _path("a:graphic/a:graphicData/c:chart")
+_FRAME_DIAGRAM = _path("a:graphic/a:graphicData/dgm:relIds")
+_CHART_TITLE = _path("c:chart/c:title")
+_PLOT_AREA = _path("c:chart/c:plotArea")
+_SER_NAME_REF = _path("c:tx/c:strRef/c:f")
+_SER_NAME_CACHED = _path("c:tx/c:strRef/c:strCache/c:pt/c:v")
+_SER_NAME_TEXT = _path("c:tx/c:v")
+_SER_X_RANGES = tuple(map(_path, (
+    "c:xVal/c:numRef/c:f", "c:xVal/c:strRef/c:f",
+    "c:cat/c:numRef/c:f", "c:cat/c:strRef/c:f",
+)))
+_SER_Y_RANGES = tuple(map(_path, (
+    "c:yVal/c:numRef/c:f", "c:yVal/c:strRef/c:f", "c:val/c:numRef/c:f",
+)))
+
 _CHART_TAGS = {
     "areaChart",
     "barChart",
@@ -172,13 +206,13 @@ def parse_sheet_drawing(
 def _parse_shape_node(
     anchor: ET.Element, node: ET.Element, metrics: SheetMetrics
 ) -> ShapeInfo | None:
-    c_nv_pr = node.find(f"{_XDR}nvSpPr/{_XDR}cNvPr")
+    c_nv_pr = _find(node, _SP_NAME)
     if c_nv_pr is None:
         return None
     drawing_id = _int_attr(c_nv_pr, "id") or 0
     name = c_nv_pr.attrib.get("name", f"Shape {drawing_id}")
     left, top, width, height, rotation, flip_h, flip_v = _parse_xfrm(
-        _find(node, f"{_XDR}spPr/{_A}xfrm")
+        _find(node, _SP_XFRM)
     )
     left, top, width, height = _merge_anchor_geometry(
         anchor, left, top, width, height, metrics
@@ -203,23 +237,23 @@ def _parse_shape_node(
 def _parse_connector_node(
     anchor: ET.Element, node: ET.Element, metrics: SheetMetrics
 ) -> ConnectorInfo | None:
-    c_nv_pr = node.find(f"{_XDR}nvCxnSpPr/{_XDR}cNvPr")
+    c_nv_pr = _find(node, _CXN_NAME)
     if c_nv_pr is None:
         return None
     drawing_id = _int_attr(c_nv_pr, "id") or 0
     name = c_nv_pr.attrib.get("name", f"Connector {drawing_id}")
     left, top, width, height, rotation, flip_h, flip_v = _parse_xfrm(
-        _find(node, f"{_XDR}spPr/{_A}xfrm")
+        _find(node, _SP_XFRM)
     )
     left, top, width, height = _merge_anchor_geometry(
         anchor, left, top, width, height, metrics
     )
-    props = node.find(f"{_XDR}nvCxnSpPr/{_XDR}cNvCxnSpPr")
+    props = _find(node, _CXN_PROPS)
     start_node = props.find(f"{_A}stCxn") if props is not None else None
     end_node = props.find(f"{_A}endCxn") if props is not None else None
     dx = None if width is None else (-width if flip_h else width)
     dy = None if height is None else (-height if flip_v else height)
-    line = _find(node, f"{_XDR}spPr/{_A}ln")
+    line = _find(node, _SP_LINE)
     return ConnectorInfo(
         drawing_id=drawing_id,
         name=name,
@@ -249,11 +283,11 @@ def _parse_chart_node(
     rel_map: dict,
     metrics: SheetMetrics,
 ) -> ChartInfo | None:
-    c_nv_pr = node.find(f"{_XDR}nvGraphicFramePr/{_XDR}cNvPr")
+    c_nv_pr = _find(node, _FRAME_NAME)
     if c_nv_pr is None:
         return None
     name = c_nv_pr.attrib.get("name", "Chart")
-    chart_ref = _find(node, f"{_A}graphic/{_A}graphicData/{_C}chart")
+    chart_ref = _find(node, _FRAME_CHART)
     if chart_ref is None:
         return None
     rel = rel_map.get(chart_ref.attrib.get(f"{_R}id", ""))
@@ -269,7 +303,7 @@ def _parse_chart_node(
     return ChartInfo(
         name=name,
         chart_type=_extract_chart_type(chart_root),
-        title=_extract_chart_text(_find(chart_root, f"{_C}chart/{_C}title")),
+        title=_extract_chart_text(_find(chart_root, _CHART_TITLE)),
         y_axis_title=_extract_y_axis_title(chart_root),
         y_axis_range=_extract_y_axis_range(chart_root),
         series=_extract_chart_series(chart_root),
@@ -299,9 +333,9 @@ def _parse_smartart_node(
     layout string — COM reports Excel's LOCALIZED layout name ("基本の循環"),
     OOXML only carries the layout URN, so light emits its tail ("cycle2").
     """
-    c_nv_pr = node.find(f"{_XDR}nvGraphicFramePr/{_XDR}cNvPr")
+    c_nv_pr = _find(node, _FRAME_NAME)
     name = c_nv_pr.attrib.get("name", "SmartArt") if c_nv_pr is not None else "SmartArt"
-    rel_ids = _find(node, f"{_A}graphic/{_A}graphicData/{_DGM}relIds")
+    rel_ids = _find(node, _FRAME_DIAGRAM)
     if rel_ids is None:
         return None
     rel = rel_map.get(rel_ids.attrib.get(f"{_R}dm", ""))
@@ -391,7 +425,7 @@ def _parse_diagram_data(root: ET.Element) -> tuple[str, list[SmartArtNode]]:
 
 
 def _extract_chart_type(chart_root: ET.Element) -> str:
-    plot_area = _find(chart_root, f"{_C}chart/{_C}plotArea")
+    plot_area = _find(chart_root, _PLOT_AREA)
     if plot_area is None:
         return "unknown"
     for child in plot_area:
@@ -433,7 +467,7 @@ def _extract_y_axis_range(chart_root: ET.Element) -> list[float]:
 
 
 def _extract_chart_series(chart_root: ET.Element) -> list[ChartSeries]:
-    plot_area = _find(chart_root, f"{_C}chart/{_C}plotArea")
+    plot_area = _find(chart_root, _PLOT_AREA)
     if plot_area is None:
         return []
     series: list[ChartSeries] = []
@@ -441,25 +475,12 @@ def _extract_chart_series(chart_root: ET.Element) -> list[ChartSeries]:
         if chart_node.tag.rsplit("}", 1)[-1] not in _CHART_TAGS:
             continue
         for ser in chart_node.findall(f"{_C}ser"):
-            name_range = _findtext(ser, f"{_C}tx/{_C}strRef/{_C}f")
-            literal_name = _findtext(
-                ser, f"{_C}tx/{_C}strRef/{_C}strCache/{_C}pt/{_C}v"
-            )
+            name_range = _findtext(ser, _SER_NAME_REF)
+            literal_name = _findtext(ser, _SER_NAME_CACHED)
             if literal_name is None:
-                literal_name = _findtext(ser, f"{_C}tx/{_C}v")
-            x_range = _first_text(
-                ser,
-                f"{_C}xVal/{_C}numRef/{_C}f",
-                f"{_C}xVal/{_C}strRef/{_C}f",
-                f"{_C}cat/{_C}numRef/{_C}f",
-                f"{_C}cat/{_C}strRef/{_C}f",
-            )
-            y_range = _first_text(
-                ser,
-                f"{_C}yVal/{_C}numRef/{_C}f",
-                f"{_C}yVal/{_C}strRef/{_C}f",
-                f"{_C}val/{_C}numRef/{_C}f",
-            )
+                literal_name = _findtext(ser, _SER_NAME_TEXT)
+            x_range = _first_text(ser, _SER_X_RANGES)
+            y_range = _first_text(ser, _SER_Y_RANGES)
             series.append(
                 ChartSeries(
                     name=literal_name or name_range or "",
@@ -485,14 +506,14 @@ def _extract_chart_text(node: ET.Element | None) -> str | None:
 
 
 def _format_shape_type(node: ET.Element) -> str | None:
-    prst = _find(node, f"{_XDR}spPr/{_A}prstGeom")
+    prst = _find(node, _SP_GEOM)
     if prst is None:
         return None
     raw = prst.attrib.get("prst")
     if not raw:
         return None
     label = _SHAPE_TYPE_MAP.get(raw, raw)
-    c_nv_sp_pr = node.find(f"{_XDR}nvSpPr/{_XDR}cNvSpPr")
+    c_nv_sp_pr = _find(node, _SP_PROPS)
     is_text_box = c_nv_sp_pr is not None and c_nv_sp_pr.attrib.get("txBox") == "1"
     prefix = "TextBox" if is_text_box else "AutoShape"
     return f"{prefix}-{label}"
@@ -606,12 +627,25 @@ def _extract_text(node: ET.Element | None) -> str:
     return "".join(t.text or "" for t in node.iter(f"{_A}t")).strip()
 
 
-def _find(node: ET.Element, path: str) -> ET.Element | None:
-    return node.find(path)
+def _find(node: ET.Element, path: tuple[str, ...]) -> ET.Element | None:
+    """``node.find("/".join(path))`` for a path of child tags, walked with
+    the C child lookups instead of ElementPath: the first match in document
+    order, so a repeated parent without the next tag hands on to its next
+    sibling."""
+    if len(path) == 1:
+        return node.find(path[0])
+    rest = path[1:]
+    for child in node.findall(path[0]):
+        found = _find(child, rest)
+        if found is not None:
+            return found
+    return None
 
 
-def _findtext(node: ET.Element, path: str) -> str | None:
-    return node.findtext(path, default=None)
+def _findtext(node: ET.Element, path: tuple[str, ...]) -> str | None:
+    """``node.findtext("/".join(path), default=None)``."""
+    found = _find(node, path)
+    return None if found is None else found.text or ""
 
 
 def _find_int_text(node: ET.Element | None, path: str) -> int | None:
@@ -626,10 +660,10 @@ def _find_int_text(node: ET.Element | None, path: str) -> int | None:
         return None
 
 
-def _first_text(node: ET.Element, *paths: str) -> str | None:
+def _first_text(node: ET.Element, paths: tuple[tuple[str, ...], ...]) -> str | None:
     for path in paths:
-        value = node.findtext(path, default=None)
-        if isinstance(value, str):
+        value = _findtext(node, path)
+        if value is not None:
             return value
     return None
 

@@ -12,10 +12,9 @@ Relationship/path semantics parity:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import io
-import posixpath
 import xml.etree.ElementTree as ET
+from typing import NamedTuple
 import zipfile
 
 _REL_NS = "{http://schemas.openxmlformats.org/package/2006/relationships}"
@@ -37,33 +36,38 @@ DIAGRAM_DATA_REL_TYPE = (
 )
 
 
-@dataclass(frozen=True)
-class Relationship:
+class Relationship(NamedTuple):
     target: str
     relationship_type: str
 
 
 def rels_path(source_path: str) -> str:
-    """Return the relationships part path for a source part."""
-    head, tail = posixpath.split(source_path)
-    return posixpath.join(head, "_rels", f"{tail}.rels")
+    """Return the relationships part path for a source part
+    (``posixpath.join(head, "_rels", tail + ".rels")`` of its split)."""
+    cut = source_path.rfind("/") + 1
+    head = source_path[:cut]
+    tail = source_path[cut:]
+    stripped = head.rstrip("/")
+    if stripped:
+        return f"{stripped}/_rels/{tail}.rels"
+    return f"{head}_rels/{tail}.rels"  # no directory, or only slashes
 
 
 def normalize_zip_path(base_dir: str, target: str) -> str:
-    """Normalize a relative OOXML target against a base directory."""
-    if target.startswith("/"):
-        raw = target
-    else:
-        raw = posixpath.join(base_dir, target)
+    """Normalize a relative OOXML target against a base directory: the
+    joined path without empty, ``.`` and ``..`` segments (``..`` drops the
+    segment before it)."""
+    raw = target if target.startswith("/") else f"{base_dir}/{target}"
+    raw = raw.lstrip("/")
+    if "//" not in raw and "/." not in raw and raw[:1] != "." and raw[-1:] != "/":
+        return raw
     parts: list[str] = []
     for part in raw.split("/"):
-        if part in {"", "."}:
-            continue
         if part == "..":
             if parts:
                 parts.pop()
-            continue
-        parts.append(part)
+        elif part and part != ".":
+            parts.append(part)
     return "/".join(parts)
 
 
@@ -127,7 +131,7 @@ class VirtualPackage:
         rpath = rels_path(source_path)
         rel_map: dict[str, Relationship] = {}
         if rpath in self._parts:
-            base_dir = posixpath.dirname(source_path)
+            base_dir = source_path[: max(source_path.rfind("/"), 0)]
             root = self.read_xml(rpath)
             for rel in root.iter(f"{_REL_NS}Relationship"):
                 rel_id = rel.attrib.get("Id")
@@ -139,8 +143,6 @@ class VirtualPackage:
                     resolved = target
                 else:
                     resolved = normalize_zip_path(base_dir, target)
-                rel_map[rel_id] = Relationship(
-                    target=resolved, relationship_type=rel_type
-                )
+                rel_map[rel_id] = Relationship(resolved, rel_type)
         self._rels_cache[source_path] = rel_map
         return rel_map

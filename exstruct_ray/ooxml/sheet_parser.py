@@ -494,7 +494,6 @@ def _fast_cell_table(
 
     renderers = {"n": _render_number, "d": date, "s": shared, "b": boolean}
     memos: dict[str, _Rendered] = {}
-    date_styles = styles.date_style_ids()
     style_of: dict[str, int | None] = {}
     memo_of: dict[str, _Rendered] = {}
     inline_attrs: set[str] = set()
@@ -515,7 +514,13 @@ def _fast_cell_table(
             return None  # unknown cell type → ET path
         if cell_type == "inlineStr":
             inline_attrs.add(attrs)
-        kind = "d" if cell_type == "n" and style_idx in date_styles else cell_type
+        kind = (
+            "d"
+            if cell_type == "n"
+            and style_idx is not None
+            and style_idx in styles.date_style_ids()
+            else cell_type
+        )
         memo = memos.get(kind)
         if memo is None:
             memo = memos[kind] = _Rendered(renderers.get(kind, same))
@@ -658,7 +663,6 @@ def _parse_sheet_et_from_root(
             table.rows, table.cols, table.values, table.styles
         )
         formulas = table.formulas
-        date_styles = styles.date_style_ids()
         # OOXML allows implicit positions: a row without r continues after
         # the previous row; a cell without r sits right of the previous cell
         # (openpyxl — the reference's reader — reconstructs both).
@@ -727,7 +731,10 @@ def _parse_sheet_et_from_root(
                 if cell_type == "n":
                     if v_text == "":
                         value = ""
-                    elif style_idx is not None and style_idx in date_styles:
+                    elif (
+                        style_idx is not None
+                        and style_idx in styles.date_style_ids()
+                    ):
                         try:
                             value = _render_date(float(v_text), date1904)
                         except ValueError:

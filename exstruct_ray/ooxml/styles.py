@@ -11,8 +11,9 @@ matching str(pandas.Timestamp) in the reference's golden output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import re
+from typing import Callable
 import xml.etree.ElementTree as ET
 
 from ..functions.colors import DEFAULT_BACKGROUND_HEX, normalize_rgb
@@ -56,34 +57,51 @@ _NO_BORDER = BorderEdges()
 _DEFAULT_STYLE = CellStyle(fill_key=None, border=_NO_BORDER, is_date=False)
 
 
-@dataclass
 class Stylesheet:
-    """Resolved per-cellXf style table."""
+    """Resolved per-cellXf style table.
 
-    styles: list[CellStyle] = field(default_factory=list)
+    Given ``load`` instead of ``styles``, the table is ``load()``'s result,
+    built on first use: a document whose cells carry no style index never
+    parses its styles part.
+    """
+
+    __slots__ = ("_styles", "_load", "_date_ids", "_border_edges")
+
+    def __init__(
+        self,
+        styles: list[CellStyle] | None = None,
+        *,
+        load: Callable[[], list[CellStyle]] | None = None,
+    ) -> None:
+        self._styles = [] if styles is None and load is None else styles
+        self._load = load
+        self._date_ids: frozenset[int] | None = None
+        self._border_edges: dict[int, tuple[bool, bool, bool, bool]] | None = None
+
+    @property
+    def styles(self) -> list[CellStyle]:
+        if self._styles is None:
+            self._styles = self._load()
+        return self._styles
 
     def date_style_ids(self) -> frozenset[int]:
         """Indices of date-formatted cellXfs (cached for the hot parse loop)."""
-        cached = getattr(self, "_date_ids", None)
-        if cached is None:
-            cached = frozenset(
+        if self._date_ids is None:
+            self._date_ids = frozenset(
                 i for i, s in enumerate(self.styles) if s.is_date
             )
-            object.__setattr__(self, "_date_ids", cached)
-        return cached
+        return self._date_ids
 
     def border_edges(self) -> dict[int, tuple[bool, bool, bool, bool]]:
         """cellXf index → (top, bottom, left, right) for the styles that draw
         any border edge (cached for the table detector's scan)."""
-        cached = getattr(self, "_border_edges", None)
-        if cached is None:
-            cached = {
+        if self._border_edges is None:
+            self._border_edges = {
                 i: (s.border.top, s.border.bottom, s.border.left, s.border.right)
                 for i, s in enumerate(self.styles)
                 if s.border.any
             }
-            object.__setattr__(self, "_border_edges", cached)
-        return cached
+        return self._border_edges
 
     def style(self, idx: int | None) -> CellStyle:
         if idx is None or idx < 0 or idx >= len(self.styles):

@@ -71,6 +71,16 @@ def extract_declared_table_refs(
 _NUMPY_BORDER_CELLS = 64
 
 
+def _has_bordered_cell(grid: SheetGrid, styles: Stylesheet) -> bool:
+    """Whether any cell's style draws a border edge; a sheet without styled
+    cells answers without loading the stylesheet."""
+    cell_styles = grid.table.styles
+    if cell_styles.count(None) == len(cell_styles):
+        return False
+    edges_of = styles.border_edges()
+    return bool(edges_of) and any(map(edges_of.__contains__, cell_styles))
+
+
 def load_border_maps(
     grid: SheetGrid, styles: Stylesheet, limits: TableScanLimits
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -546,6 +556,8 @@ def detect_tables(
 ) -> list[str]:
     """Full T1–T6 chain for one sheet; returns A1 range candidates."""
     tables = extract_declared_table_refs(package, sheet_path, grid)
+    if not _has_bordered_cell(grid, styles):
+        return tables
     has_border, top_edge, bottom_edge, left_edge, right_edge = load_border_maps(
         grid, styles, limits
     )
